@@ -91,11 +91,9 @@ class AsymmetryAwareScheduler(SymmetricScheduler):
         return victims
 
     def _steal(self, core: Core) -> Optional["SimThread"]:
+        queues = self.kernel.runqueues
         for victim in self._steal_victims(core):
-            # Materialized read: the affinity scan inspects queue
-            # contents, which lag behind reality on a
-            # rotation-coalesced core.
-            queue = self.kernel.materialized_runqueue(victim.index)
+            queue = queues[victim.index]
             for position in range(len(queue) - 1, -1, -1):
                 thread = queue[position]
                 if thread.allowed_on(core.index):
@@ -112,10 +110,6 @@ class AsymmetryAwareScheduler(SymmetricScheduler):
             if victim is core or not victim.online \
                     or victim.rate >= core.rate:
                 continue
-            # Materialized read: ``current_thread`` on a
-            # rotation-coalesced core is the arm-time runner, not the
-            # thread truly running now.
-            kernel.materialized_runqueue(victim.index)
             running = victim.current_thread
             if running is not None and running.allowed_on(core.index):
                 candidates.append(victim)
@@ -197,7 +191,6 @@ class RankOnlyAsymmetryScheduler(AsymmetryAwareScheduler):
             if victim is core or not victim.online \
                     or self._rank(victim) <= self._rank(core):
                 continue
-            kernel.materialized_runqueue(victim.index)
             running = victim.current_thread
             if running is not None and running.allowed_on(core.index):
                 candidates.append(victim)

@@ -49,13 +49,6 @@ _MIN_SLICE = 1e-6
 
 _INF = float("inf")
 
-#: Kinds of live macro slice (values of ``Kernel._macros``).  A LONE
-#: macro coalesces an uncontended core's quantum boundaries to
-#: instruction completion (DESIGN.md §9); a ROTATION macro coalesces
-#: one full round-robin rotation of a contended core (DESIGN.md §10).
-_MACRO_LONE = "lone"
-_MACRO_ROTATION = "rotation"
-
 # The dispatch loop tests instruction types millions of times per run;
 # module-level aliases avoid re-resolving the attribute each check.
 _Instruction = ins.Instruction
@@ -136,8 +129,10 @@ class Kernel:
         self._tracer = sim.tracer
         self._tracer_active = sim.tracer.active
 
-        #: Ready queue of each core, indexed by core index
-        #: (scheduler-visible; see :meth:`materialized_runqueue`).
+        #: Ready queue of each core, indexed by core index (read and
+        #: popped by the scheduler).  A core with a live macro slice
+        #: always has an empty queue: arming requires it, and every
+        #: enqueue onto a coalesced core splits the macro first.
         self.runqueues: List[Deque[SimThread]] = [
             deque() for _ in machine.cores]
         self._slices: Dict[int, _Slice] = {}
@@ -146,27 +141,17 @@ class Kernel:
         #: the process default; an explicit bool pins this kernel.
         self._coalesce = coalescing_enabled() if coalesce is None \
             else bool(coalesce)
-        #: Live macro slices by core index, tagged with their kind
-        #: (``_MACRO_LONE`` or ``_MACRO_ROTATION``) so the re-split
-        #: machinery can dispatch to the right catch-up.  Empty whenever
-        #: coalescing is off — hot paths guard on the dict's truthiness
-        #: alone.
-        self._macros: Dict[int, str] = {}
+        #: Cores running a live macro slice, by index, in arming order.
+        #: Empty whenever coalescing is off — hot paths guard on the
+        #: dict's truthiness alone.
+        self._macros: Dict[int, Core] = {}
         #: ``now -> earliest relevant time`` callables consulted, on
         #: top of the simulator's event horizon, when sizing a macro
         #: slice; fault injectors register theirs at install time.
         self._horizon_hooks: List[Callable[[float], float]] = []
         # Bound once so EventQueue.horizon can recognize this kernel's
         # own slice events by callback equality.
-        self._slice_callbacks = (self._on_slice_end, self._on_macro_end,
-                                 self._on_rotation_end)
-        # Rotation arming additionally skips pending zero-delay
-        # dispatch events: a dispatch only ever fires at the instant it
-        # was scheduled, and any cross-core interaction it performs
-        # (steal, pull) reaches a coalesced core through the
-        # materialization hooks, which re-split exactly.
-        self._rotation_skip = self._slice_callbacks \
-            + (self._do_dispatch,)
+        self._slice_callbacks = (self._on_slice_end, self._on_macro_end)
         # Position of the engine's same-instant group sweep: the core
         # whose boundary event is (or was last) being processed at
         # ``_sweep_time``.  At a timestamp shared by several cores'
@@ -208,9 +193,7 @@ class Kernel:
         #: Ready-to-dispatch wait per dispatch ("sched_latency_seconds").
         #: Zero waits (the common idle-dispatch case) are not counted
         #: inline: zeros == context_switches - sum of buckets.  The
-        #: value total lives per core (``Core.lat_total``) so rotation
-        #: catch-up, which books one core's waits in a batch, adds the
-        #: same floats in the same order as the sliced kernel; the
+        #: value total lives per core (``Core.lat_total``); the
         #: snapshot sums the cores in index order.
         self._hb_latency: List[int] = bucket_array()
         self._lat_memo_val = -1.0
@@ -234,23 +217,6 @@ class Kernel:
     @property
     def now(self) -> float:
         return self.sim.now
-
-    def materialized_runqueue(self, core_index: int) -> Deque[SimThread]:
-        """The ready queue with any live rotation macro split first.
-
-        During a rotation-macro window the queue's *length* is exact (a
-        full boundary appends one thread and pops one) but its contents
-        and the threads' ``last_ran_at``/``ready_at`` books lag behind
-        the boundaries the macro has elided.  Schedulers must read
-        queues through this accessor wherever they inspect *contents*
-        (steal scans, pull-victim checks); splitting re-plays the
-        elided boundaries exactly and converts the remainder of the
-        window to ordinary per-quantum slicing.  Length-only reads
-        (load balancing) may keep using :attr:`runqueues`.
-        """
-        if self._macros.get(core_index) is _MACRO_ROTATION:
-            self._macro_split(self.machine.cores[core_index])
-        return self.runqueues[core_index]
 
     @property
     def coalescing(self) -> bool:
@@ -402,10 +368,8 @@ class Kernel:
             raise SchedulingError(
                 f"scheduler placed {thread.name!r} on forbidden core "
                 f"{index}")
-        # Split BEFORE appending: a rotation macro's catch-up replays
-        # requeue/dispatch pairs against the live queue, so the waking
-        # thread must not be visible until the books are current.  (A
-        # lone macro never reads the queue, so the order is free there.)
+        # A contender restores the core's per-quantum preemption
+        # points, so a coalesced core never holds a non-empty queue.
         if self._macros:
             self._macro_split(core)
         self.runqueues[index].append(thread)
@@ -568,22 +532,16 @@ class Kernel:
         if budget < _MIN_SLICE:
             budget = _MIN_SLICE
         length = seconds_needed if seconds_needed < budget else budget
-        # Spin bursts never coalesce: a lone macro would run the burst
-        # to "completion" and complete the thread's in-flight Lock
+        # Spin bursts never coalesce: a macro would run the burst to
+        # "completion" and complete the thread's in-flight Lock
         # instruction, but a drained burst must re-check the lock
-        # instead.  (Rotation audits already reject queued spinners:
-        # their current_instruction is a Lock, not a Compute.)
-        if self._coalesce and seconds_needed > budget \
-                and thread.spin_lock is None:
-            if not self.runqueues[index]:
-                if (self.scheduler.preemption_horizon(core, thread)
-                        == _INF
-                        and self._start_macro(thread, core, length)):
-                    return
-            elif (self.scheduler.rotation_audit
-                    and "sched" not in self._tracer_active
-                    and self._start_rotation(thread, core, length)):
-                return
+        # instead.
+        if (self._coalesce and seconds_needed > budget
+                and thread.spin_lock is None
+                and not self.runqueues[index]
+                and self.scheduler.preemption_horizon(core, thread) == _INF
+                and self._start_macro(thread, core, length)):
+            return
         now = self.sim._now
         event = self.sim.schedule(length, self._on_slice_end, core,
                                   group=index)
@@ -685,7 +643,7 @@ class Kernel:
             if "exec" in self._tracer_active else None
         self._slices[core.index] = _Slice(thread, now, rate, event,
                                           span)
-        self._macros[core.index] = _MACRO_LONE
+        self._macros[core.index] = core
         self.metrics.counters.incr("coalesce.macros_armed")
         return True
 
@@ -720,195 +678,6 @@ class Kernel:
         piece.event = self.sim.schedule(
             length, self._on_slice_end, core,
             group=core.index)  # pragma: no cover
-
-    # ------------------------------------------------------------------
-    # Rotation coalescing (contended macro slices, DESIGN.md §10)
-    # ------------------------------------------------------------------
-    # A contended core under round-robin is *periodic*: every quantum
-    # boundary retires the runner, requeues it, and dispatches the
-    # queue head — two events per quantum that recompute state the
-    # closed form below can replay exactly.  When the runner and every
-    # queued thread are mid-Compute, core-resident, on fresh quanta,
-    # and preempted (not completing) at their boundaries, the kernel
-    # arms ONE event at the end of the full rotation (running thread +
-    # k queued threads = k+1 quanta) and replays the k interior
-    # boundaries on demand.  The window must end strictly before every
-    # foreign pending event; zero-delay dispatch events are exempt
-    # because they only ever fire at the instant they were scheduled,
-    # and any cross-core read they perform goes through
-    # :meth:`materialized_runqueue`, which re-splits first.
-    #
-    # Unlike lone macros the rotation's end lands ON the quantum grid,
-    # a timestamp typically shared with every other contended core's
-    # boundary chain.  Its event carries an arm-time sequence number
-    # where sliced execution would have re-anchored per boundary; the
-    # engine's core-group ordering (repro.sim.events) makes that
-    # irrelevant — at a shared instant, timers fire first and then
-    # each core's boundary-plus-dispatch work in core-index order,
-    # identically under sliced and coalesced execution, so same-time
-    # handlers observe each other's runqueues and consume tie-break
-    # RNG in the same order in both modes.
-    #
-    # Rotation macros refuse to arm while "sched" tracing is active:
-    # the catch-up would retain run/preempt records out of insertion
-    # order (exec spans are content-canonicalized on export; sched
-    # records are not).
-    def _start_rotation(self, thread: SimThread, core: Core,
-                        first_length: float) -> bool:
-        """Try to coalesce one full round-robin rotation on ``core``.
-
-        Returns True when a rotation macro was scheduled (the caller's
-        sliced path must not run); False to fall back to a normal
-        per-quantum slice.
-        """
-        queue = self.runqueues[core.index]
-        rate = core.rate
-        quantum = self.scheduler.quantum
-        now = self.sim._now
-        index = core.index
-        # Audit the window boundary by boundary with the exact floats
-        # the sliced loop would produce.  The running thread's first
-        # slice is its remaining quantum budget; every queued thread
-        # must resume mid-Compute on this core with a fresh quantum and
-        # survive (be preempted at) its full-quantum boundary.
-        end = now + first_length
-        if thread.remaining_cycles - (end - now) * rate \
-                <= _CYCLE_EPSILON:
-            return False
-        for waiter in queue:
-            if (not isinstance(waiter.current_instruction, _Compute)
-                    or waiter.last_core != index
-                    or waiter.quantum_used != 0.0
-                    or waiter.remaining_cycles / rate <= quantum):
-                return False
-            t = end
-            end = t + quantum
-            if waiter.remaining_cycles - (end - t) * rate \
-                    <= _CYCLE_EPSILON:
-                return False
-        cap = self.sim.horizon(self._rotation_skip)
-        for hook in self._horizon_hooks:
-            bound = hook(now)
-            if bound < cap:
-                cap = bound
-        if end >= cap:
-            return False
-        event = self.sim.schedule_at(end, self._on_rotation_end, core,
-                                     group=core.index)
-        core.idle_seconds += now - core.idle_since
-        span = self._tracer.span(now, "exec", thread.name,
-                                 core=index, thread=thread.name) \
-            if "exec" in self._tracer_active else None
-        self._slices[index] = _Slice(thread, now, rate, event, span)
-        self._macros[index] = _MACRO_ROTATION
-        counters = self.metrics.counters
-        counters.incr("coalesce.macros_armed")
-        counters.incr("coalesce.rotation_macros_armed")
-        return True
-
-    def _on_rotation_end(self, core: Core) -> None:
-        self._sweep_time = self.sim._now
-        self._sweep_group = core.index
-        del self._macros[core.index]
-        self._rotation_catchup(core, self.sim._now, inclusive=False)
-        counters = self.metrics.counters
-        counters.incr("coalesce.macros_completed")
-        counters.incr("coalesce.rotation_macros_completed")
-        # The rotation's final boundary is an ordinary quantum expiry:
-        # retire the anchored slice and let the real requeue/dispatch
-        # machinery take over (the dispatched thread's _start_slice
-        # arms the next rotation when the regime persists).
-        self._on_slice_end(core)
-
-    def _rotation_catchup(self, core: Core, limit: float,
-                          inclusive: bool) -> None:
-        """Materialize a rotation macro's elided quantum boundaries.
-
-        Replays every full boundary up to ``limit`` (strictly before it
-        unless ``inclusive``) — retire the runner, requeue it, dispatch
-        the queue head — writing the same floats in the same order as
-        ``_retire_slice`` / ``_requeue`` / ``_do_dispatch`` /
-        ``_start_slice``, mutating the live queue, and leaving the open
-        slice anchored at the last replayed boundary.  The arm-time
-        audit guarantees no boundary in the window completes an
-        instruction or migrates a thread, so the replay never re-enters
-        instruction processing.
-        """
-        piece = self._slices[core.index]
-        index = core.index
-        rate = piece.rate
-        queue = self.runqueues[index]
-        quantum = self.scheduler.quantum
-        tracer = self._tracer
-        trace_exec = "exec" in self._tracer_active
-        while True:
-            thread = piece.thread
-            needed = thread.remaining_cycles / rate
-            budget = quantum - thread.quantum_used
-            if budget < _MIN_SLICE:
-                budget = _MIN_SLICE
-            length = needed if needed < budget else budget
-            t = piece.start
-            t_end = t + length
-            if t_end > limit or (t_end == limit and not inclusive):
-                break
-            # _retire_slice, float for float.
-            elapsed = t_end - t
-            cycles = elapsed * rate
-            remaining = thread.remaining_cycles - cycles
-            if remaining < 0.0:
-                remaining = 0.0
-            thread.remaining_cycles = remaining
-            thread.account_execution(index, elapsed, cycles)
-            thread.last_ran_at = t_end
-            thread.quantum_used += elapsed
-            core.busy_time += elapsed
-            core.busy_cycles += cycles
-            core.idle_since = t_end
-            if piece.span is not None:
-                piece.span.end(t_end)
-            if elapsed > 0.0:
-                if elapsed != self._slice_memo_val:
-                    self._slice_memo_val = elapsed
-                    self._slice_memo_key = (_frexp(elapsed)[1]
-                                            + _HIST_OFFSET)
-                self._hb_slice[self._slice_memo_key] += 1
-            else:  # pragma: no cover - audited slices are full quanta
-                self._slice_zeros += 1
-            # _requeue (the audit certified should_preempt: the queue
-            # is never empty inside the window).
-            thread.preemptions += 1
-            core.preemptions += 1
-            thread.quantum_used = 0.0
-            thread.state = _READY
-            thread.ready_at = t_end
-            queue.append(thread)
-            # _do_dispatch of the audited queue head (pop-head
-            # by contract; no migration: last_core == index).
-            waiter = queue.popleft()
-            wait = t_end - waiter.ready_at
-            if wait > 0.0:
-                if wait != self._lat_memo_val:
-                    self._lat_memo_val = wait
-                    self._lat_memo_key = _frexp(wait)[1] + _HIST_OFFSET
-                self._hb_latency[self._lat_memo_key] += 1
-                core.lat_total += wait
-            waiter.state = _RUNNING
-            core.current_thread = waiter
-            self.context_switches += 1
-            core.dispatches += 1
-            queued = len(queue)
-            if queued:
-                core.rq_total += queued
-                if queued > core.rq_max:
-                    core.rq_max = queued
-            # _start_slice, anchored at the boundary (idle gap is
-            # exactly zero: idle_since was just set to t_end).
-            piece.thread = waiter
-            piece.start = t_end
-            piece.span = tracer.span(t_end, "exec", waiter.name,
-                                     core=index, thread=waiter.name) \
-                if trace_exec else None
 
     def _macro_catchup(self, core: Core, limit: float, inclusive: bool,
                        allow_complete: bool) -> bool:
@@ -998,17 +767,30 @@ class Kernel:
         fired every event at ``now`` — a sliced kernel would have
         retired those boundaries too.
         """
-        if not self._macros:
-            return
-        cores = self.machine.cores
         now = self.sim._now
-        for index, kind in list(self._macros.items()):
-            if kind is _MACRO_ROTATION:
-                self._rotation_catchup(cores[index], now,
-                                       inclusive=True)
-            else:
-                self._macro_catchup(cores[index], now, inclusive=True,
-                                    allow_complete=False)
+        for core in self._macros.values():
+            self._macro_catchup(core, now, inclusive=True,
+                                allow_complete=False)
+
+    def _macro_dissolve(self, core: Core, outcome: str) -> bool:
+        """Book a live macro slice's boundaries strictly before ``now``
+        and drop the macro, counting ``outcome``; False (and no side
+        effects) when ``core`` runs no macro.
+
+        A boundary landing exactly at ``now`` belongs to the window iff
+        this core's position in the engine's same-instant group sweep
+        has already passed — its event would have fired by now under
+        sliced execution (see _sweep_time).
+        """
+        if self._macros.pop(core.index, None) is None:
+            return False
+        now = self.sim._now
+        inclusive = (self._sweep_time == now
+                     and self._sweep_group > core.index)
+        self.metrics.counters.incr(outcome)
+        self._macro_catchup(core, now, inclusive=inclusive,
+                            allow_complete=False)
+        return True
 
     def _macro_absorb(self, core: Core) -> None:
         """Re-split a live macro slice at an external interruption.
@@ -1020,24 +802,7 @@ class Kernel:
         accounts the final partial slice — landing the interruption on
         the identical cycle sliced execution would have.
         """
-        kind = self._macros.pop(core.index, None)
-        if kind is None:
-            return
-        now = self.sim._now
-        # A boundary landing exactly at ``now`` belongs to the window
-        # iff this core's position in the engine's same-instant group
-        # sweep has already passed — its event would have fired by now
-        # under sliced execution (see _sweep_time).
-        inclusive = (self._sweep_time == now
-                     and self._sweep_group > core.index)
-        counters = self.metrics.counters
-        counters.incr("coalesce.macros_absorbed")
-        if kind is _MACRO_ROTATION:
-            counters.incr("coalesce.rotation_macros_absorbed")
-            self._rotation_catchup(core, now, inclusive=inclusive)
-        else:
-            self._macro_catchup(core, now, inclusive=inclusive,
-                                allow_complete=False)
+        self._macro_dissolve(core, "coalesce.macros_absorbed")
 
     def _macro_split(self, core: Core) -> None:
         """A thread landed on a coalesced core's runqueue: restore the
@@ -1049,23 +814,8 @@ class Kernel:
         still sees that boundary's slice event pending, as it would
         under sliced execution).
         """
-        kind = self._macros.pop(core.index, None)
-        if kind is None:
+        if not self._macro_dissolve(core, "coalesce.macros_split"):
             return
-        now = self.sim._now
-        # Same sweep-position rule as _macro_absorb: a boundary at
-        # exactly ``now`` is replayed iff sliced execution would
-        # already have fired its event.
-        inclusive = (self._sweep_time == now
-                     and self._sweep_group > core.index)
-        counters = self.metrics.counters
-        counters.incr("coalesce.macros_split")
-        if kind is _MACRO_ROTATION:
-            counters.incr("coalesce.rotation_macros_split")
-            self._rotation_catchup(core, now, inclusive=inclusive)
-        else:
-            self._macro_catchup(core, now, inclusive=inclusive,
-                                allow_complete=False)
         piece = self._slices[core.index]
         self.sim.cancel(piece.event)
         thread = piece.thread
@@ -1507,9 +1257,7 @@ class Kernel:
         counters.set_max("lock.max_queue_depth", float(depth))
         if mutex.spins:
             # Busy-wait: keep the core and burn spin_check_cycles per
-            # lock re-check (see _process's spin branch).  The Lock
-            # instruction stays in flight, which also keeps rotation
-            # macros from coalescing over the spinner.
+            # lock re-check (see _process's spin branch).
             thread.spin_lock = mutex
             thread.remaining_cycles = mutex.spin_check_cycles
             return False

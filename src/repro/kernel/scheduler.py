@@ -38,23 +38,17 @@ class Scheduler:
     Subclasses decide *where* ready threads go and *what* an idle core
     runs next; the kernel owns the mechanism (runqueues, slices,
     blocking).
+
+    :meth:`preemption_horizon` is the policy's only contract with the
+    kernel's quantum-coalescing fast path (DESIGN.md §9).  Policies may
+    read and pop ``kernel.runqueues`` directly: a macro slice only
+    lives on a core whose runqueue is empty, so a non-empty queue is
+    never stale, and a running thread is preempted only through
+    :meth:`~repro.kernel.kernel.Kernel.preempt_current`, which
+    re-splits any macro first.
     """
 
     name = "base"
-
-    #: Rotation-coalescing contract (the contended analogue of
-    #: :meth:`preemption_horizon`; see DESIGN.md §10).  True certifies,
-    #: for every core with a NON-empty runqueue, that this policy's
-    #: ``next_thread`` pops the queue head without consuming RNG or
-    #: inspecting other cores, and that ``should_preempt`` answers
-    #: exactly "is the core's own runqueue non-empty" — the round-robin
-    #: discipline the kernel's rotation macro replays in closed form.
-    #: The base policy answers False, which disables rotation
-    #: coalescing for subclasses that have not audited those two
-    #: methods against the contract; any subclass overriding
-    #: ``next_thread`` or ``should_preempt`` must reset it to False
-    #: unless the override provably preserves the discipline.
-    rotation_audit = False
 
     def __init__(self, quantum: float = DEFAULT_QUANTUM) -> None:
         if quantum <= 0:
@@ -165,11 +159,6 @@ class SymmetricScheduler(Scheduler):
     #: transient burst imbalances (3 vs 1 runnable) do not move tasks.
     rebalance_threshold = 3
 
-    #: Audited for rotation coalescing: ``next_thread`` pops the head
-    #: of a non-empty queue before any steal logic runs, and
-    #: ``should_preempt`` is exactly the own-queue-non-empty check.
-    rotation_audit = True
-
     def place(self, thread: "SimThread") -> Core:
         candidates, least, last_load = self._loads(thread)
         kernel = self.kernel
@@ -240,10 +229,7 @@ class SymmetricScheduler(Scheduler):
             victims = [first] + [v for v in victims if v is not first]
         now = self.kernel.now
         for victim in victims:
-            # Materialized read: the scan below inspects queue contents
-            # and per-thread books (affinity, last_ran_at), which lag
-            # behind reality on a rotation-coalesced core.
-            queue = self.kernel.materialized_runqueue(victim.index)
+            queue = queues[victim.index]
             # Steal from the tail (coldest cache footprint), skipping
             # threads whose affinity forbids this core and threads that
             # are still cache-hot on the victim.

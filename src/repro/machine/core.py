@@ -70,8 +70,8 @@ class Core:
         self.rq_max = 0
         #: Sum of ready-to-dispatch waits booked on this core (value
         #: total of the sched-latency histogram).  Accumulated per core
-        #: — not globally — so batched rotation-macro catch-up adds the
-        #: same floats in the same order as per-quantum slicing.
+        #: and summed in core order at snapshot time; the golden
+        #: fixtures pin that float summation order.
         self.lat_total = 0.0
         #: Idle seconds, accumulated independently of ``busy_time``
         #: (kernel-maintained; see the cycle-conservation invariant).

@@ -317,23 +317,18 @@ class RunMetrics:
         # time.  Exact integer identity; gated on key presence so
         # sliced runs (no coalesce counters) stay silent.
         counters = self.counters
-        for prefix, fallback in (("coalesce.macros", True),
-                                 ("coalesce.rotation_macros", False)):
-            armed = counters.get(f"{prefix}_armed")
-            if armed is None:
-                continue
-            settled = (counters.get(f"{prefix}_completed", 0.0)
-                       + counters.get(f"{prefix}_split", 0.0)
-                       + counters.get(f"{prefix}_absorbed", 0.0)
-                       + counters.get(f"{prefix}_live", 0.0))
-            if fallback:
-                settled += counters.get("coalesce.macro_fallback", 0.0)
+        armed = counters.get("coalesce.macros_armed")
+        if armed is not None:
+            settled = (counters.get("coalesce.macros_completed", 0.0)
+                       + counters.get("coalesce.macros_split", 0.0)
+                       + counters.get("coalesce.macros_absorbed", 0.0)
+                       + counters.get("coalesce.macros_live", 0.0)
+                       + counters.get("coalesce.macro_fallback", 0.0))
             if armed != settled:
                 errors.append(
-                    f"{prefix}: {armed!r} armed but {settled!r} "
-                    "settled (completed + split + absorbed"
-                    + (" + fallback" if fallback else "")
-                    + " + live)")
+                    f"coalesce.macros: {armed!r} armed but {settled!r} "
+                    "settled (completed + split + absorbed + fallback "
+                    "+ live)")
         return errors
 
     # ------------------------------------------------------------------
@@ -596,20 +591,14 @@ class MetricsCollector:
 
         counters = self.counters.as_dict()
         if kernel._macros:
-            # Live macro gauges, so the conservation identity
+            # Live macro gauge, so the conservation identity
             # armed == completed + split + absorbed + fallback + live
             # holds for mid-run snapshots too.
             counters["coalesce.macros_live"] = \
                 float(len(kernel._macros))
-            rotations = sum(1 for kind in kernel._macros.values()
-                            if kind == "rotation")
-            if rotations:
-                counters["coalesce.rotation_macros_live"] = \
-                    float(rotations)
 
-        # The latency-value total is accumulated per core (rotation
-        # catch-up books one core's waits in a batch); summing in core
-        # order is deterministic and mode-independent.
+        # The latency-value total is accumulated per core; summing in
+        # core order is deterministic and mode-independent.
         lat_total = 0.0
         for core in machine.cores:
             lat_total += core.lat_total

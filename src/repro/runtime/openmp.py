@@ -65,9 +65,9 @@ DEFAULT_FORK_OVERHEAD_CYCLES = 10_000.0
 #: victim's deque — the same order as a SpinMutex re-check burst
 #: (repro.kernel.sync.DEFAULT_SPIN_CHECK_CYCLES).  Like spin bursts,
 #: steal checks keep the thread runnable and are far shorter than a
-#: scheduler quantum, so neither lone nor rotation macro-slices
-#: (DESIGN.md §9–10) can coalesce across them — the byte-identity
-#: contract holds with no kernel changes.
+#: scheduler quantum, so macro slices (DESIGN.md §9) cannot coalesce
+#: across them — the byte-identity contract holds with no kernel
+#: changes.
 DEFAULT_STEAL_CHECK_CYCLES = 50_000.0
 
 
@@ -435,9 +435,9 @@ class OmpTeam:
         atomic under the cooperative kernel.  A steal attempt first
         burns ``steal_check_cycles`` on its own core — the thread stays
         runnable throughout, exactly like a SpinMutex spin burst, so
-        rotation macro-slices disarm and byte-identity to sliced mode
-        holds with no kernel support.  A steal *fails* when every deque
-        drains while the burst is in flight.
+        byte-identity to sliced mode holds with no kernel support.  A
+        steal *fails* when every deque drains while the burst is in
+        flight.
         """
         if state.deques is None:
             state.deques = self._stealing_deques(loop)

@@ -8,17 +8,20 @@ reproduction depends on run-to-run variance coming *only* from
 explicitly seeded random streams, never from incidental tie-breaking.
 
 The *group* orders simultaneous events of different groups ahead of
-scheduling order.  The kernel tags every core-bound event (slice
-boundaries, macro ends, zero-delay dispatches) with its core index and
-everything else uses the default group ``-1``, so at any shared
-timestamp the machine processes timers first and then each core's
-boundary-and-dispatch work in core order — regardless of *when* each
-event was scheduled.  That invariance is what lets the
-quantum-coalescing fast path replace a chain of per-quantum events
-(each re-scheduled at the previous boundary, hence carrying a fresh
-sequence number) with one macro event armed far in advance (a stale
-sequence number) without perturbing the order in which same-time
-handlers observe each other's runqueues or consume tie-break RNG.
+scheduling order.  The kernel tags its slice-boundary and macro-end
+events with their core index and everything else (timers, zero-delay
+dispatches) uses the default group ``-1``.  At any shared timestamp
+the machine therefore processes timers first and then each core's
+boundary in core order, each followed by the dispatches it requests —
+regardless of *when* each boundary was scheduled.  The
+quantum-coalescing fast path relies on that invariance: when a wakeup
+splits a macro slice, the real boundary event it re-arms lands on the
+shared quantum grid but is scheduled at the split rather than one
+quantum earlier, so it carries a later sequence number than its sliced
+counterpart.  The group key keeps it in the same place among the other
+cores' same-time boundaries, so same-time handlers observe each
+other's runqueues and consume tie-break RNG in the same order in both
+execution modes.
 
 Performance notes
 -----------------

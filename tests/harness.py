@@ -28,6 +28,11 @@ audit those books, shared across the test suite:
   :data:`EVENT_STREAM_SCENARIOS` under both execution modes, so a
   kernel refactor can prove it fires the same events in the same
   order, not merely that it ends with the same books.
+* :func:`macro_queue_violations` — the invariant that lets schedulers
+  read runqueues directly: a core running a coalesced macro slice
+  always has an empty runqueue, checked between every two events.
+* :func:`observed_surface` — everything a traced run exposes, the
+  surface coalesced and sliced runs must agree on byte for byte.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro import System
@@ -60,6 +66,7 @@ from repro.metrics import (
 from repro.sim import trace as _trace
 from repro.sim.events import EventQueue
 from repro.sim.trace import FLIGHT_RECORDER_CAPACITY, TraceRecord, Tracer
+from repro.sim.trace_export import TraceData, chrome_trace, trace_to_json
 from repro.workloads.h264 import H264Encoder
 from repro.workloads.jappserver import SpecJAppServer
 from repro.workloads.lockstress import LockStress
@@ -338,6 +345,37 @@ def golden_fault_schedule() -> FaultSchedule:
     ], seed=0, label="golden-fault-mix")
 
 
+def observed_surface(config: str, scheduler, seed: int, coalesce: bool,
+                     faults: bool, spawn: Callable[[Any], None]) -> str:
+    """Canonical JSON of everything a traced run exposes to an observer.
+
+    Builds ``config`` under ``scheduler`` with the default trace
+    categories, installs the golden fault mix when ``faults``, lets
+    ``spawn(kernel)`` start the threads and runs to completion; then
+    checks conservation and renders the duration, the metrics, the
+    ``"sched"`` records and the Chrome trace export.
+    """
+    system = System.build(config, seed=seed, scheduler=scheduler,
+                          coalesce=coalesce)
+    system.sim.tracer.enable(*_trace.DEFAULT_TRACE_CATEGORIES)
+    if faults:
+        golden_fault_schedule().install(system)
+    spawn(system.kernel)
+    duration = system.run()
+    metrics = system.run_metrics()
+    assert_conservation(metrics)
+    result = SimpleNamespace(
+        workload="coalescing-panel", config=config, seed=seed,
+        trace=TraceData.from_system(system), run_metrics=metrics)
+    return canonical_json({
+        "duration": duration,
+        "run_metrics": metrics.as_dict(),
+        "sched_events": [record.as_dict() for record
+                         in system.sim.tracer.records("sched")],
+        "chrome_trace": trace_to_json(chrome_trace([result])),
+    })
+
+
 def _golden_fault_storm() -> Dict[str, Any]:
     """Compute threads under a fixed fault mix (dynamic asymmetry).
 
@@ -557,6 +595,53 @@ def record_event_stream(run: Callable[[], Any]) -> Dict[str, Any]:
     return {"events": count, "sha256": digest.hexdigest()}
 
 
+def macro_queue_violations(run: Callable[[], Any]) -> List[str]:
+    """Every breach of the macro-slice queue invariant during ``run()``.
+
+    A core with a live macro slice (``Kernel._macros``) must have an
+    empty runqueue: that is what lets schedulers steal from and pull
+    against ``Kernel.runqueues`` without splitting macros first.  The
+    check runs for every kernel ``run()`` builds, before each event it
+    fires — so after every event already fired — and once more when
+    ``run()`` returns.  Like :func:`record_event_stream` it wraps
+    :meth:`EventQueue.pop_before` and schedules nothing.
+    """
+    kernels: Dict[int, Any] = {}
+    violations: List[str] = []
+    original_init = _kernel.Kernel.__init__
+    original_pop = EventQueue.pop_before
+
+    def check(kernel) -> None:
+        for index in kernel._macros:
+            queued = len(kernel.runqueues[index])
+            if queued:
+                violations.append(
+                    f"t={kernel.sim.now!r}: core{index} runs a macro "
+                    f"slice with {queued} thread(s) queued")
+
+    def init(kernel, sim, *args, **kwargs):
+        original_init(kernel, sim, *args, **kwargs)
+        # Keyed by queue identity; holding the kernel keeps the id live.
+        kernels[id(sim._queue)] = kernel
+
+    def checking(queue: EventQueue, limit: float):
+        kernel = kernels.get(id(queue))
+        if kernel is not None:
+            check(kernel)
+        return original_pop(queue, limit)
+
+    _kernel.Kernel.__init__ = init
+    EventQueue.pop_before = checking
+    try:
+        run()
+    finally:
+        _kernel.Kernel.__init__ = original_init
+        EventQueue.pop_before = original_pop
+    for kernel in kernels.values():
+        check(kernel)
+    return violations
+
+
 @contextlib.contextmanager
 def pinned_coalescing(enabled: bool) -> Iterator[None]:
     """Run with the process-wide coalescing default pinned to
@@ -587,8 +672,8 @@ def _fault_mix_run() -> None:
 
 
 def _traced_pinned_run() -> None:
-    """Pinned contenders under sched/exec tracing (no rotation
-    macros) and a mid-run observation."""
+    """Pinned contenders under sched/exec tracing and a mid-run
+    observation."""
     system = System.build("1f-3s/8", seed=11,
                           scheduler=AsymmetryAwareScheduler())
     system.sim.tracer.enable(*_trace.DEFAULT_TRACE_CATEGORIES)
@@ -606,7 +691,7 @@ def _traced_pinned_run() -> None:
 
 
 def _contended_spin_run() -> None:
-    """Two compute threads per core: round-robin rotations."""
+    """Two compute threads per core: round-robin time slicing."""
     system = System.build("2f-2s/8", seed=1)
 
     def body(cycles):
@@ -626,8 +711,8 @@ def _storm(duration: float) -> FaultSchedule:
 #: name -> zero-argument callable running one small simulation.  Each
 #: leans on a different part of the kernel's hot path: blocking
 #: wakeups (web servers, thread pools), spin and handoff locks,
-#: placement under every policy, dynamic asymmetry, and both kinds of
-#: coalesced slice.
+#: placement under every policy, dynamic asymmetry, and coalesced
+#: macro slices.
 EVENT_STREAM_SCENARIOS: Dict[str, Callable[[], Any]] = {
     "apache_light_2f-2s_stock_seed3": lambda: ApacheWorkload(
         "light", measurement_seconds=0.3, warmup_seconds=0.05,

@@ -29,6 +29,16 @@ def test_event_stream_matches_golden(golden, name, mode):
     assert harness.event_stream(name, MODES[mode]) == golden[name][mode]
 
 
+@pytest.mark.parametrize("name", sorted(harness.EVENT_STREAM_SCENARIOS))
+def test_macro_cores_keep_empty_runqueues(name):
+    """No coalesced core ever holds a queued thread, so schedulers may
+    steal from and pull against ``Kernel.runqueues`` directly."""
+    with harness.pinned_coalescing(True):
+        violations = harness.macro_queue_violations(
+            harness.EVENT_STREAM_SCENARIOS[name])
+    assert not violations, violations[:5]
+
+
 def test_golden_covers_every_scenario(golden):
     assert sorted(golden) == sorted(harness.EVENT_STREAM_SCENARIOS)
     for name, modes in golden.items():

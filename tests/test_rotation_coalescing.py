@@ -1,31 +1,23 @@
-"""Rotation-level coalescing: contended byte-identity (DESIGN.md §10).
+"""Round-robin rotations on contended cores: byte-identity.
 
-PR 5's macro slices only engage on uncontended cores; the rotation
-macro extends the closed form to a full round-robin rotation of
-CPU-bound threads, which is where the paper's contended workloads
-(SPECjbb, DB2, web servers) spend their time.  The contract is the
-same observational equivalence as :mod:`tests.test_coalescing`, held
-down here on contended scenarios:
+A *rotation* here is one round-robin cycle of a contended core's
+runqueue.  Contended cores run per-quantum slices in both execution
+modes, but their queues drain at different times, so coalesced runs
+arm macro slices on the emptied cores while contenders still rotate
+elsewhere, and wakeups and faults occasionally split one.  The
+contract is the same observational equivalence as
+:mod:`tests.test_coalescing`, held down here on contended scenarios:
 
 * a panel over the nine machine configurations × both schedulers ×
   (clean | golden fault storm) on a runqueue-heavy scenario;
-* the engagement bound the contended benchmark gates on (a fully
-  pinned scenario where rotations replace ≥ 5x the events);
 * hypothesis property tests: random wakeup times and random throttle
-  storms landing inside rotation windows must re-split to exact
-  sliced state;
+  storms landing inside rotations must leave byte-identical sliced
+  state;
 * the ``coalesce.macro_fallback`` regression counter stays zero on
   every standard configuration.
-
-Rotation macros refuse to arm while the ``"sched"`` trace category is
-active (per-dispatch records cannot be batched), so these tests trace
-``("exec", "block", "faults")`` — the categories whose records the
-rotation catch-up reproduces in closed form.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,12 +32,12 @@ from repro.kernel import (
 )
 from repro.kernel.instructions import Sleep
 from repro.machine.topology import STANDARD_CONFIG_LABELS
-from repro.sim.trace_export import TraceData, chrome_trace, trace_to_json
+from repro.sim import trace as _trace
 
 from tests.harness import (
     assert_conservation,
     canonical_json,
-    golden_fault_schedule,
+    observed_surface,
 )
 
 SCHEDULERS = {
@@ -53,16 +45,13 @@ SCHEDULERS = {
     "asym": AsymmetryAwareScheduler,
 }
 
-#: Rotation-compatible trace categories (everything but "sched").
-ROTATION_TRACE = ("exec", "block", "faults")
-
 
 def _contended_threads(kernel) -> None:
-    """A runqueue-heavy scenario touching every rotation regime.
+    """A runqueue-heavy scenario.
 
-    Twelve staggered spinners keep every core's runqueue deep enough
-    for rotations (and leave a coalesced tail as they drain), while
-    two sleepers wake mid-run and force rotation re-splits.
+    Twelve staggered spinners keep every core's runqueue deep (and
+    leave a coalesced tail as they drain), while two sleepers wake
+    mid-run.
     """
 
     def spin(cycles):
@@ -85,24 +74,8 @@ def _contended_threads(kernel) -> None:
 def _observed(config: str, scheduler_name: str, coalesce: bool,
               faults: bool) -> str:
     """Canonical JSON of everything a contended run exposes."""
-    system = System.build(config, seed=17,
-                          scheduler=SCHEDULERS[scheduler_name](),
-                          coalesce=coalesce)
-    system.sim.tracer.enable(*ROTATION_TRACE)
-    if faults:
-        golden_fault_schedule().install(system)
-    _contended_threads(system.kernel)
-    duration = system.run()
-    metrics = system.run_metrics()
-    assert_conservation(metrics)
-    result = SimpleNamespace(
-        workload="rotation-panel", config=config, seed=17,
-        trace=TraceData.from_system(system), run_metrics=metrics)
-    return canonical_json({
-        "duration": duration,
-        "run_metrics": metrics.as_dict(),
-        "chrome_trace": trace_to_json(chrome_trace([result])),
-    })
+    return observed_surface(config, SCHEDULERS[scheduler_name](), 17,
+                            coalesce, faults, _contended_threads)
 
 
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
@@ -121,55 +94,9 @@ def test_contended_fault_storm_byte_identity(config, scheduler_name):
     assert coalesced == sliced
 
 
-# ----------------------------------------------------------------------
-# Engagement: the bound the contended benchmark gates on
-# ----------------------------------------------------------------------
-def _pinned_run(coalesce: bool) -> System:
-    """Fully pinned steady-state contention: 8 spinners per core.
-
-    Pinning removes migrations and speed-scaling the work keeps every
-    core contended for the same simulated time, so nearly the whole
-    run is made of clean rotations — the benchmark scenario of
-    ``kernel_timeslicing_contended``.
-    """
-
-    def spin(cycles):
-        yield Compute(cycles)
-
-    system = System.build("2f-2s/8", seed=1, coalesce=coalesce)
-    for core in system.machine.cores:
-        for slot in range(8):
-            system.kernel.spawn(SimThread(
-                f"c{core.index}t{slot}", spin(core.rate * 2.0),
-                affinity=frozenset([core.index])))
-    system.run()
-    return system
-
-
-def test_pinned_contention_engages_rotations():
-    coalesced = _pinned_run(True)
-    sliced = _pinned_run(False)
-    assert coalesced.sim.events_fired * 5 <= sliced.sim.events_fired
-    assert coalesced.run_metrics().to_json() == \
-        sliced.run_metrics().to_json()
-    counters = coalesced.run_metrics().counters
-    assert counters.get("coalesce.rotation_macros_armed", 0) > 0
-
-
-def test_rotation_counters_conserve():
-    """armed == completed + split + absorbed once the run drains."""
-    counters = _pinned_run(True).run_metrics().counters
-    armed = counters.get("coalesce.rotation_macros_armed", 0.0)
-    settled = (counters.get("coalesce.rotation_macros_completed", 0.0)
-               + counters.get("coalesce.rotation_macros_split", 0.0)
-               + counters.get("coalesce.rotation_macros_absorbed", 0.0))
-    assert armed > 0
-    assert armed == settled
-
-
 @pytest.mark.parametrize("config", STANDARD_CONFIG_LABELS)
 def test_macro_fallback_stays_zero(config):
-    """The defensive fallback in ``_start_macro`` never fires on the
+    """The defensive fallback in ``_on_macro_end`` never fires on the
     standard configurations (it would silently shed the fast path)."""
     system = System.build(config, seed=17, coalesce=True)
     _contended_threads(system.kernel)
@@ -179,7 +106,7 @@ def test_macro_fallback_stays_zero(config):
 
 
 # ----------------------------------------------------------------------
-# Property tests: anything landing inside a rotation window re-splits
+# Property tests: anything landing inside a rotation keeps identity
 # ----------------------------------------------------------------------
 CONFIG_ST = st.sampled_from(list(STANDARD_CONFIG_LABELS))
 SCHEDULER_ST = st.sampled_from(sorted(SCHEDULERS))
@@ -202,7 +129,7 @@ def _randomized_observed(config: str, scheduler_name: str,
     system = System.build(config, seed=23,
                           scheduler=SCHEDULERS[scheduler_name](),
                           coalesce=coalesce)
-    system.sim.tracer.enable(*ROTATION_TRACE)
+    system.sim.tracer.enable(*_trace.DEFAULT_TRACE_CATEGORIES)
     if storm_seed is not None:
         FaultSchedule.throttle_storm(
             storm_seed, 0.25, cores=range(len(system.machine.cores)),
@@ -227,8 +154,8 @@ def _randomized_observed(config: str, scheduler_name: str,
 def test_random_wakeup_inside_rotation_resplits(config, scheduler_name,
                                                 wake_after,
                                                 head_cycles):
-    """A wakeup at an arbitrary time inside a rotation window lands on
-    byte-identical sliced state."""
+    """A wakeup at an arbitrary time inside a rotation (or a macro
+    window on a drained core) lands on byte-identical sliced state."""
     coalesced = _randomized_observed(config, scheduler_name, True,
                                      wake_after, head_cycles, None)
     sliced = _randomized_observed(config, scheduler_name, False,
@@ -244,8 +171,8 @@ def test_random_fault_storm_inside_rotation_resplits(config,
                                                      scheduler_name,
                                                      wake_after,
                                                      storm_seed):
-    """Random throttle storms (duty-cycle reprogramming mid-window)
-    re-split rotations to byte-identical sliced state."""
+    """Random throttle storms (duty-cycle reprogramming mid-rotation
+    or mid-macro) leave byte-identical sliced state."""
     coalesced = _randomized_observed(config, scheduler_name, True,
                                      wake_after, 0.4e8, storm_seed)
     sliced = _randomized_observed(config, scheduler_name, False,
