@@ -24,6 +24,7 @@ simulations.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import os
 import threading
@@ -76,34 +77,40 @@ def _worker_init(faults_payload, trace_categories, coalescing) -> None:
     _kernel.install_coalescing(coalescing)
 
 
-def _stable_repr(value: object, _seen: Optional[set] = None) -> str:
-    """A ``repr`` that is stable across processes and object identity.
+def _stable_repr(value: object,
+                 _path: FrozenSet[int] = frozenset()) -> str:
+    """A ``repr`` that is the same in every interpreter.
 
-    Primitives use their ordinary ``repr``; containers recurse; other
-    objects (nested workload state, enums with custom members) are
-    rendered as their class name plus recursively-rendered sorted
-    instance attributes, so the default ``<... at 0x...>`` address
-    never leaks into a cache key.
+    Primitives use their ordinary ``repr``.  An Enum member renders as
+    ``module.Class.NAME``: walking it would reach its class's methods,
+    whose reprs carry memory addresses.  Containers recurse; any other
+    object renders as its qualified class name plus its recursively
+    rendered instance attributes in name order, so no
+    ``<... at 0x...>`` address reaches a cache key.  Only a reference
+    back to an object still being rendered (a true cycle) renders as
+    ``<cycle>``; an object shared by two attributes renders in full at
+    both, so object identity never changes a key.
     """
     if isinstance(value, (int, float, str, bytes, bool, type(None))):
         return repr(value)
-    if _seen is None:
-        _seen = set()
-    if id(value) in _seen:
+    if isinstance(value, enum.Enum):
+        cls = type(value)
+        return f"{cls.__module__}.{cls.__qualname__}.{value.name}"
+    if id(value) in _path:
         return "<cycle>"
-    _seen.add(id(value))
+    _path = _path | {id(value)}
     if isinstance(value, (list, tuple)):
-        body = ", ".join(_stable_repr(item, _seen) for item in value)
+        body = ", ".join(_stable_repr(item, _path) for item in value)
         return f"[{body}]" if isinstance(value, list) else f"({body})"
     if isinstance(value, dict):
         body = ", ".join(
-            f"{_stable_repr(k, _seen)}: {_stable_repr(v, _seen)}"
+            f"{_stable_repr(k, _path)}: {_stable_repr(v, _path)}"
             for k, v in sorted(value.items(), key=repr))
         return "{" + body + "}"
     cls = type(value)
     state = getattr(value, "__dict__", None)
     if state is not None:
-        body = ", ".join(f"{name}={_stable_repr(attr, _seen)}"
+        body = ", ".join(f"{name}={_stable_repr(attr, _path)}"
                          for name, attr in sorted(state.items()))
         return f"{cls.__module__}.{cls.__qualname__}({body})"
     return repr(value)

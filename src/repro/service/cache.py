@@ -10,21 +10,29 @@ from.  Two requests with the same fingerprint therefore describe the
 copy of the first's :class:`~repro.workloads.base.RunResult` is
 byte-identical to re-simulating by construction, not by luck.
 
-Storage layout: one JSON file per fingerprint under the cache
-directory, written atomically (temp file + ``os.replace``) so a
-concurrent reader never observes a torn entry and a crashed writer
-never corrupts the store.  An in-memory LRU front keeps the hottest
-payloads; hit/miss/eviction counters live in a
+What is stored is each result's canonical payload text
+(:func:`result_text`: ``json.dumps(result_to_payload(result),
+sort_keys=True)``), written once when the result is fresh.  Memory and
+disk hits return that same text, and the server splices it into its
+response line unparsed, so a cold answer, a memory hit and a disk hit
+carry the same bytes.
+
+Storage layout: one file per fingerprint under the cache directory —
+a header line ``{"fingerprint": ..., "format": 2, "sha256": ...}``
+followed by the text — written atomically (temp file +
+``os.replace``) so a concurrent reader never observes a torn entry and
+a crashed writer never corrupts the store.  A disk hit is served only
+when the header's format, fingerprint and the sha256 of the text all
+match; anything else (an older format, a renamed or altered file) is a
+miss, and the next store replaces it.  An in-memory LRU front keeps
+the hottest texts; hit/miss/eviction counters live in a
 :class:`~repro.metrics.CounterBag` so the service surfaces them
 through the same layer as every other counter in the system.
-
-Everything cached round-trips through :func:`result_to_payload` /
-:func:`result_from_payload` — including memory-front hits — so a cold
-(disk) and a warm (memory) hit return structurally identical results.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -38,7 +46,7 @@ from repro.workloads.base import RunResult
 
 #: Bump when the on-disk entry schema changes; mismatched entries are
 #: treated as misses (and overwritten on the next store).
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
 # ----------------------------------------------------------------------
@@ -81,6 +89,12 @@ def result_from_payload(payload: Dict[str, Any]) -> RunResult:
     )
 
 
+def result_text(result: RunResult) -> str:
+    """The canonical JSON text of :func:`result_to_payload`: what the
+    cache stores and what a ``result`` response carries per task."""
+    return json.dumps(result_to_payload(result), sort_keys=True)
+
+
 def canonical_result_json(result: RunResult) -> str:
     """The byte-identity surface of one run.
 
@@ -107,15 +121,22 @@ def canonical_result_json(result: RunResult) -> str:
 # ----------------------------------------------------------------------
 # Disk-persistent cache with an in-memory LRU front
 # ----------------------------------------------------------------------
+def _entry_header(key: str, body: bytes) -> bytes:
+    """The header line of an entry holding ``body`` under ``key``."""
+    header = {"format": CACHE_FORMAT, "fingerprint": key,
+              "sha256": hashlib.sha256(body).hexdigest()}
+    return (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
+
+
 class DiskResultCache:
-    """Fingerprint-keyed result store: LRU memory front, JSON files.
+    """Fingerprint-keyed result store: LRU memory front, entry files.
 
     API-compatible with
     :class:`repro.experiments.parallel.ResultCache` (``lookup`` /
     ``store`` / ``hits`` / ``misses`` / ``lookups`` / ``clear``), so
-    the existing backends accept it unchanged; the service reaches the
-    payload layer directly via :meth:`lookup_payload` /
-    :meth:`store_payload` to avoid re-serializing on every response.
+    the existing backends accept it unchanged; the service stores and
+    reads payload texts directly via :meth:`store_text` /
+    :meth:`lookup_text`, so a response never re-serializes a result.
 
     The disk tier is bounded too (ROADMAP's open gap): pass
     ``max_disk_entries`` and/or ``max_disk_bytes`` and the store
@@ -151,7 +172,7 @@ class DiskResultCache:
         self.max_disk_entries = max_disk_entries
         self.max_disk_bytes = max_disk_bytes
         os.makedirs(directory, exist_ok=True)
-        self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._memory: "OrderedDict[str, str]" = OrderedDict()
         #: Disk-tier LRU index: fingerprint -> entry size in bytes,
         #: oldest first.  Seeded from the directory (mtime order) so a
         #: restarted service keeps evicting least-recently-used.
@@ -278,36 +299,36 @@ class DiskResultCache:
             except FileNotFoundError:
                 pass
 
-    def _remember(self, key: str, payload: Dict[str, Any]) -> None:
+    def _remember(self, key: str, text: str) -> None:
         """Promote ``key`` in the LRU front (caller holds no lock)."""
         with self._lock:
             self._memory.pop(key, None)
             if self.max_memory_entries == 0:
                 return
-            self._memory[key] = payload
+            self._memory[key] = text
             while len(self._memory) > self.max_memory_entries:
                 self._memory.popitem(last=False)
                 self.counters.incr("service.cache.evictions")
 
-    def _read_disk(self, key: str) -> Optional[Dict[str, Any]]:
+    def _read_disk(self, key: str) -> Optional[str]:
         try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
+            with open(self._path(key), "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
             return None
-        if (entry.get("format") != CACHE_FORMAT
-                or entry.get("fingerprint") != key):
+        split = data.find(b"\n") + 1
+        body = data[split:]
+        if not split or data[:split] != _entry_header(key, body):
             return None
-        payload = entry.get("result")
-        return payload if isinstance(payload, dict) else None
+        return body.decode("utf-8")
 
-    # -- payload API ---------------------------------------------------
-    def lookup_payload(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored payload for a fingerprint, or None (a miss)."""
+    # -- payload text API ----------------------------------------------
+    def lookup_text(self, key: str) -> Optional[str]:
+        """The stored payload text for a fingerprint, or None (a miss)."""
         with self._lock:
             self.counters.incr("service.cache.lookups")
-            payload = self._memory.get(key)
-            if payload is not None:
+            text = self._memory.get(key)
+            if text is not None:
                 self._memory.move_to_end(key)
                 if key in self._disk:
                     # Recency is unified: a hot key served from
@@ -315,30 +336,29 @@ class DiskResultCache:
                     self._disk.move_to_end(key)
                 self.counters.incr("service.cache.hits")
                 self.counters.incr("service.cache.memory_hits")
-                return payload
-        payload = self._read_disk(key)
+                return text
+        text = self._read_disk(key)
         with self._lock:
-            if payload is None:
+            if text is None:
                 self.counters.incr("service.cache.misses")
                 return None
             self.counters.incr("service.cache.hits")
             self.counters.incr("service.cache.disk_hits")
             if key in self._disk:
                 self._disk.move_to_end(key)
-        self._remember(key, payload)
-        return payload
+        self._remember(key, text)
+        return text
 
-    def store_payload(self, key: str, payload: Dict[str, Any]) -> None:
-        """Persist one result payload atomically and front-load it."""
-        entry = {"format": CACHE_FORMAT, "fingerprint": key,
-                 "result": payload}
-        text = json.dumps(entry, sort_keys=True)
+    def store_text(self, key: str, text: str) -> None:
+        """Persist one payload text atomically and front-load it."""
+        body = text.encode("utf-8")
+        data = _entry_header(key, body) + body
         fd, tmp_path = tempfile.mkstemp(
             prefix=f".tmp-{key[:16]}-", suffix=".json",
             dir=self.directory)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp_path, self._path(key))
         except BaseException:
             try:
@@ -349,20 +369,20 @@ class DiskResultCache:
         with self._lock:
             self.counters.incr("service.cache.stores")
             self._disk_bytes -= self._disk.pop(key, 0)
-            self._disk[key] = len(text)
-            self._disk_bytes += len(text)
+            self._disk[key] = len(data)
+            self._disk_bytes += len(data)
         self._evict_disk(keep=key)
-        self._remember(key, payload)
+        self._remember(key, text)
 
     # -- ResultCache-compatible object API -----------------------------
     def lookup(self, key: str) -> Optional[RunResult]:
-        payload = self.lookup_payload(key)
-        if payload is None:
+        text = self.lookup_text(key)
+        if text is None:
             return None
-        return result_from_payload(payload)
+        return result_from_payload(json.loads(text))
 
     def store(self, key: str, result: RunResult) -> None:
-        self.store_payload(key, result_to_payload(result))
+        self.store_text(key, result_text(result))
 
     def clear(self) -> None:
         """Drop every entry (disk and memory) and reset counters."""

@@ -106,8 +106,22 @@ def decode_line(line: bytes) -> Dict[str, Any]:
 
 
 def encode(message: Dict[str, Any]) -> bytes:
-    """Message dict -> one wire line (deterministic key order)."""
-    return (json.dumps(message, sort_keys=True) + "\n").encode("utf-8")
+    """Message dict -> one wire line (deterministic key order).
+
+    A ``result`` message's ``results`` are payload texts
+    (:func:`repro.service.cache.result_text`, as the cache stores
+    them) and are spliced into the line verbatim.  Each text is the
+    ``sort_keys`` encoding of its payload, so the line is byte for
+    byte ``json.dumps`` of the message with the decoded payloads.
+    """
+    if message.get("type") != "result":
+        return (json.dumps(message, sort_keys=True) + "\n").encode("utf-8")
+    fields = []
+    for name, value in sorted(message.items()):
+        text = ("[" + ", ".join(value) + "]" if name == "results"
+                else json.dumps(value, sort_keys=True))
+        fields.append(f"{json.dumps(name)}: {text}")
+    return ("{" + ", ".join(fields) + "}\n").encode("utf-8")
 
 
 def _check_config(label: Any, problems: List[str]) -> None:

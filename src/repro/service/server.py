@@ -44,10 +44,7 @@ from repro.kernel import kernel as _kernel
 from repro.metrics import CounterBag, MetricsSink
 from repro.experiments.parallel import task_fingerprint
 from repro.service import protocol
-from repro.service.cache import (
-    DiskResultCache,
-    result_to_payload,
-)
+from repro.service.cache import DiskResultCache, result_text
 from repro.service.ledger import RunLedger, request_digest
 from repro.service.pool import ShardedPoolExecutor, WorkerCrashError
 
@@ -117,7 +114,8 @@ class ScenarioServer:
         :attr:`port` after :meth:`start`).
     cache:
         Result cache; anything with the
-        :class:`~repro.service.cache.DiskResultCache` payload API.
+        :class:`~repro.service.cache.DiskResultCache` payload text
+        API (``lookup_text`` / ``store_text``).
         ``cache_dir`` builds one; both ``None`` disables caching.
     executor:
         Simulation executor with a blocking
@@ -397,11 +395,11 @@ class ScenarioServer:
             key = task_fingerprint(task, trace_categories=categories,
                                    coalesce=coalesce)
             keys.append(key)
-            payload = (self.cache.lookup_payload(key)
-                       if self.cache is not None else None)
-            if payload is not None:
+            text = (self.cache.lookup_text(key)
+                    if self.cache is not None else None)
+            if text is not None:
                 cache_hits += 1
-                order.append(("payload", payload))
+                order.append(("text", text))
                 continue
             future = self._inflight.get(key)
             if future is not None:
@@ -411,7 +409,7 @@ class ScenarioServer:
                 continue
             if key in fresh:
                 # Duplicate within one request (e.g. the same config
-                # listed twice): simulate once, reuse the payload.
+                # listed twice): simulate once, reuse the text.
                 coalesced += 1
                 self.counters.incr("service.inflight_coalesced")
                 order.append(("key", key))
@@ -440,7 +438,7 @@ class ScenarioServer:
                 pending_tasks=self._pending_tasks,
                 max_pending_tasks=self.max_pending_tasks)
 
-        payloads: Dict[str, Any] = {}
+        texts: Dict[str, str] = {}
         if fresh:
             loop = asyncio.get_running_loop()
             for key in fresh:
@@ -452,7 +450,7 @@ class ScenarioServer:
             self._batches.add(batch)
             batch.add_done_callback(self._batches.discard)
             try:
-                payloads = await batch
+                texts = await batch
             except WorkerCrashError as exc:
                 self.counters.incr("service.worker_crashes")
                 log.error("worker crash serving %s: %s",
@@ -468,13 +466,15 @@ class ScenarioServer:
                     request_id, "internal",
                     [f"{type(exc).__name__}: {exc}"])
 
-        results: List[Dict[str, Any]] = []
+        # Payload texts, spliced into the response line unparsed
+        # (protocol.encode).
+        results: List[str] = []
         try:
             for source, value in order:
-                if source == "payload":
+                if source == "text":
                     results.append(value)
                 elif source == "key":
-                    results.append(payloads[value])
+                    results.append(texts[value])
                 else:
                     results.append(await value)
         except WorkerCrashError as exc:
@@ -526,12 +526,14 @@ class ScenarioServer:
                          fresh: Dict[str, Any],
                          categories, coalesce: bool,
                          entry: Optional[Dict[str, Any]] = None,
-                         ) -> Dict[str, Any]:
+                         ) -> Dict[str, str]:
         """Execute one request's fresh tasks on the warm pool.
 
         Runs in its own asyncio task so a graceful drain can await
-        every in-flight batch.  Resolves the registered in-flight
-        futures — with payloads on success, with the error on failure
+        every in-flight batch.  Each fresh result is serialized once
+        (:func:`~repro.service.cache.result_text`); that text is both
+        stored and answered.  Resolves the registered in-flight
+        futures — with texts on success, with the error on failure
         — and always releases the pending-task budget.  Queue-wait
         (admission to batch-gate acquisition) and execute (pool wall
         time) land in :attr:`latency` and, when given, in the
@@ -555,20 +557,20 @@ class ScenarioServer:
                 executed = time.monotonic() - started
                 self.latency["execute_seconds"].add(executed)
                 self._note_batch(entry, "execute_seconds", executed)
-            payloads: Dict[str, Any] = {}
+            texts: Dict[str, str] = {}
             for key, result in zip(keys, results):
-                payload = result_to_payload(result)
-                payloads[key] = payload
+                text = result_text(result)
+                texts[key] = text
                 if self.cache is not None:
-                    self.cache.store_payload(key, payload)
+                    self.cache.store_text(key, text)
             self.counters.incr("service.simulations_run",
                                len(results))
             self.sink.extend(results)
             for key in keys:
                 future = self._inflight.pop(key, None)
                 if future is not None and not future.done():
-                    future.set_result(payloads[key])
-            return payloads
+                    future.set_result(texts[key])
+            return texts
         except BaseException as exc:
             for key in keys:
                 future = self._inflight.pop(key, None)

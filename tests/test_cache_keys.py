@@ -1,0 +1,106 @@
+"""Cache keys are the same in every interpreter.
+
+The disk cache is shared across processes under
+:func:`repro.experiments.parallel.task_fingerprint`: a restarted
+server, or a CLI run beside it, must compute byte-identical keys for
+the same task.  Rendering workload state must therefore never depend
+on object addresses, hash seeds or object identity.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro.experiments.parallel import (
+    RunTask,
+    _stable_repr,
+    task_fingerprint,
+)
+from repro.kernel.asym_scheduler import AsymmetryAwareScheduler
+from repro.service import registry
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+#: label -> (registry workload, params): every service workload with
+#: its defaults, plus a SPEC OMP loop schedule other than the default.
+CASES = {name: (name, {}) for name in registry.WORKLOADS}
+CASES["specomp-dynamic"] = ("specomp", {"omp_schedule": "dynamic"})
+
+#: Keys in one fresh interpreter, printed as JSON (explicit trace and
+#: coalesce settings, so the environment cannot move them).
+KEYS_SCRIPT = """
+import json, sys
+from repro.experiments.parallel import RunTask, task_fingerprint
+from repro.service import registry
+cases = json.loads(sys.argv[1])
+print(json.dumps({
+    label: task_fingerprint(
+        RunTask(registry.build_workload(name, params), "2f-2s/8", 7),
+        trace_categories=None, coalesce=True)
+    for label, (name, params) in cases.items()}))
+"""
+
+
+def _keys_in_fresh_interpreter(hash_seed):
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", KEYS_SCRIPT, json.dumps(CASES)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_keys_match_across_interpreters():
+    first = _keys_in_fresh_interpreter("1")
+    second = _keys_in_fresh_interpreter("2")
+    assert sorted(first) == sorted(CASES)
+    assert first == second
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_rendered_state_carries_no_address(label):
+    name, params = CASES[label]
+    workload = registry.build_workload(name, params)
+    for attr, value in vars(workload).items():
+        rendered = _stable_repr(value)
+        assert " at 0x" not in rendered, (attr, rendered)
+
+
+def test_enum_member_renders_as_qualified_name():
+    workload = registry.build_workload("specjbb", {"gc": "parallel"})
+    assert _stable_repr(workload.gc) == "repro.runtime.jvm.GCKind.PARALLEL"
+
+
+def test_shared_state_renders_in_full_and_cycles_stop():
+    class Node:
+        pass
+
+    shared = (1, 2)
+    node = Node()
+    node.a, node.b, node.me = shared, shared, node
+    rendered = _stable_repr(node)
+    assert "a=(1, 2), b=(1, 2), me=<cycle>" in rendered
+
+
+def test_enum_free_keys_are_pinned():
+    """LockStress and TPC-H keys are byte-identical to those the disk
+    cache was filled under before enum rendering changed."""
+    lockstress = RunTask(
+        registry.build_workload("lockstress",
+                                {"n_threads": 4, "duration": 0.01}),
+        "2f-2s/8", 7)
+    tpch = RunTask(
+        registry.build_workload("tpch", {"parallel_degree": 2,
+                                         "queries": [3, 6]}),
+        "1f-3s", 100, AsymmetryAwareScheduler)
+    keys = [task_fingerprint(task, trace_categories=None, coalesce=True)
+            for task in (lockstress, tpch)]
+    assert keys == [
+        "ec99843a6c1a289db0d659ba21319ba99971821b75a1c1e9c27f13a2612cfc76",
+        "3ede66e0ec1d77cd9391d7d837755a820ddb29a7ef1853ee6520498123316d5b",
+    ]
+

@@ -3,11 +3,13 @@
 The contracts under test: a cached payload round-trips a
 :class:`RunResult` losslessly (the warm path is byte-identical to the
 cold path on the canonical surface), the disk tier survives process
-boundaries, the LRU memory front evicts without losing data, and the
-hit/miss counters stay exact (``hits + misses == lookups``) under
-concurrent use.
+boundaries and serves an entry only when its header's format,
+fingerprint and sha256 match the stored text, the LRU memory front
+evicts without losing data, and the hit/miss counters stay exact
+(``hits + misses == lookups``) under concurrent use.
 """
 
+import hashlib
 import json
 import os
 import threading
@@ -25,10 +27,12 @@ from repro.service.cache import (
     DiskResultCache,
     canonical_result_json,
     result_from_payload,
+    result_text,
     result_to_payload,
 )
 from repro.sim import trace as _trace
 from repro.workloads.lockstress import LockStress
+from repro.workloads.specjbb import SpecJBB
 from repro.workloads.tpch import TpchQuery
 
 
@@ -136,6 +140,36 @@ class TestDiskResultCache:
         (tmp_path / "old.json").write_text(json.dumps(entry))
         assert cache.lookup("old") is None
 
+    def test_altered_payload_text_is_never_served(self, tmp_path):
+        cache = DiskResultCache(str(tmp_path), max_memory_entries=0)
+        cache.store("abc", _run(_task()))
+        path = tmp_path / "abc.json"
+        data = path.read_bytes()
+        altered = data.replace(b'"seed": 100', b'"seed": 101')
+        assert altered != data
+        json.loads(altered.split(b"\n", 1)[1])  # still valid JSON
+        path.write_bytes(altered)
+        assert cache.lookup_text("abc") is None
+        assert DiskResultCache(str(tmp_path)).lookup("abc") is None
+
+    def test_format_1_entry_is_a_miss_and_replaced(self, tmp_path):
+        result = _run(_task())
+        entry = {"format": 1, "fingerprint": "abc",
+                 "result": result_to_payload(result)}
+        (tmp_path / "abc.json").write_text(
+            json.dumps(entry, sort_keys=True))
+        cache = DiskResultCache(str(tmp_path))
+        assert cache.lookup_text("abc") is None
+        cache.store("abc", result)
+        header, body = (tmp_path / "abc.json").read_bytes().split(
+            b"\n", 1)
+        assert json.loads(header) == {
+            "fingerprint": "abc", "format": CACHE_FORMAT,
+            "sha256": hashlib.sha256(body).hexdigest()}
+        assert body.decode("utf-8") == result_text(result)
+        reopened = DiskResultCache(str(tmp_path))
+        assert reopened.lookup_text("abc") == result_text(result)
+
     def test_clear_drops_disk_and_counters(self, tmp_path):
         cache = DiskResultCache(str(tmp_path))
         cache.store("a", _run(_task()))
@@ -157,7 +191,7 @@ class TestDiskResultCache:
 
     def test_counters_exact_under_concurrent_use(self, tmp_path):
         cache = DiskResultCache(str(tmp_path), max_memory_entries=4)
-        payload = result_to_payload(_run(_task()))
+        text = result_text(_run(_task()))
         keys = [f"k{i}" for i in range(8)]
         barrier = threading.Barrier(4)
 
@@ -165,8 +199,8 @@ class TestDiskResultCache:
             barrier.wait()
             for _ in range(25):
                 for key in keys:
-                    if cache.lookup_payload(key) is None:
-                        cache.store_payload(key, payload)
+                    if cache.lookup_text(key) is None:
+                        cache.store_text(key, text)
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for thread in threads:
@@ -186,80 +220,76 @@ class TestBoundedDiskTier:
     """
 
     @pytest.fixture(scope="class")
-    def payload(self):
-        return result_to_payload(_run(_task()))
+    def text(self):
+        return result_text(_run(_task()))
 
-    def test_entry_bound_evicts_oldest(self, tmp_path, payload):
+    def test_entry_bound_evicts_oldest(self, tmp_path, text):
         cache = DiskResultCache(str(tmp_path), max_disk_entries=2)
         for key in ("k0", "k1", "k2"):
-            cache.store_payload(key, payload)
+            cache.store_text(key, text)
         assert len(cache) == 2
         assert cache.disk_evictions == 1
-        assert cache.lookup_payload("k0") is None  # evicted
-        assert cache.lookup_payload("k1") is not None
-        assert cache.lookup_payload("k2") is not None
+        assert cache.lookup_text("k0") is None  # evicted
+        assert cache.lookup_text("k1") is not None
+        assert cache.lookup_text("k2") is not None
 
-    def test_lookup_promotes_against_eviction(self, tmp_path,
-                                              payload):
+    def test_lookup_promotes_against_eviction(self, tmp_path, text):
         cache = DiskResultCache(str(tmp_path), max_disk_entries=2)
-        cache.store_payload("a", payload)
-        cache.store_payload("b", payload)
-        assert cache.lookup_payload("a") is not None  # promote a
-        cache.store_payload("c", payload)  # evicts b, not a
-        assert cache.lookup_payload("b") is None
-        assert cache.lookup_payload("a") is not None
+        cache.store_text("a", text)
+        cache.store_text("b", text)
+        assert cache.lookup_text("a") is not None  # promote a
+        cache.store_text("c", text)  # evicts b, not a
+        assert cache.lookup_text("b") is None
+        assert cache.lookup_text("a") is not None
 
-    def test_byte_bound_and_accounting(self, tmp_path, payload):
+    def test_byte_bound_and_accounting(self, tmp_path, text):
         # Same-length keys: the stored entry embeds its fingerprint,
         # so equal keys mean equal entry sizes.
         cache = DiskResultCache(str(tmp_path))
-        cache.store_payload("k0", payload)
+        cache.store_text("k0", text)
         entry_bytes = cache.disk_bytes
         assert entry_bytes > 0
         cache.clear()
 
         bounded = DiskResultCache(str(tmp_path),
                                   max_disk_bytes=entry_bytes)
-        bounded.store_payload("k1", payload)
-        bounded.store_payload("k2", payload)
+        bounded.store_text("k1", text)
+        bounded.store_text("k2", text)
         assert len(bounded) == 1
         assert bounded.disk_bytes <= entry_bytes
         assert bounded.disk_evictions == 1
         assert bounded.counters.get(
             "service.cache.disk_evicted_bytes") == entry_bytes
-        assert bounded.lookup_payload("k2") is not None
+        assert bounded.lookup_text("k2") is not None
 
-    def test_just_stored_entry_is_never_the_victim(self, tmp_path,
-                                                   payload):
+    def test_just_stored_entry_is_never_the_victim(self, tmp_path, text):
         cache = DiskResultCache(str(tmp_path), max_disk_entries=1)
         for key in ("x", "y", "z"):
-            cache.store_payload(key, payload)
-            assert cache.lookup_payload(key) is not None
+            cache.store_text(key, text)
+            assert cache.lookup_text(key) is not None
         assert len(cache) == 1
 
-    def test_reopen_applies_a_tighter_bound(self, tmp_path, payload):
+    def test_reopen_applies_a_tighter_bound(self, tmp_path, text):
         unbounded = DiskResultCache(str(tmp_path))
         for index in range(4):
-            unbounded.store_payload(f"k{index}", payload)
+            unbounded.store_text(f"k{index}", text)
         assert len(unbounded) == 4
         reopened = DiskResultCache(str(tmp_path), max_disk_entries=2)
         assert len(reopened) == 2
         assert reopened.disk_evictions == 2
 
-    def test_eviction_drops_memory_front_too(self, tmp_path,
-                                             payload):
+    def test_eviction_drops_memory_front_too(self, tmp_path, text):
         cache = DiskResultCache(str(tmp_path), max_disk_entries=1)
-        cache.store_payload("a", payload)
-        cache.store_payload("b", payload)
-        assert cache.lookup_payload("a") is None
+        cache.store_text("a", text)
+        cache.store_text("b", text)
+        assert cache.lookup_text("a") is None
         assert cache.counters.get(
             "service.cache.memory_hits") == 0
 
-    def test_stats_reports_bounds_and_occupancy(self, tmp_path,
-                                                payload):
+    def test_stats_reports_bounds_and_occupancy(self, tmp_path, text):
         cache = DiskResultCache(str(tmp_path), max_disk_entries=8,
                                 max_disk_bytes=1 << 20)
-        cache.store_payload("a", payload)
+        cache.store_text("a", text)
         stats = cache.stats()
         assert stats["disk_entries"] == 1
         assert stats["disk_bytes"] == cache.disk_bytes > 0
@@ -273,10 +303,10 @@ class TestBoundedDiskTier:
         with pytest.raises(ValueError):
             DiskResultCache(str(tmp_path), max_disk_bytes=0)
 
-    def test_unbounded_by_default(self, tmp_path, payload):
+    def test_unbounded_by_default(self, tmp_path, text):
         cache = DiskResultCache(str(tmp_path))
         for index in range(6):
-            cache.store_payload(f"k{index}", payload)
+            cache.store_text(f"k{index}", text)
         assert len(cache) == 6
         assert cache.disk_evictions == 0
         assert cache.stats()["max_disk_entries"] is None
@@ -285,12 +315,16 @@ class TestBoundedDiskTier:
 class TestPersistentCacheDrift:
     """Cross-process cache identity: the CI drift leg's anchor.
 
-    The first run (cold step) simulates and seeds the cache; a later
-    run in a *different process* pointed at the same directory via
-    ``REPRO_SERVICE_CACHE_DIR`` must get a payload whose canonical
-    JSON is byte-identical to a fresh local simulation — any drift in
-    serialization, fingerprinting or simulation determinism fails
-    this test in the warm step.
+    The first run (cold step) simulates each anchor, stores it, and
+    records its fingerprint in a ``drift-<anchor>.key`` file beside
+    the entries; a later run in a *different process* pointed at the
+    same directory via ``REPRO_SERVICE_CACHE_DIR`` (warm step) must
+    compute the same fingerprint, hit the stored entry, and get a
+    result whose canonical JSON is byte-identical to a fresh local
+    simulation.  A warm step that misses an entry the cold step
+    stored fails: any drift in fingerprinting, serialization or
+    simulation determinism shows.  The SPECjbb anchor carries a
+    ``GCKind``, so it covers enum rendering in keys.
     """
 
     @pytest.fixture
@@ -302,18 +336,37 @@ class TestPersistentCacheDrift:
         return RunTask(
             LockStress(n_threads=4, duration=0.01), "2f-2s/8", 7)
 
-    def test_warm_payload_matches_a_fresh_simulation(self, cache_dir):
+    def _specjbb_anchor_task(self):
+        return RunTask(
+            SpecJBB(warehouses=4, measurement_seconds=0.05,
+                    warmup_seconds=0.02), "2f-2s/8", 7)
+
+    def _check_anchor(self, cache_dir, name, make_task):
         cache = DiskResultCache(cache_dir)
-        task = self._anchor_task()
-        key = task_fingerprint(task)
-        fresh = _run(self._anchor_task())
-        stored = cache.lookup_payload(key)
-        if stored is None:  # cold step: seed the cache
-            cache.store_payload(key, result_to_payload(fresh))
-            stored = cache.lookup_payload(key)
-        assert stored is not None
-        assert canonical_result_json(result_from_payload(stored)) == \
+        key = task_fingerprint(make_task())
+        fresh = _run(make_task())
+        marker = os.path.join(cache_dir, f"drift-{name}.key")
+        if os.path.exists(marker):  # warm step
+            with open(marker, encoding="ascii") as handle:
+                assert handle.read() == key, \
+                    f"{name}: fingerprint drifted since the cold step"
+        else:  # cold step: seed the cache
+            cache.store(key, fresh)
+            with open(marker, "w", encoding="ascii") as handle:
+                handle.write(key)
+        stored = cache.lookup(key)
+        assert stored is not None, \
+            f"{name}: missed the entry the cold step stored"
+        assert canonical_result_json(stored) == \
             canonical_result_json(fresh)
+
+    def test_warm_payload_matches_a_fresh_simulation(self, cache_dir):
+        self._check_anchor(cache_dir, "lockstress", self._anchor_task)
+
+    def test_warm_specjbb_payload_matches_a_fresh_simulation(
+            self, cache_dir):
+        self._check_anchor(cache_dir, "specjbb",
+                           self._specjbb_anchor_task)
 
     def test_fingerprint_stable_across_equal_tasks(self, cache_dir):
         assert task_fingerprint(self._anchor_task()) == \

@@ -29,8 +29,10 @@ import pytest
 from repro.experiments.parallel import SerialBackend
 from repro.service import protocol
 from repro.service.cache import (
+    DiskResultCache,
     canonical_result_json,
     result_from_payload,
+    result_to_payload,
 )
 from repro.service.pool import ShardedPoolExecutor
 from repro.service.server import ScenarioServer
@@ -276,6 +278,62 @@ class TestDedupAndAdmission:
         assert first["simulations_run"] == 4
         assert warm["simulations_run"] == 0
         assert warm["cache_hits"] == 4
+
+
+# ----------------------------------------------------------------------
+# Result lines spliced from stored payload texts
+# ----------------------------------------------------------------------
+class TestSplicedResultLines:
+    @pytest.mark.parametrize("memory_entries", [256, 0],
+                             ids=["memory-hit", "disk-hit"])
+    def test_lines_decode_to_the_result_payloads(self, tmp_path,
+                                                 memory_entries):
+        """Cold, in-flight-coalesced and warm answers all decode to
+        exactly the ``result_to_payload`` dicts of the results."""
+        gate = threading.Event()
+        stub = StubExecutor(gate=gate)
+        cache = DiskResultCache(str(tmp_path / "cache"),
+                                max_memory_entries=memory_entries)
+
+        async def scenario():
+            async with running_server(executor=stub,
+                                      cache=cache) as server:
+                async with Connection(server) as first, \
+                        Connection(server) as second:
+                    await first.send(_sweep_message())
+                    for _ in range(100):
+                        if server._inflight:
+                            break
+                        await asyncio.sleep(0.01)
+                    await second.send(_sweep_message())
+                    for _ in range(100):
+                        if server.counters.get(
+                                "service.inflight_coalesced") >= 4:
+                            break
+                        await asyncio.sleep(0.01)
+                    gate.set()
+                    cold = await first.reader.readline()
+                    coalesced = await second.reader.readline()
+                    await first.send(_sweep_message())
+                    warm = await first.reader.readline()
+                    return cold, coalesced, warm
+        lines = asyncio.run(scenario())
+        tasks = protocol.parse_scenario(_sweep_message()).tasks
+        expected = [result_to_payload(result)
+                    for result in StubExecutor().run_tasks(tasks)]
+        responses = [json.loads(line) for line in lines]
+        for line, response in zip(lines, responses):
+            assert response["results"] == expected
+            # Byte for byte what encoding the decoded message gives.
+            assert line == (json.dumps(response, sort_keys=True)
+                            + "\n").encode("utf-8")
+        cold, coalesced, warm = responses
+        assert cold["simulations_run"] == 4
+        assert coalesced["coalesced"] == 4
+        assert warm["cache_hits"] == 4
+        assert cache.counters.get(
+            "service.cache.disk_hits" if memory_entries == 0
+            else "service.cache.memory_hits") == 4
 
 
 # ----------------------------------------------------------------------
