@@ -777,12 +777,35 @@ def _golden_event_stream_files() -> Dict[str, str]:
     return {"event_streams.json": canonical_json(payload)}
 
 
+# ----------------------------------------------------------------------
+# Exhibits
+# ----------------------------------------------------------------------
+def exhibit_filename(name: str) -> str:
+    return f"exhibit_{name}.txt"
+
+
+def _golden_exhibit_files() -> Dict[str, str]:
+    """Every exhibit's rendered text at the quick profile.
+
+    The repository exists to reproduce these 14 texts, so any change
+    that moves one shows up as a diff here.  About a minute of
+    simulation, so only ``regenerate.py --check`` (CI's golden-drift
+    job) rebuilds them, not tier-1.
+    """
+    from repro.experiments.figures import ALL_EXHIBITS
+    from repro.experiments.profiles import QUICK
+
+    return {exhibit_filename(name): module.render(module.run(QUICK)) + "\n"
+            for name, module in ALL_EXHIBITS.items()}
+
+
 #: group name -> zero-argument callable producing {filename: text}.
 #: Like GOLDEN_RUNS but for fixtures that are not single-run payloads
 #: (one builder may emit several files sharing expensive inputs).
 GOLDEN_FILES: Dict[str, Callable[[], Dict[str, str]]] = {
     "report_specjbb_quick": _golden_report_files,
     "event_streams": _golden_event_stream_files,
+    "exhibits": _golden_exhibit_files,
 }
 
 
