@@ -28,18 +28,20 @@ import os
 import sys
 import time
 
-from repro import faults as _faults
-from repro import metrics as _metrics
-from repro.kernel import kernel as _kernel
+from repro.faults import FaultSchedule
+from repro.kernel.kernel import coalescing_enabled
+from repro.metrics import metrics_record
 from repro.sim import trace as _trace
 from repro.sim import trace_export as _trace_export
 from repro.experiments.figures import ALL_EXHIBITS
+from repro.experiments.parallel import Backend, make_backend
 from repro.experiments.profiles import get_profile
 from repro.machine import (
     Machine,
     STANDARD_CONFIG_LABELS,
     run_microbenchmark,
 )
+from repro.workloads.base import RunOptions
 
 
 def _cmd_list() -> int:
@@ -69,9 +71,9 @@ def _sweep_workload(name: str, profile, omp_schedule: str = "all"):
 
 
 def _cmd_sweep(workload_name: str, profile_name: str, predict: bool,
-               jobs: int = 0, spot_checks: int = 1,
+               backend: Backend, spot_checks: int = 1,
                tolerance: float = 0.10,
-               omp_schedule: str = "all") -> int:
+               omp_schedule: str = "all") -> None:
     """Run (or analytically predict) one workload's config sweep."""
     from repro.experiments.report import format_sweep, format_table
     from repro.experiments.runner import Runner
@@ -85,19 +87,19 @@ def _cmd_sweep(workload_name: str, profile_name: str, predict: bool,
             OMP_SCHEDULES,
             SpecOmpBenchmark,
         )
-        runner = Runner(runs=profile.runs, jobs=jobs)
+        runner = Runner(runs=profile.runs, backend=backend)
         sweeps = {
             policy: runner.run(
                 SpecOmpBenchmark("swim", omp_schedule=policy))
             for policy in OMP_SCHEDULES
         }
         print(format_sweep(policies=sweeps))
-        return 0
+        return
     workload = _sweep_workload(workload_name, profile, omp_schedule)
-    runner = Runner(runs=profile.runs, jobs=jobs)
+    runner = Runner(runs=profile.runs, backend=backend)
     if not predict:
         print(format_sweep(runner.run(workload)))
-        return 0
+        return
     prediction = runner.predict_sweep(workload,
                                       spot_checks=spot_checks,
                                       tolerance=tolerance)
@@ -126,7 +128,6 @@ def _cmd_sweep(workload_name: str, profile_name: str, predict: bool,
           f"{len(prediction.spot_checks)} spot checks); gate "
           f"tolerance {prediction.tolerance:.1%}, worst spot error "
           f"{prediction.max_spot_error:.1%}")
-    return 0
 
 
 _SERVICE_WORKLOADS = ("specjbb", "tpch", "lockstress", "specomp")
@@ -381,79 +382,61 @@ def _bench_comparison(bench_path: str, baseline_path: str):
             "comparison": compare_to_baseline(current, pinned)}
 
 
-def _cmd_exhibit(name: str, profile_name: str,
-                 jobs: int = 0,
-                 metrics_out: str = None,
-                 faults_path: str = None,
-                 trace_out: str = None,
-                 trace_spec: str = None,
-                 no_coalesce: bool = False,
-                 bench_path: str = None,
-                 bench_baseline_path: str = None) -> int:
-    profile = get_profile(profile_name)
-    if name == "all":
-        names = list(ALL_EXHIBITS)
-    elif name in ALL_EXHIBITS:
-        names = [name]
-    else:
-        print(f"unknown exhibit {name!r}; try 'list'", file=sys.stderr)
-        return 2
-    sink = _metrics.MetricsSink() if metrics_out else None
-    if sink is not None:
-        _metrics.install_sink(sink)
-    trace_sink = None
-    if trace_out is not None:
-        categories = (_trace.parse_categories(trace_spec)
-                      if trace_spec is not None
-                      else frozenset(_trace.DEFAULT_TRACE_CATEGORIES))
-        _trace.install_default_categories(categories)
-        trace_sink = _trace_export.install_sink(
-            _trace_export.TraceSink())
-        print(f"tracing categories: {', '.join(sorted(categories))}")
-    if faults_path is not None:
-        schedule = _faults.FaultSchedule.load(faults_path)
-        _faults.install_default_schedule(schedule)
+def _run_options(args) -> RunOptions:
+    """The run context the flags ask for, announced on stdout."""
+    trace = None
+    if args.trace_out is not None:
+        trace = (_trace.parse_categories(args.trace)
+                 if args.trace is not None
+                 else frozenset(_trace.DEFAULT_TRACE_CATEGORIES))
+        print(f"tracing categories: {', '.join(sorted(trace))}")
+    faults = None
+    if args.faults is not None:
+        faults = FaultSchedule.load(args.faults)
         summary = ", ".join(f"{kind}={count}" for kind, count
-                            in sorted(schedule.counts().items()))
-        print(f"fault schedule: {len(schedule)} events ({summary}) "
-              f"from {faults_path}")
-    if no_coalesce:
-        _kernel.install_coalescing(False)
+                            in sorted(faults.counts().items()))
+        print(f"fault schedule: {len(faults)} events ({summary}) "
+              f"from {args.faults}")
+    if args.no_coalesce:
         print("quantum coalescing: disabled (per-quantum slicing)")
-    try:
-        for exhibit in names:
-            module = ALL_EXHIBITS[exhibit]
-            print(f"== {exhibit} ".ljust(72, "="))
-            module.main(profile, jobs=jobs)
-            print()
-    finally:
-        if sink is not None:
-            _metrics.remove_sink()
-        if trace_sink is not None:
-            _trace_export.remove_sink()
-            _trace.clear_default_categories()
-        if faults_path is not None:
-            _faults.clear_default_schedule()
-        if no_coalesce:
-            _kernel.install_coalescing(True)
-    if sink is not None:
-        payload = {"format": 1, "records": sink.as_payload()}
-        bench = _bench_comparison(bench_path, bench_baseline_path)
+    return RunOptions(
+        faults=faults, trace=trace,
+        coalesce=False if args.no_coalesce else coalescing_enabled())
+
+
+def _cmd_exhibits(name: str, profile_name: str,
+                  backend: Backend) -> None:
+    profile = get_profile(profile_name)
+    names = list(ALL_EXHIBITS) if name == "all" else [name]
+    for exhibit in names:
+        print(f"== {exhibit} ".ljust(72, "="))
+        ALL_EXHIBITS[exhibit].main(profile, backend=backend)
+        print()
+
+
+def _write_run_outputs(args, results) -> None:
+    """``--metrics-out`` and ``--trace-out`` from every run's result."""
+    if args.metrics_out is not None:
+        payload = {"format": 1,
+                   "records": [metrics_record(r) for r in results]}
+        default_bench, default_baseline = _default_bench_paths()
+        bench = _bench_comparison(args.bench or default_bench,
+                                  args.bench_baseline
+                                  or default_baseline)
         if bench is not None:
             payload["bench"] = bench
-        with open(metrics_out, "w", encoding="utf-8") as handle:
+        with open(args.metrics_out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         note = " (with bench baseline comparison)" if bench else ""
-        print(f"wrote {len(sink.records)} run metrics "
-              f"records to {metrics_out}{note}")
-    if trace_sink is not None:
-        count = _trace_export.write_chrome_trace(
-            trace_out, trace_sink.records)
+        print(f"wrote {len(results)} run metrics "
+              f"records to {args.metrics_out}{note}")
+    if args.trace_out is not None:
+        traced = [r for r in results if r.trace is not None]
+        count = _trace_export.write_chrome_trace(args.trace_out, traced)
         print(f"wrote {count} trace events for "
-              f"{len(trace_sink.records)} runs to {trace_out} "
+              f"{len(traced)} runs to {args.trace_out} "
               "(load in https://ui.perfetto.dev)")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -510,17 +493,17 @@ def main(argv=None) -> int:
     parser.add_argument("--metrics-out", metavar="PATH", default=None,
                         help="write per-run simulation metrics "
                              "(RunMetrics JSON) for every run the "
-                             "exhibit executes to PATH")
+                             "exhibit or sweep executes to PATH")
     parser.add_argument("--faults", metavar="SCHEDULE.json",
                         default=None,
                         help="inject the fault schedule (throttle/"
                              "offline/stall events; see repro.faults) "
-                             "into every run of the exhibit")
+                             "into every run of the exhibit or sweep")
     parser.add_argument("--trace-out", metavar="TRACE.json",
                         default=None,
                         help="export a Chrome trace-event / Perfetto "
-                             "timeline of every run the exhibit "
-                             "executes to TRACE.json")
+                             "timeline of every run the exhibit or "
+                             "sweep executes to TRACE.json")
     parser.add_argument("--trace", metavar="CATEGORIES", default=None,
                         help="comma-separated trace categories for "
                              "--trace-out (default: "
@@ -662,21 +645,24 @@ def main(argv=None) -> int:
                 and args.omp_schedule == "all":
             parser.error("--predict fits one schedule at a time; "
                          "pick one with --omp-schedule")
-        return _cmd_sweep(args.workload, args.profile, args.predict,
-                          jobs=args.jobs,
-                          spot_checks=args.spot_checks,
-                          tolerance=args.tolerance,
-                          omp_schedule=args.omp_schedule)
-    default_bench, default_baseline = _default_bench_paths()
-    return _cmd_exhibit(args.exhibit, args.profile, args.jobs,
-                        metrics_out=args.metrics_out,
-                        faults_path=args.faults,
-                        trace_out=args.trace_out,
-                        trace_spec=args.trace,
-                        no_coalesce=args.no_coalesce,
-                        bench_path=args.bench or default_bench,
-                        bench_baseline_path=(args.bench_baseline
-                                             or default_baseline))
+    elif args.exhibit != "all" and args.exhibit not in ALL_EXHIBITS:
+        print(f"unknown exhibit {args.exhibit!r}; try 'list'",
+              file=sys.stderr)
+        return 2
+    # One backend per invocation: its options go on every task, and
+    # its result list feeds --metrics-out and --trace-out.
+    results = []
+    backend = make_backend(args.jobs, options=_run_options(args),
+                           sink=results)
+    if args.exhibit == "sweep":
+        _cmd_sweep(args.workload, args.profile, args.predict, backend,
+                   spot_checks=args.spot_checks,
+                   tolerance=args.tolerance,
+                   omp_schedule=args.omp_schedule)
+    else:
+        _cmd_exhibits(args.exhibit, args.profile, backend)
+    _write_run_outputs(args, results)
+    return 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ construct them directly for fine-grained scenarios.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.kernel.kernel import Kernel
 from repro.kernel.scheduler import Scheduler
@@ -31,31 +31,36 @@ class System:
     coalesce:
         Quantum coalescing override for the kernel: ``True``/``False``
         pin the fast path on/off, ``None`` (default) follows the
-        process-wide setting (see
+        environment (see
         :func:`repro.kernel.kernel.coalescing_enabled`).  Either way
         observable behaviour is byte-identical; this only selects how
         uncontended timeslices are executed.
+    trace:
+        Trace categories the simulator records from the start; None
+        (default) records nothing.
     """
 
     def __init__(self, machine: Machine, seed: int = 0,
                  scheduler: Optional[Scheduler] = None,
-                 coalesce: Optional[bool] = None) -> None:
+                 coalesce: Optional[bool] = None,
+                 trace: Optional[Iterable[str]] = None) -> None:
         self.machine = machine
-        self.sim = Simulator(seed=seed)
+        self.sim = Simulator(seed=seed, trace=trace)
         self.kernel = Kernel(self.sim, machine, scheduler,
                              coalesce=coalesce)
 
     @classmethod
     def build(cls, config: str, seed: int = 0,
               scheduler: Optional[Scheduler] = None,
-              coalesce: Optional[bool] = None) -> "System":
+              coalesce: Optional[bool] = None,
+              trace: Optional[Iterable[str]] = None) -> "System":
         """Build a system from an ``nf-ms/scale`` label."""
         if isinstance(config, MachineConfig):
             machine = Machine(config)
         else:
             machine = Machine.from_label(config)
         return cls(machine, seed=seed, scheduler=scheduler,
-                   coalesce=coalesce)
+                   coalesce=coalesce, trace=trace)
 
     # ------------------------------------------------------------------
     @property

@@ -18,6 +18,7 @@ from repro.experiments.parallel import Backend, RunTask, make_backend
 from repro.experiments.profiles import Profile, QUICK
 from repro.experiments.report import format_series
 from repro.runtime.jvm import GCKind
+from repro.workloads.base import RunOptions
 from repro.workloads.specjbb import SpecJBB
 
 #: The four (series label, vm, gc, config) curves across both panels.
@@ -34,12 +35,13 @@ _SERIES = [
 
 
 def _curve_tasks(vm: str, gc: GCKind, config: str, runs: int,
-                 profile: Profile, base_seed: int) -> List[RunTask]:
+                 profile: Profile, base_seed: int,
+                 options: RunOptions) -> List[RunTask]:
     """Tasks for one curve, run-major then warehouse-minor."""
     return [RunTask(SpecJBB(warehouses=warehouses, vm=vm, gc=gc,
                             measurement_seconds=(
                                 profile.specjbb_measurement)),
-                    config, base_seed + run)
+                    config, base_seed + run, options=options)
             for run in range(runs)
             for warehouses in profile.warehouses]
 
@@ -55,7 +57,7 @@ def run(profile: Profile = QUICK, base_seed: int = 100,
     tasks: List[RunTask] = []
     for _, _, vm, gc, config in _SERIES:
         tasks.extend(_curve_tasks(vm, gc, config, runs, profile,
-                                  base_seed))
+                                  base_seed, backend.options))
     results = iter(backend.execute(tasks))
     points = len(profile.warehouses)
     data: Dict = {"warehouses": list(profile.warehouses),
@@ -86,7 +88,8 @@ def render(data: Dict) -> str:
 
 
 def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None) -> str:
-    output = render(run(profile, jobs=jobs))
+         jobs: Optional[int] = None,
+         backend: Optional[Backend] = None) -> str:
+    output = render(run(profile, jobs=jobs, backend=backend))
     print(output)
     return output

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.experiments.parallel import make_backend
+from repro.experiments.parallel import Backend, make_backend
 from repro.experiments.profiles import Profile, QUICK
 from repro.experiments.report import format_sweep
 from repro.experiments.runner import ConfigSweep, Runner
@@ -27,8 +27,9 @@ def _workload(profile: Profile) -> SpecJBB:
 
 
 def run(profile: Profile = QUICK, base_seed: int = 100,
-        jobs: Optional[int] = None) -> Dict:
-    backend = make_backend(jobs)
+        jobs: Optional[int] = None,
+        backend: Optional[Backend] = None) -> Dict:
+    backend = backend if backend is not None else make_backend(jobs)
     sweep = Runner(runs=profile.runs, base_seed=base_seed,
                    backend=backend).run(_workload(profile))
     fixed = Runner(configs=["4f-0s", "2f-2s/8"], runs=profile.runs,
@@ -50,7 +51,8 @@ def render(data: Dict) -> str:
 
 
 def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None) -> str:
-    output = render(run(profile, jobs=jobs))
+         jobs: Optional[int] = None,
+         backend: Optional[Backend] = None) -> str:
+    output = render(run(profile, jobs=jobs, backend=backend))
     print(output)
     return output

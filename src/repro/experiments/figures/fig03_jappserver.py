@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.experiments.parallel import make_backend
+from repro.experiments.parallel import Backend
 from repro.experiments.profiles import Profile, QUICK
 from repro.experiments.report import format_sweep, format_table
 from repro.experiments.runner import Runner
@@ -21,9 +21,10 @@ from repro.workloads.jappserver import SpecJAppServer
 
 
 def run(profile: Profile = QUICK, base_seed: int = 100,
-        jobs: Optional[int] = None) -> Dict:
+        jobs: Optional[int] = None,
+        backend: Optional[Backend] = None) -> Dict:
     runner = Runner(runs=profile.runs, base_seed=base_seed,
-                    backend=make_backend(jobs))
+                    backend=backend, jobs=jobs)
     top_rate = max(profile.injection_rates)
     sweep = runner.run(SpecJAppServer(injection_rate=top_rate))
     by_rate = {}
@@ -58,7 +59,8 @@ def render(data: Dict) -> str:
 
 
 def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None) -> str:
-    output = render(run(profile, jobs=jobs))
+         jobs: Optional[int] = None,
+         backend: Optional[Backend] = None) -> str:
+    output = render(run(profile, jobs=jobs, backend=backend))
     print(output)
     return output

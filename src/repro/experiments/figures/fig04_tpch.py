@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.experiments.parallel import make_backend
+from repro.experiments.parallel import Backend, make_backend
 from repro.experiments.profiles import Profile, QUICK
 from repro.experiments.report import format_sweep, format_table
 from repro.experiments.runner import Runner
@@ -20,8 +20,9 @@ from repro.workloads.tpch import TpchPowerRun, TpchQuery
 
 
 def run(profile: Profile = QUICK, base_seed: int = 100,
-        jobs: Optional[int] = None) -> Dict:
-    backend = make_backend(jobs)
+        jobs: Optional[int] = None,
+        backend: Optional[Backend] = None) -> Dict:
+    backend = backend if backend is not None else make_backend(jobs)
     power = Runner(runs=profile.runs, base_seed=base_seed,
                    backend=backend).run(
         TpchPowerRun(parallel_degree=4, optimization_degree=7,
@@ -51,7 +52,8 @@ def render(data: Dict) -> str:
 
 
 def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None) -> str:
-    output = render(run(profile, jobs=jobs))
+         jobs: Optional[int] = None,
+         backend: Optional[Backend] = None) -> str:
+    output = render(run(profile, jobs=jobs, backend=backend))
     print(output)
     return output

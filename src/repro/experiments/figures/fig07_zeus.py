@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.experiments.parallel import make_backend
+from repro.experiments.parallel import Backend, make_backend
 from repro.experiments.profiles import Profile, QUICK
 from repro.experiments.report import format_sweep
 from repro.experiments.runner import Runner
@@ -22,10 +22,11 @@ RUNS = 6
 
 
 def run(profile: Profile = QUICK, base_seed: int = 100,
-        jobs: Optional[int] = None) -> Dict:
+        jobs: Optional[int] = None,
+        backend: Optional[Backend] = None) -> Dict:
     runs = RUNS if profile.name == "paper" else profile.runs
     seconds = profile.web_measurement
-    backend = make_backend(jobs)
+    backend = backend if backend is not None else make_backend(jobs)
     runner = Runner(runs=runs, base_seed=base_seed, backend=backend)
     return {
         "light": runner.run(ZeusWorkload(
@@ -51,7 +52,8 @@ def render(data: Dict) -> str:
 
 
 def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None) -> str:
-    output = render(run(profile, jobs=jobs))
+         jobs: Optional[int] = None,
+         backend: Optional[Backend] = None) -> str:
+    output = render(run(profile, jobs=jobs, backend=backend))
     print(output)
     return output

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.experiments.parallel import make_backend
+from repro.experiments.parallel import Backend
 from repro.experiments.profiles import Profile, QUICK
 from repro.experiments.report import format_table
 from repro.experiments.runner import Runner
@@ -22,10 +22,11 @@ from repro.workloads.specomp import BENCHMARK_NAMES, SpecOmpBenchmark
 
 
 def run(profile: Profile = QUICK, base_seed: int = 100,
-        jobs: Optional[int] = None) -> Dict:
+        jobs: Optional[int] = None,
+        backend: Optional[Backend] = None) -> Dict:
     runs = max(2, profile.runs)
     runner = Runner(configs=profile.omp_configs, runs=runs,
-                    base_seed=base_seed, backend=make_backend(jobs))
+                    base_seed=base_seed, backend=backend, jobs=jobs)
     data: Dict[str, Dict] = {"a": {}, "b": {}, "configs":
                              list(profile.omp_configs)}
     for name in BENCHMARK_NAMES:
@@ -50,7 +51,8 @@ def render(data: Dict) -> str:
 
 
 def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None) -> str:
-    output = render(run(profile, jobs=jobs))
+         jobs: Optional[int] = None,
+         backend: Optional[Backend] = None) -> str:
+    output = render(run(profile, jobs=jobs, backend=backend))
     print(output)
     return output

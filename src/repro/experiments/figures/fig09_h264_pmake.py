@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.experiments.parallel import make_backend
+from repro.experiments.parallel import Backend, make_backend
 from repro.experiments.profiles import Profile, QUICK
 from repro.experiments.report import format_sweep
 from repro.experiments.runner import Runner
@@ -19,10 +19,11 @@ from repro.workloads.pmake import Pmake
 
 
 def run(profile: Profile = QUICK, base_seed: int = 100,
-        jobs: Optional[int] = None) -> Dict:
+        jobs: Optional[int] = None,
+        backend: Optional[Backend] = None) -> Dict:
     h264_runs = 4 if profile.name == "paper" else profile.runs
     pmake_runs = 2  # the paper shows two PMAKE runs
-    backend = make_backend(jobs)
+    backend = backend if backend is not None else make_backend(jobs)
     return {
         "h264": Runner(runs=h264_runs, base_seed=base_seed,
                        backend=backend).run(
@@ -43,7 +44,8 @@ def render(data: Dict) -> str:
 
 
 def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None) -> str:
-    output = render(run(profile, jobs=jobs))
+         jobs: Optional[int] = None,
+         backend: Optional[Backend] = None) -> str:
+    output = render(run(profile, jobs=jobs, backend=backend))
     print(output)
     return output

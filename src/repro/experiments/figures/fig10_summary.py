@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.experiments.parallel import make_backend
+from repro.experiments.parallel import Backend
 from repro.experiments.profiles import Profile, QUICK
 from repro.experiments.report import format_speedups, format_table
 from repro.experiments.runner import ConfigSweep, Runner
@@ -31,14 +31,15 @@ from repro.workloads.specomp import SpecOmpBenchmark
 
 
 def collect(profile: Profile = QUICK, base_seed: int = 100,
-            jobs: Optional[int] = None) -> Dict[str, ConfigSweep]:
+            jobs: Optional[int] = None,
+            backend: Optional[Backend] = None) -> Dict[str, ConfigSweep]:
     """Run every workload over the nine configurations.
 
     SPEC OMP is represented by one benchmark with the suite's typical
     static structure (swim); the full suite is Figure 8's job.
     """
     runner = Runner(runs=profile.runs, base_seed=base_seed,
-                    backend=make_backend(jobs))
+                    backend=backend, jobs=jobs)
     workloads = [
         SpecJAppServer(injection_rate=max(profile.injection_rates)),
         SpecJBB(warehouses=profile.specjbb_warehouses,
@@ -59,8 +60,10 @@ def collect(profile: Profile = QUICK, base_seed: int = 100,
 
 
 def run(profile: Profile = QUICK, base_seed: int = 100,
-        jobs: Optional[int] = None) -> Dict:
-    return {"sweeps": collect(profile, base_seed, jobs=jobs)}
+        jobs: Optional[int] = None,
+        backend: Optional[Backend] = None) -> Dict:
+    return {"sweeps": collect(profile, base_seed, jobs=jobs,
+                              backend=backend)}
 
 
 def render(data: Dict) -> str:
@@ -80,7 +83,8 @@ def render(data: Dict) -> str:
 
 
 def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None) -> str:
-    output = render(run(profile, jobs=jobs))
+         jobs: Optional[int] = None,
+         backend: Optional[Backend] = None) -> str:
+    output = render(run(profile, jobs=jobs, backend=backend))
     print(output)
     return output

@@ -88,7 +88,7 @@ def run(profile: Profile = QUICK, base_seed: int = 100,
                 workload.with_faults(
                     _storm_for(profile, base_seed + rep, horizon))
             tasks.append(RunTask(workload, CONFIG, base_seed + rep,
-                                 factory))
+                                 factory, backend.options))
     results = iter(backend.execute(tasks))
     data: Dict = {"runs": runs, "config": CONFIG, "series": {}}
     for name, _, _, _ in _SERIES:
@@ -134,7 +134,8 @@ def render(data: Dict) -> str:
 
 
 def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None) -> str:
-    output = render(run(profile, jobs=jobs))
+         jobs: Optional[int] = None,
+         backend: Optional[Backend] = None) -> str:
+    output = render(run(profile, jobs=jobs, backend=backend))
     print(output)
     return output

@@ -85,7 +85,8 @@ def run(profile: Profile = QUICK, base_seed: int = 100,
                         workload.with_faults(
                             _storm_for(profile, base_seed + rep))
                     tasks.append(RunTask(workload, config,
-                                         base_seed + rep, None))
+                                         base_seed + rep, None,
+                                         backend.options))
     results = iter(backend.execute(tasks))
     data: Dict = {"benchmark": BENCHMARK, "configs": configs,
                   "runs": runs, "policies": list(policies),
@@ -148,7 +149,8 @@ def render(data: Dict) -> str:
 
 
 def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None) -> str:
-    output = render(run(profile, jobs=jobs))
+         jobs: Optional[int] = None,
+         backend: Optional[Backend] = None) -> str:
+    output = render(run(profile, jobs=jobs, backend=backend))
     print(output)
     return output

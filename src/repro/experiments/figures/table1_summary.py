@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.experiments.figures import fig10_summary
-from repro.experiments.parallel import make_backend
+from repro.experiments.parallel import Backend, make_backend
 from repro.experiments.profiles import Profile, QUICK
 from repro.experiments.report import format_table
 from repro.experiments.runner import ConfigSweep, Runner
@@ -37,10 +37,12 @@ PAPER_TABLE1 = {
 
 def run(profile: Profile = QUICK, base_seed: int = 100,
         sweeps: Optional[Dict[str, ConfigSweep]] = None,
-        jobs: Optional[int] = None) -> Dict:
-    backend = make_backend(jobs)
+        jobs: Optional[int] = None,
+        backend: Optional[Backend] = None) -> Dict:
+    backend = backend if backend is not None else make_backend(jobs)
     if sweeps is None:
-        sweeps = fig10_summary.collect(profile, base_seed, jobs=jobs)
+        sweeps = fig10_summary.collect(profile, base_seed,
+                                       backend=backend)
     classifications = {name: sweep.classification()
                        for name, sweep in sweeps.items()}
 
@@ -96,7 +98,8 @@ def render(data: Dict) -> str:
 
 
 def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None) -> str:
-    output = render(run(profile, jobs=jobs))
+         jobs: Optional[int] = None,
+         backend: Optional[Backend] = None) -> str:
+    output = render(run(profile, jobs=jobs, backend=backend))
     print(output)
     return output

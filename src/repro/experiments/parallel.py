@@ -17,9 +17,18 @@ such run tasks:
 
 Both backends optionally share a :class:`ResultCache` keyed on a
 fingerprint of the workload's construction parameters, the machine
-configuration, the seed and the scheduler factory, so that re-running a
-sweep (e.g. regenerating a figure after an unrelated edit) costs zero
+configuration, the seed, the scheduler factory and the task's
+:class:`~repro.workloads.base.RunOptions`, so that re-running a sweep
+(e.g. regenerating a figure after an unrelated edit) costs zero
 simulations.
+
+A task depends on nothing but itself: its ``RunOptions`` (fault
+schedule, trace categories, coalescing mode) travel with it into
+worker processes, so no process-wide state needs copying.  A backend
+carries the options its callers put on the tasks they build
+(``backend.options``) and, optionally, a ``sink`` list receiving every
+result it returns, in order (the CLI's ``--metrics-out`` and
+``--trace-out``).
 """
 
 from __future__ import annotations
@@ -29,52 +38,34 @@ import hashlib
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Union
 
-from repro import faults as _faults
-from repro import metrics as _metrics
-from repro.kernel import kernel as _kernel
-from repro.sim import trace as _trace
-from repro.sim import trace_export as _trace_export
-from repro.workloads.base import RunResult, SchedulerFactory, Workload
+from repro.workloads.base import (
+    RunOptions,
+    RunResult,
+    SchedulerFactory,
+    Workload,
+)
 
 
 @dataclass(frozen=True)
 class RunTask:
-    """One independent simulation: a workload on a config with a seed."""
+    """One independent simulation: a workload on a config with a seed,
+    run under ``options``."""
 
     workload: Workload
     config: str
     seed: int
     scheduler_factory: Optional[SchedulerFactory] = None
-    #: True for a task whose result was produced analytically (USL
-    #: interpolation in ``Runner.predict_sweep``) rather than by
-    #: simulation.  Folded into the cache fingerprint so a predicted
-    #: value can never be served where a simulation was requested.
-    predicted: bool = False
+    options: RunOptions = field(default_factory=RunOptions)
 
 
 def execute_task(task: RunTask) -> RunResult:
     """Run one task to completion (also the worker-process entry point)."""
     return task.workload.run_once(
         task.config, seed=task.seed,
-        scheduler_factory=task.scheduler_factory)
-
-
-def _worker_init(faults_payload, trace_categories, coalescing) -> None:
-    """Replicate process-wide defaults into a pool worker.
-
-    Workers must see the same default fault schedule, the same default
-    trace categories *and* the same quantum-coalescing setting as the
-    submitting process, or a ``--faults`` / ``--trace`` /
-    ``--no-coalesce`` sweep would diverge between serial and parallel
-    execution.  (Coalescing never changes results — replicating it
-    keeps wall-clock behaviour and cache fingerprints consistent.)
-    """
-    _faults.install_default_payload(faults_payload)
-    _trace.install_default_categories(trace_categories)
-    _kernel.install_coalescing(coalescing)
+        scheduler_factory=task.scheduler_factory, options=task.options)
 
 
 def _stable_repr(value: object,
@@ -116,28 +107,15 @@ def _stable_repr(value: object,
     return repr(value)
 
 
-#: Sentinel distinguishing "no override given" from an explicit None
-#: (None is a meaningful value for both overrides: no tracing, and —
-#: never, for coalescing — so a plain default would be ambiguous).
-_UNSET = object()
-
-
-def task_fingerprint(task: RunTask,
-                     trace_categories: object = _UNSET,
-                     coalesce: object = _UNSET) -> str:
+def task_fingerprint(task: RunTask) -> str:
     """Stable cache key for a task.
 
     Two tasks share a fingerprint iff they would produce the same
     :class:`RunResult`: same workload class, same constructor state
-    (every instance attribute, recursively), same config, same seed
-    and same scheduler factory.
-
-    ``trace_categories`` and ``coalesce`` override the process-wide
-    defaults that are otherwise folded in — the scenario service
-    (:mod:`repro.service`) carries both per request instead of
-    mutating process globals, but its keys must coincide exactly with
-    the ones a CLI run with the same settings would produce, so the
-    disk cache is shared between the two front ends.
+    (every instance attribute, recursively), same config, same seed,
+    same scheduler factory and same options.  The scenario service
+    (:mod:`repro.service`) keys its disk cache the same way, so a
+    CLI run and a request with the same settings share entries.
     """
     cls = type(task.workload)
     parts = [f"{cls.__module__}.{cls.__qualname__}"]
@@ -148,35 +126,20 @@ def task_fingerprint(task: RunTask,
         parts.append("scheduler="
                      f"{getattr(factory, '__module__', '')}."
                      f"{getattr(factory, '__qualname__', repr(factory))}")
-    if task.workload.faults is None:
-        # The workload will fall back to the process-wide default
-        # fault schedule at run time, so it is part of the task's
-        # identity (a workload-attached schedule is already covered by
+    options = task.options
+    if task.workload.faults is None and options.faults is not None:
+        # The options' schedule applies only to a workload without
+        # its own (a workload-attached schedule is already covered by
         # the instance-attribute walk above).
-        default = _faults.default_schedule()
-        if default is not None:
-            parts.append(f"faults={default.to_json()}")
-    # The default trace categories decide whether a RunResult carries a
+        parts.append(f"faults={options.faults.to_json()}")
+    # The trace categories decide whether a RunResult carries a
     # timeline, so traced and untraced runs never share cache entries.
-    categories: Optional[FrozenSet[str]]
-    if trace_categories is _UNSET:
-        categories = _trace.default_categories()
-    else:
-        categories = (frozenset(trace_categories)  # type: ignore[arg-type]
-                      if trace_categories is not None else None)
-    if categories:
-        parts.append("trace=" + ",".join(sorted(categories)))
-    # The resolved coalescing mode is folded in even though coalesced
-    # and sliced runs are byte-identical: a cache hit must never mask a
+    if options.trace:
+        parts.append("trace=" + ",".join(sorted(options.trace)))
+    # The coalescing mode is folded in even though coalesced and
+    # sliced runs are byte-identical: a cache hit must never mask a
     # divergence the identity tests are trying to catch.
-    mode = (_kernel.coalescing_enabled() if coalesce is _UNSET
-            else bool(coalesce))
-    parts.append(f"coalesce={mode}")
-    if task.predicted:
-        # Analytic (USL-interpolated) results live in a disjoint key
-        # space from simulated ones: a cache warmed by predict_sweep
-        # must never satisfy a full-sweep lookup with a model output.
-        parts.append("predicted=True")
+    parts.append(f"coalesce={options.coalesce}")
     parts.append(f"config={task.config}")
     parts.append(f"seed={task.seed}")
     digest = hashlib.sha256("\x1f".join(parts).encode("utf-8"))
@@ -234,12 +197,21 @@ class ResultCache:
 
 
 class SerialBackend:
-    """Run tasks one after another in the calling process."""
+    """Run tasks one after another in the calling process.
+
+    ``options`` is what callers building tasks for this backend put on
+    them (default: ``RunOptions()``); ``sink``, when given, receives
+    every returned result, in order.
+    """
 
     jobs = 1
 
-    def __init__(self, cache: Optional[ResultCache] = None) -> None:
+    def __init__(self, cache: Optional[ResultCache] = None,
+                 options: Optional[RunOptions] = None,
+                 sink: Optional[List[RunResult]] = None) -> None:
         self.cache = cache
+        self.options = options if options is not None else RunOptions()
+        self.sink = sink
         #: Simulations actually executed (cache hits excluded).
         self.simulations_run = 0
 
@@ -258,12 +230,8 @@ class SerialBackend:
             if cache is not None:
                 cache.store(key, result)
             results.append(result)
-        sink = _metrics.active_sink()
-        if sink is not None:
-            sink.extend(results)
-        trace_sink = _trace_export.active_sink()
-        if trace_sink is not None:
-            trace_sink.extend(results)
+        if self.sink is not None:
+            self.sink.extend(results)
         return results
 
 
@@ -281,6 +249,8 @@ class ProcessPoolBackend:
         Tasks per pickled submission.  The default splits the pending
         work into roughly four chunks per worker, amortizing pickling
         overhead while keeping the pool load-balanced.
+    options, sink:
+        As for :class:`SerialBackend`.
 
     Determinism: results are reassembled in submission order
     (``ProcessPoolExecutor.map`` preserves input order regardless of
@@ -291,10 +261,14 @@ class ProcessPoolBackend:
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
-                 chunk_size: Optional[int] = None) -> None:
+                 chunk_size: Optional[int] = None,
+                 options: Optional[RunOptions] = None,
+                 sink: Optional[List[RunResult]] = None) -> None:
         self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
         self.cache = cache
         self.chunk_size = chunk_size
+        self.options = options if options is not None else RunOptions()
+        self.sink = sink
         self.simulations_run = 0
 
     def execute(self, tasks: Iterable[RunTask]) -> List[RunResult]:
@@ -314,13 +288,7 @@ class ProcessPoolBackend:
         if pending:
             chunk = self.chunk_size or max(
                 1, len(pending) // (self.jobs * 4))
-            with ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    initializer=_worker_init,
-                    initargs=(_faults.default_schedule_payload(),
-                              _trace.default_categories(),
-                              _kernel.coalescing_enabled()),
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
                 fresh = pool.map(execute_task,
                                  [tasks[i] for i in pending],
                                  chunksize=chunk)
@@ -328,16 +296,9 @@ class ProcessPoolBackend:
                     results[index] = result
                     self.simulations_run += 1
                     if cache is not None:
-                        # The key computed at pre-scan time: fingerprint
-                        # inputs are process globals that a concurrent
-                        # caller could legitimately change mid-execute.
                         cache.store(keys[index], result)
-        sink = _metrics.active_sink()
-        if sink is not None:
-            sink.extend(results)
-        trace_sink = _trace_export.active_sink()
-        if trace_sink is not None:
-            trace_sink.extend(results)
+        if self.sink is not None:
+            self.sink.extend(results)  # type: ignore[arg-type]
         return results  # type: ignore[return-value]
 
 
@@ -345,12 +306,16 @@ Backend = Union[SerialBackend, ProcessPoolBackend]
 
 
 def make_backend(jobs: Optional[int] = None,
-                 cache: Optional[ResultCache] = None) -> Backend:
+                 cache: Optional[ResultCache] = None,
+                 options: Optional[RunOptions] = None,
+                 sink: Optional[List[RunResult]] = None) -> Backend:
     """Backend for a worker count.
 
     ``None``, ``0`` or ``1`` mean serial execution; anything larger
-    builds a process pool with that many workers.
+    builds a process pool with that many workers.  ``options`` and
+    ``sink`` are as for :class:`SerialBackend`.
     """
     if jobs is None or jobs <= 1:
-        return SerialBackend(cache=cache)
-    return ProcessPoolBackend(jobs=jobs, cache=cache)
+        return SerialBackend(cache=cache, options=options, sink=sink)
+    return ProcessPoolBackend(jobs=jobs, cache=cache, options=options,
+                              sink=sink)

@@ -102,7 +102,7 @@ class ConfigSweep:
         """Per-run timelines for one configuration.
 
         Raises :class:`ValueError` if any run was executed without
-        tracing enabled (no ``--trace``/default categories installed).
+        tracing enabled (no trace categories in its ``RunOptions``).
         """
         out = []
         for run in self.results[label]:
@@ -150,7 +150,8 @@ class Runner:
         scheduler) applied to every run.
     backend:
         Execution backend from :mod:`repro.experiments.parallel`.
-        Defaults to serial execution in this process.
+        Defaults to serial execution in this process.  Every task runs
+        under the backend's ``options``.
     jobs:
         Shorthand for ``backend=make_backend(jobs)``: ``None``/``0``/
         ``1`` run serially, larger values fan runs out over that many
@@ -178,7 +179,7 @@ class Runner:
     def tasks(self, workload: Workload) -> List[RunTask]:
         """The sweep's independent run tasks, in deterministic order."""
         return [RunTask(workload, label, self.base_seed + i,
-                        self.scheduler_factory)
+                        self.scheduler_factory, self.backend.options)
                 for label in self.configs for i in range(self.runs)]
 
     def run(self, workload: Workload) -> ConfigSweep:

@@ -29,9 +29,11 @@ Wiring
 ------
 ``workload.with_faults(schedule)`` attaches a schedule to any
 :class:`~repro.workloads.base.Workload`; ``python -m repro <exhibit>
---faults schedule.json`` applies one to every run of an exhibit (the
-process-pool backend forwards it to worker processes, keeping parallel
-sweeps bit-identical to serial ones).  ``FaultSchedule.throttle_storm``
+--faults schedule.json`` applies one to every run of an exhibit whose
+workload carries none, through the ``faults`` field of the
+:class:`~repro.workloads.base.RunOptions` each task carries (into
+worker processes too, keeping parallel sweeps bit-identical to serial
+ones).  ``FaultSchedule.throttle_storm``
 generates the seeded random storms used by the Figure 11 exhibit.
 """
 
@@ -455,45 +457,3 @@ class FaultInjector:
                     duty_cycle=snapped)
         if span is not None:
             span.end(self.system.sim.now)
-
-
-# ----------------------------------------------------------------------
-# Process-wide default schedule (the CLI's --faults flag).
-#
-# Workloads consult this when they carry no schedule of their own (see
-# Workload.build_system).  The process-pool backend re-installs it in
-# every worker process, so parallel sweeps stay bit-identical to
-# serial ones.
-# ----------------------------------------------------------------------
-_default_schedule: Optional[FaultSchedule] = None
-
-
-def install_default_schedule(
-        schedule: Optional[FaultSchedule]) -> Optional[FaultSchedule]:
-    """Set the process-wide fault schedule (None clears it)."""
-    global _default_schedule
-    _default_schedule = schedule
-    return schedule
-
-
-def clear_default_schedule() -> None:
-    install_default_schedule(None)
-
-
-def default_schedule() -> Optional[FaultSchedule]:
-    return _default_schedule
-
-
-def default_schedule_payload() -> Optional[str]:
-    """The default schedule as JSON, for worker-process hand-off."""
-    if _default_schedule is None:
-        return None
-    return _default_schedule.to_json()
-
-
-def install_default_payload(payload: Optional[str]) -> None:
-    """Worker-process initializer: re-arm a serialized schedule."""
-    if payload is None:
-        clear_default_schedule()
-    else:
-        install_default_schedule(FaultSchedule.from_json(payload))

@@ -67,31 +67,20 @@ _SLEEPING = ThreadState.SLEEPING
 _TERMINATED = ThreadState.TERMINATED
 
 # ----------------------------------------------------------------------
-# Process-wide default for the quantum-coalescing fast path (DESIGN.md
-# §9).  The CLI's --no-coalesce flag flips it via install_coalescing;
-# the REPRO_NO_COALESCE environment variable (CI's slow-path leg)
-# overrides both.  Individual kernels can still pin their own mode via
-# the ``coalesce`` constructor argument, which tests and benchmarks use
-# to compare the two executions side by side.
+# Default for the quantum-coalescing fast path (DESIGN.md §9): on,
+# unless the REPRO_NO_COALESCE environment variable (CI's slow-path
+# leg) turns it off.  A run's ``RunOptions.coalesce`` (the CLI's
+# --no-coalesce) and the kernel's ``coalesce`` constructor argument
+# override it; tests and benchmarks use the latter to compare the two
+# executions side by side.
 # ----------------------------------------------------------------------
-_default_coalescing = True
-
-
-def install_coalescing(enabled: bool) -> None:
-    """Set the process-wide default for quantum coalescing."""
-    global _default_coalescing
-    _default_coalescing = bool(enabled)
-
-
 def coalescing_enabled() -> bool:
-    """Resolve the process-wide coalescing default.
+    """The default coalescing mode.
 
-    ``REPRO_NO_COALESCE`` (any value but empty/``0``) forces the sliced
-    slow path regardless of :func:`install_coalescing`.
+    ``REPRO_NO_COALESCE`` (any value but empty/``0``) selects the
+    sliced slow path.
     """
-    if os.environ.get("REPRO_NO_COALESCE", "0") not in ("", "0"):
-        return False
-    return _default_coalescing
+    return os.environ.get("REPRO_NO_COALESCE", "0") in ("", "0")
 
 
 class _Slice:
@@ -138,7 +127,7 @@ class Kernel:
         self._slices: Dict[int, _Slice] = {}
         self._dispatch_pending: List[bool] = [False] * len(machine.cores)
         #: Quantum-coalescing fast path (DESIGN.md §9).  None resolves
-        #: the process default; an explicit bool pins this kernel.
+        #: the environment default; an explicit bool pins this kernel.
         self._coalesce = coalescing_enabled() if coalesce is None \
             else bool(coalesce)
         #: Cores running a live macro slice, by index, in arming order.

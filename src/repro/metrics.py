@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.histogram import LatencyHistogram
 
@@ -645,50 +645,15 @@ class MetricsCollector:
         )
 
 
-# ----------------------------------------------------------------------
-# Metrics sink: lets the CLI capture every RunResult's metrics as the
-# experiment backends produce them, without threading a parameter
-# through every figure module.
-# ----------------------------------------------------------------------
-class MetricsSink:
-    """Collects ``(RunResult)`` records from backend executions."""
-
-    def __init__(self) -> None:
-        self.records: List[Any] = []
-
-    def extend(self, results: Iterable[Any]) -> None:
-        self.records.extend(results)
-
-    def as_payload(self) -> List[Dict[str, Any]]:
-        """JSON-ready list of every recorded run's metrics."""
-        payload = []
-        for result in self.records:
-            entry: Dict[str, Any] = {
-                "workload": result.workload,
-                "config": result.config,
-                "seed": result.seed,
-                "metrics": dict(result.metrics),
-            }
-            if getattr(result, "run_metrics", None) is not None:
-                entry["run_metrics"] = result.run_metrics.as_dict()
-            payload.append(entry)
-        return payload
-
-
-_active_sink: Optional[MetricsSink] = None
-
-
-def install_sink(sink: MetricsSink) -> MetricsSink:
-    """Make ``sink`` the process-wide collection target."""
-    global _active_sink
-    _active_sink = sink
-    return sink
-
-
-def remove_sink() -> None:
-    global _active_sink
-    _active_sink = None
-
-
-def active_sink() -> Optional[MetricsSink]:
-    return _active_sink
+def metrics_record(result: Any) -> Dict[str, Any]:
+    """JSON-ready metrics of one ``RunResult``: the ``--metrics-out``
+    record, also streamed by the scenario server."""
+    record: Dict[str, Any] = {
+        "workload": result.workload,
+        "config": result.config,
+        "seed": result.seed,
+        "metrics": dict(result.metrics),
+    }
+    if result.run_metrics is not None:
+        record["run_metrics"] = result.run_metrics.as_dict()
+    return record

@@ -7,10 +7,9 @@ survive across requests (no per-request fork/spawn cost), fed with
 reassembled in task order, so a sharded execution is byte-identical
 to :class:`~repro.experiments.parallel.SerialBackend` output.
 
-Per-request trace categories and coalescing mode travel *with each
-shard* and are installed around the shard's runs inside the worker
-(then restored), instead of being baked into worker initializers —
-one warm pool serves requests with different settings concurrently.
+Per-request trace categories and coalescing mode travel inside each
+task (its :class:`~repro.workloads.base.RunOptions`), so one warm pool
+serves requests with different settings concurrently.
 
 Crash containment: a worker process dying (OOM kill, segfault in an
 extension, ``os._exit``) breaks the whole ``ProcessPoolExecutor``.
@@ -26,13 +25,11 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.experiments.parallel import RunTask, execute_task
-from repro.kernel import kernel as _kernel
 from repro.metrics import CounterBag
-from repro.sim import trace as _trace
 from repro.workloads.base import RunResult
 
 
@@ -45,28 +42,9 @@ class WorkerCrashError(ReproError):
         self.tasks = tuple(tasks)
 
 
-def execute_shard(payload: Tuple[List[RunTask],
-                                 Optional[FrozenSet[str]],
-                                 Optional[bool]]) -> List[RunResult]:
-    """Worker-process entry point: run one shard's tasks in order.
-
-    Installs the shard's trace categories and coalescing mode as the
-    worker's process-wide defaults for the duration of the shard and
-    restores the previous values after — the same warm worker can
-    interleave shards with different observability settings without
-    cross-talk.
-    """
-    tasks, trace_categories, coalesce = payload
-    previous_categories = _trace.default_categories()
-    previous_coalesce = _kernel.coalescing_enabled()
-    _trace.install_default_categories(trace_categories)
-    if coalesce is not None:
-        _kernel.install_coalescing(coalesce)
-    try:
-        return [execute_task(task) for task in tasks]
-    finally:
-        _trace.install_default_categories(previous_categories)
-        _kernel.install_coalescing(previous_coalesce)
+def execute_shard(tasks: List[RunTask]) -> List[RunResult]:
+    """Worker-process entry point: run one shard's tasks in order."""
+    return [execute_task(task) for task in tasks]
 
 
 class ShardedPoolExecutor:
@@ -114,25 +92,24 @@ class ShardedPoolExecutor:
             self.counters.incr("service.pool.rebuilds")
         broken.shutdown(wait=False, cancel_futures=True)
 
-    def _shards(self, tasks: List[RunTask]) -> List[List[RunTask]]:
+    def shards(self, tasks: Sequence[RunTask]) -> List[List[RunTask]]:
+        """The contiguous shards :meth:`run_tasks` runs ``tasks`` as."""
+        tasks = list(tasks)
         size = self.shard_size or max(
             1, (len(tasks) + 2 * self.jobs - 1) // (2 * self.jobs))
         return [tasks[i:i + size] for i in range(0, len(tasks), size)]
 
     # ------------------------------------------------------------------
-    def run_tasks(self, tasks: Sequence[RunTask],
-                  trace_categories: Optional[FrozenSet[str]] = None,
-                  coalesce: Optional[bool] = None) -> List[RunResult]:
+    def run_tasks(self, tasks: Sequence[RunTask]) -> List[RunResult]:
         """Execute tasks on the warm pool; results in task order.
 
         Blocking — the server calls this from a dedicated executor
         thread per admitted batch.  Raises :class:`WorkerCrashError`
         if any shard's worker dies twice.
         """
-        tasks = list(tasks)
         if not tasks:
             return []
-        shards = self._shards(tasks)
+        shards = self.shards(tasks)
         self.counters.incr("service.pool.shards", len(shards))
         results: List[Optional[List[RunResult]]] = [None] * len(shards)
         attempts = [0] * len(shards)
@@ -143,9 +120,8 @@ class ShardedPoolExecutor:
             try:
                 for index in remaining:
                     attempts[index] += 1
-                    futures[index] = pool.submit(
-                        execute_shard,
-                        (shards[index], trace_categories, coalesce))
+                    futures[index] = pool.submit(execute_shard,
+                                                 shards[index])
             except BrokenProcessPool:
                 # Pool died between handle and submit; every shard we
                 # managed to submit fails below too.

@@ -43,10 +43,11 @@ from typing import Any, Dict, FrozenSet, List, Optional
 
 from repro.errors import ReproError
 from repro.faults import FaultSchedule
+from repro.kernel.kernel import coalescing_enabled
 from repro.machine.topology import MachineConfig
 from repro.experiments.parallel import RunTask
 from repro.service import registry
-from repro.workloads.base import Workload
+from repro.workloads.base import RunOptions, Workload
 
 #: Protocol/request limits, part of admission control: a single
 #: request may not expand to more tasks than this (split big sweeps
@@ -68,7 +69,12 @@ class ProtocolError(ReproError):
 
 @dataclass
 class ScenarioRequest:
-    """A validated ``run``/``sweep`` request, normalized to a sweep."""
+    """A validated ``run``/``sweep`` request, normalized to a sweep.
+
+    Every task carries the request's trace categories and coalescing
+    mode as its :class:`~repro.workloads.base.RunOptions`; a request
+    that leaves ``coalesce`` unset gets the server's default.
+    """
 
     workload_name: str
     workload: Workload
@@ -83,8 +89,13 @@ class ScenarioRequest:
 
     def __post_init__(self) -> None:
         factory = registry.scheduler_factory(self.scheduler)
+        options = RunOptions(
+            trace=self.trace_categories,
+            coalesce=(coalescing_enabled() if self.coalesce is None
+                      else self.coalesce))
         self.tasks = [
-            RunTask(self.workload, label, self.base_seed + i, factory)
+            RunTask(self.workload, label, self.base_seed + i, factory,
+                    options)
             for label in self.configs for i in range(self.runs)]
 
 

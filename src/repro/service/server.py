@@ -34,15 +34,13 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.histogram import LatencyHistogram
-from repro.kernel import kernel as _kernel
-from repro.metrics import CounterBag, MetricsSink
-from repro.experiments.parallel import task_fingerprint
+from repro.metrics import CounterBag, metrics_record
+from repro.experiments.parallel import RunTask, task_fingerprint
 from repro.service import protocol
 from repro.service.cache import DiskResultCache, result_text
 from repro.service.ledger import RunLedger, request_digest
@@ -55,19 +53,18 @@ log = logging.getLogger("repro.service")
 _READ_LIMIT = 4 * 1024 * 1024
 
 
-class StreamingMetricsSink(MetricsSink):
-    """A :class:`~repro.metrics.MetricsSink` that fans out, not up.
+class StreamingMetricsSink:
+    """Fans each retiring run's metrics out to subscribers.
 
-    ``extend`` publishes each retiring run to every subscribed
-    connection's queue instead of accumulating records in memory (a
-    daemon would otherwise grow without bound).  Slow subscribers drop
-    records once their queue is full — counted, never blocking the
-    serving path.
+    ``extend`` publishes each run's :func:`~repro.metrics.metrics_record`
+    to every subscribed connection's queue instead of accumulating
+    records in memory (a daemon would otherwise grow without bound).
+    Slow subscribers drop records once their queue is full — counted,
+    never blocking the serving path.
     """
 
     def __init__(self, counters: CounterBag,
                  queue_size: int = 1024) -> None:
-        super().__init__()
         self.queue_size = queue_size
         self._counters = counters
         self._queues: Set[asyncio.Queue] = set()
@@ -88,14 +85,7 @@ class StreamingMetricsSink(MetricsSink):
 
     def extend(self, results) -> None:
         for result in results:
-            record: Dict[str, Any] = {
-                "workload": result.workload,
-                "config": result.config,
-                "seed": result.seed,
-                "metrics": dict(result.metrics),
-            }
-            if result.run_metrics is not None:
-                record["run_metrics"] = result.run_metrics.as_dict()
+            record = metrics_record(result)
             self._counters.incr("service.stream.published")
             for queue in self._queues:
                 try:
@@ -118,10 +108,9 @@ class ScenarioServer:
         API (``lookup_text`` / ``store_text``).
         ``cache_dir`` builds one; both ``None`` disables caching.
     executor:
-        Simulation executor with a blocking
-        ``run_tasks(tasks, trace_categories, coalesce)`` method;
-        default is a warm :class:`ShardedPoolExecutor` with ``jobs``
-        workers.  Tests inject stubs here.
+        Simulation executor with a blocking ``run_tasks(tasks)``
+        method; default is a warm :class:`ShardedPoolExecutor` with
+        ``jobs`` workers.  Tests inject stubs here.
     max_inflight:
         Batches simulating concurrently; admitted batches over this
         wait their turn (still counted as pending).
@@ -373,13 +362,6 @@ class ScenarioServer:
                 ["server is draining; resubmit elsewhere"])
         self.counters.incr(f"service.{message['type']}s")
 
-        # Per-request observability settings resolve against the
-        # server's own defaults so a request that says nothing gets
-        # the mode the operator launched the service with.
-        coalesce = (request.coalesce if request.coalesce is not None
-                    else _kernel.coalescing_enabled())
-        categories = request.trace_categories
-
         entry["workload"] = request.workload_name
         entry["scheduler"] = request.scheduler
 
@@ -392,8 +374,7 @@ class ScenarioServer:
         cache_hits = 0
         coalesced = 0
         for task in request.tasks:
-            key = task_fingerprint(task, trace_categories=categories,
-                                   coalesce=coalesce)
+            key = task_fingerprint(task)
             keys.append(key)
             text = (self.cache.lookup_text(key)
                     if self.cache is not None else None)
@@ -445,8 +426,7 @@ class ScenarioServer:
                 self._inflight[key] = loop.create_future()
             self._pending_tasks += len(fresh)
             batch = asyncio.ensure_future(
-                self._run_batch(request, dict(fresh), categories,
-                                coalesce, entry))
+                self._run_batch(dict(fresh), entry))
             self._batches.add(batch)
             batch.add_done_callback(self._batches.discard)
             try:
@@ -505,26 +485,22 @@ class ScenarioServer:
 
     def _note_batch(self, entry: Optional[Dict[str, Any]], name: str,
                     value: float,
-                    tasks: Optional[int] = None) -> None:
+                    tasks: Optional[List[RunTask]] = None) -> None:
         """Record one batch latency (and, once, shard placement)."""
         if entry is None:
             return
         entry[name] = value
         if tasks is None:
             return
-        shard_size = getattr(self.executor, "shard_size", None)
+        # The pool's own split; an executor without one runs the
+        # batch as one shard.
+        shards = getattr(self.executor, "shards", None)
+        entry["shards"] = len(shards(tasks)) if shards else 1
         jobs = getattr(self.executor, "jobs", None)
-        if not shard_size and jobs:
-            # The pool's default split: ~2 shards per worker.
-            shard_size = max(1, (tasks + 2 * jobs - 1) // (2 * jobs))
-        entry["shards"] = (math.ceil(tasks / shard_size)
-                           if shard_size else 1)
         if jobs is not None:
             entry["jobs"] = jobs
 
-    async def _run_batch(self, request: protocol.ScenarioRequest,
-                         fresh: Dict[str, Any],
-                         categories, coalesce: bool,
+    async def _run_batch(self, fresh: Dict[str, RunTask],
                          entry: Optional[Dict[str, Any]] = None,
                          ) -> Dict[str, str]:
         """Execute one request's fresh tasks on the warm pool.
@@ -549,11 +525,10 @@ class ScenarioServer:
                 queue_wait = time.monotonic() - admitted
                 self.latency["queue_wait_seconds"].add(queue_wait)
                 self._note_batch(entry, "queue_wait_seconds",
-                                 queue_wait, len(tasks))
+                                 queue_wait, tasks)
                 started = time.monotonic()
                 results = await loop.run_in_executor(
-                    self._threads, self.executor.run_tasks,
-                    tasks, categories, coalesce)
+                    self._threads, self.executor.run_tasks, tasks)
                 executed = time.monotonic() - started
                 self.latency["execute_seconds"].add(executed)
                 self._note_batch(entry, "execute_seconds", executed)

@@ -15,10 +15,9 @@ event — instead of the peek/step/pop dance.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.sim import trace as _trace
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RandomStream, StreamRegistry
 from repro.sim.trace import Tracer
@@ -33,19 +32,19 @@ class Simulator:
     ----------
     seed:
         Master seed for all random streams used during this simulation.
+    trace:
+        Trace categories enabled from the start (a run's
+        ``RunOptions.trace``); None or empty traces nothing.
     """
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self, seed: int = 0,
+                 trace: Optional[Iterable[str]] = None) -> None:
         self._now = 0.0
         self._queue = EventQueue()
         self._streams = StreamRegistry(seed)
         self.tracer = Tracer()
-        # The CLI's --trace flag installs process-wide default
-        # categories (repro.sim.trace); every simulation honors them,
-        # so exhibits need no per-figure tracing plumbing.
-        default_categories = _trace.default_categories()
-        if default_categories:
-            self.tracer.enable(*default_categories)
+        if trace:
+            self.tracer.enable(*trace)
         self._events_fired = 0
         self._running = False
 

@@ -319,35 +319,8 @@ class Tracer:
         self._flight.clear()
 
 
-# ----------------------------------------------------------------------
-# Process-wide default categories (the CLI's --trace flag).
-#
-# Mirrors repro.faults' default-schedule plumbing: every freshly built
-# Simulator enables these categories on its tracer, and the process-
-# pool backend re-installs them in worker processes, so `--trace`
-# sweeps stay byte-identical between serial and parallel execution.
-# ----------------------------------------------------------------------
 #: The category set ``--trace-out`` enables when ``--trace`` is absent.
 DEFAULT_TRACE_CATEGORIES = ("exec", "sched", "block", "faults")
-
-_default_categories: Optional[FrozenSet[str]] = None
-
-
-def install_default_categories(
-        categories) -> Optional[FrozenSet[str]]:
-    """Set the process-wide trace categories (None clears them)."""
-    global _default_categories
-    _default_categories = (frozenset(categories)
-                           if categories is not None else None)
-    return _default_categories
-
-
-def clear_default_categories() -> None:
-    install_default_categories(None)
-
-
-def default_categories() -> Optional[FrozenSet[str]]:
-    return _default_categories
 
 
 def parse_categories(spec: str) -> FrozenSet[str]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.sim.trace import SpanRecord, TraceRecord
 
@@ -270,41 +270,3 @@ def write_chrome_trace(path: str, results: Sequence[Any]) -> int:
         handle.write(trace_to_json(trace))
         handle.write("\n")
     return len(trace["traceEvents"])
-
-
-# ----------------------------------------------------------------------
-# Trace sink: lets the CLI capture every traced RunResult as the
-# experiment backends produce them (mirrors repro.metrics.MetricsSink).
-# ----------------------------------------------------------------------
-class TraceSink:
-    """Collects traced :class:`RunResult` objects in backend order."""
-
-    def __init__(self) -> None:
-        self.records: List[Any] = []
-
-    def extend(self, results: Iterable[Any]) -> None:
-        self.records.extend(
-            result for result in results
-            if getattr(result, "trace", None) is not None)
-
-    def chrome_trace(self) -> Dict[str, Any]:
-        return chrome_trace(self.records)
-
-
-_active_sink: Optional[TraceSink] = None
-
-
-def install_sink(sink: TraceSink) -> TraceSink:
-    """Make ``sink`` the process-wide collection target."""
-    global _active_sink
-    _active_sink = sink
-    return sink
-
-
-def remove_sink() -> None:
-    global _active_sink
-    _active_sink = None
-
-
-def active_sink() -> Optional[TraceSink]:
-    return _active_sink

@@ -10,18 +10,39 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, FrozenSet, Optional
 
-from repro import faults as _faults
 from repro._system import System
 from repro.faults import FaultSchedule
+from repro.kernel.kernel import coalescing_enabled
 from repro.kernel.scheduler import Scheduler
 from repro.metrics import RunMetrics
-from repro.sim import trace as _trace
 from repro.sim.trace_export import TraceData
 
 #: Builds a fresh scheduler per run (schedulers are stateful).
 SchedulerFactory = Callable[[], Scheduler]
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """The run context: what a run depends on besides its workload,
+    config, seed and scheduler.
+
+    Every experiment task carries one (into worker processes too) and
+    the cache key folds it in, so a run's result depends on its task
+    alone.  The CLI builds one per invocation from its flags.
+
+    ``faults`` is the fault schedule for runs whose workload carries
+    none (``--faults``); ``trace`` the trace categories recorded,
+    whose timeline then rides on the result (``--trace-out``);
+    ``coalesce`` the kernel's quantum-coalescing mode
+    (``--no-coalesce``), by default
+    :func:`~repro.kernel.kernel.coalescing_enabled`.
+    """
+
+    faults: Optional[FaultSchedule] = None
+    trace: Optional[FrozenSet[str]] = None
+    coalesce: bool = field(default_factory=coalescing_enabled)
 
 
 @dataclass
@@ -33,8 +54,8 @@ class RunResult:
     snapshot (per-core accounting, migrations, workload counters — see
     :mod:`repro.metrics`), attached by every workload's ``run_once``.
     ``trace`` is the run's exportable timeline, attached only when the
-    process-wide trace categories are installed (the CLI's ``--trace``
-    flag); see :mod:`repro.sim.trace_export`.
+    run's :class:`RunOptions` enable trace categories; see
+    :mod:`repro.sim.trace_export`.
     """
 
     workload: str
@@ -64,8 +85,8 @@ class Workload(abc.ABC):
     #: False for runtimes.
     higher_is_better: bool = True
     #: Fault schedule installed on every system this workload builds
-    #: (see :mod:`repro.faults`); None falls back to the process-wide
-    #: default set by the CLI's ``--faults`` flag.
+    #: (see :mod:`repro.faults`); None falls back to the run's
+    #: ``RunOptions.faults``.
     faults: Optional[FaultSchedule] = None
 
     def with_faults(self,
@@ -83,17 +104,22 @@ class Workload(abc.ABC):
 
     def build_system(self, config: str, seed: int,
                      scheduler_factory: Optional[SchedulerFactory] = None,
-                     ) -> System:
+                     options: Optional[RunOptions] = None) -> System:
         """Fresh simulated platform for one run.
 
-        Installs the workload's fault schedule (or the process-wide
-        default) on the new system before any thread is spawned, so
-        fault events interleave deterministically with the run.
+        Applies the run's ``options`` (default: ``RunOptions()``) and
+        installs the workload's fault schedule, else the options' one,
+        before any thread is spawned, so fault events interleave
+        deterministically with the run.
         """
+        if options is None:
+            options = RunOptions()
         scheduler = scheduler_factory() if scheduler_factory else None
-        system = System.build(config, seed=seed, scheduler=scheduler)
+        system = System.build(config, seed=seed, scheduler=scheduler,
+                              coalesce=options.coalesce,
+                              trace=options.trace)
         schedule = self.faults if self.faults is not None \
-            else _faults.default_schedule()
+            else options.faults
         if schedule is not None:
             schedule.install(system)
         return system
@@ -101,8 +127,9 @@ class Workload(abc.ABC):
     @abc.abstractmethod
     def run_once(self, config: str, seed: int = 0,
                  scheduler_factory: Optional[SchedulerFactory] = None,
-                 ) -> RunResult:
-        """Run the workload once; return its metrics."""
+                 options: Optional[RunOptions] = None) -> RunResult:
+        """Run the workload once under ``options``; return its
+        metrics."""
 
     def result(self, config: str, seed: int,
                system: Optional[System] = None,
@@ -110,12 +137,12 @@ class Workload(abc.ABC):
         """Convenience constructor for :class:`RunResult`.
 
         Passing the run's ``system`` attaches its
-        :class:`~repro.metrics.RunMetrics` snapshot — and, when the
-        process-wide trace categories are installed, the run's
-        timeline as a :class:`~repro.sim.trace_export.TraceData`.
+        :class:`~repro.metrics.RunMetrics` snapshot — and, when the run
+        records trace categories, its timeline as a
+        :class:`~repro.sim.trace_export.TraceData`.
         """
         trace = None
-        if system is not None and _trace.default_categories():
+        if system is not None and system.sim.tracer.active:
             trace = TraceData.from_system(system)
         return RunResult(
             self.name, config, seed, dict(metrics),

@@ -27,7 +27,12 @@ from typing import Deque, Dict, Optional, Tuple
 
 from repro.kernel.instructions import Acquire, Compute
 from repro.kernel.sync import Semaphore
-from repro.workloads.base import RunResult, SchedulerFactory, Workload
+from repro.workloads.base import (
+    RunOptions,
+    RunResult,
+    SchedulerFactory,
+    Workload,
+)
 
 
 class _FrameWavefront:
@@ -126,8 +131,9 @@ class H264Encoder(Workload):
     # ------------------------------------------------------------------
     def run_once(self, config: str, seed: int = 0,
                  scheduler_factory: Optional[SchedulerFactory] = None,
-                 ) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory)
+                 options: Optional[RunOptions] = None) -> RunResult:
+        system = self.build_system(config, seed, scheduler_factory,
+                                   options)
         rng = system.sim.stream("h264.encode")
         frame_work = self.mb_rows * self.mb_cols * self.mb_cycles
         pre_cycles = frame_work * self.pre_fraction

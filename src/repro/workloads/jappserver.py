@@ -30,7 +30,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.runtime.threadpool import Task, ThreadPool
-from repro.workloads.base import RunResult, SchedulerFactory, Workload
+from repro.workloads.base import (
+    RunOptions,
+    RunResult,
+    SchedulerFactory,
+    Workload,
+)
 
 #: Injection rates exercised by Figure 3(b).
 INJECTION_RATES = (250, 290, 320)
@@ -81,8 +86,9 @@ class SpecJAppServer(Workload):
     # ------------------------------------------------------------------
     def run_once(self, config: str, seed: int = 0,
                  scheduler_factory: Optional[SchedulerFactory] = None,
-                 ) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory)
+                 options: Optional[RunOptions] = None) -> RunResult:
+        system = self.build_system(config, seed, scheduler_factory,
+                                   options)
         pool = ThreadPool(system, self.pool_threads, name="jas")
         rng = system.sim.stream("jas.driver")
         state = _DriverState(self.injection_rate, self.response_limit)

@@ -20,7 +20,12 @@ from typing import Optional
 from repro.kernel.instructions import Compute, Lock, Unlock
 from repro.kernel.sync import LOCK_KINDS, make_lock
 from repro.kernel.thread import SimThread
-from repro.workloads.base import RunResult, SchedulerFactory, Workload
+from repro.workloads.base import (
+    RunOptions,
+    RunResult,
+    SchedulerFactory,
+    Workload,
+)
 
 
 class _Counter:
@@ -97,8 +102,9 @@ class LockStress(Workload):
     # ------------------------------------------------------------------
     def run_once(self, config: str, seed: int = 0,
                  scheduler_factory: Optional[SchedulerFactory] = None,
-                 ) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory)
+                 options: Optional[RunOptions] = None) -> RunResult:
+        system = self.build_system(config, seed, scheduler_factory,
+                                   options)
         lock = make_lock(self.lock_kind, "stress", **self.lock_kwargs)
         counter = _Counter()
         rng = system.sim.stream("lockstress.work")

@@ -24,7 +24,12 @@ from repro.kernel.instructions import Acquire, Compute, Release, Spawn
 from repro.kernel.sync import Semaphore
 from repro.kernel.thread import SimThread
 from repro.sim.rng import RandomStream, derive_seed
-from repro.workloads.base import RunResult, SchedulerFactory, Workload
+from repro.workloads.base import (
+    RunOptions,
+    RunResult,
+    SchedulerFactory,
+    Workload,
+)
 
 
 def compile_cost_cycles(file_index: int,
@@ -69,8 +74,9 @@ class Pmake(Workload):
     # ------------------------------------------------------------------
     def run_once(self, config: str, seed: int = 0,
                  scheduler_factory: Optional[SchedulerFactory] = None,
-                 ) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory)
+                 options: Optional[RunOptions] = None) -> RunResult:
+        system = self.build_system(config, seed, scheduler_factory,
+                                   options)
         costs = [compile_cost_cycles(i, self.mean_compile_cycles)
                  for i in range(self.n_files)]
         total_compile = sum(costs)

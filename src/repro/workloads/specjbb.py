@@ -30,7 +30,12 @@ from repro.kernel.instructions import Compute, Lock, Unlock
 from repro.kernel.sync import Mutex, make_lock
 from repro.kernel.thread import SimThread
 from repro.runtime.jvm import GCKind, ManagedRuntime, hotspot, jrockit
-from repro.workloads.base import RunResult, SchedulerFactory, Workload
+from repro.workloads.base import (
+    RunOptions,
+    RunResult,
+    SchedulerFactory,
+    Workload,
+)
 
 MB = 1e6
 
@@ -143,8 +148,9 @@ class SpecJBB(Workload):
     # ------------------------------------------------------------------
     def run_once(self, config: str, seed: int = 0,
                  scheduler_factory: Optional[SchedulerFactory] = None,
-                 ) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory)
+                 options: Optional[RunOptions] = None) -> RunResult:
+        system = self.build_system(config, seed, scheduler_factory,
+                                   options)
         vm = self._build_vm(system)
         counter = _Counter()
         rng = system.sim.stream("specjbb.tx")

@@ -6,7 +6,12 @@ from typing import Dict, Optional, Union
 
 from repro.errors import WorkloadError
 from repro.runtime.openmp import LoopSchedule, OmpTeam
-from repro.workloads.base import RunResult, SchedulerFactory, Workload
+from repro.workloads.base import (
+    RunOptions,
+    RunResult,
+    SchedulerFactory,
+    Workload,
+)
 from repro.workloads.specomp.specs import (
     BENCHMARK_NAMES,
     build_modified_program,
@@ -60,8 +65,9 @@ class SpecOmpBenchmark(Workload):
 
     def run_once(self, config: str, seed: int = 0,
                  scheduler_factory: Optional[SchedulerFactory] = None,
-                 ) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory)
+                 options: Optional[RunOptions] = None) -> RunResult:
+        system = self.build_system(config, seed, scheduler_factory,
+                                   options)
         frequency = system.machine.frequency_hz
         if self.variant == "reference":
             program = build_program(self.spec, frequency)

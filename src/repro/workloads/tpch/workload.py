@@ -5,7 +5,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.kernel.thread import SimThread
-from repro.workloads.base import RunResult, SchedulerFactory, Workload
+from repro.workloads.base import (
+    RunOptions,
+    RunResult,
+    SchedulerFactory,
+    Workload,
+)
 from repro.workloads.tpch.engine import DatabaseServer
 from repro.workloads.tpch.queries import (
     MAX_OPT_DEGREE,
@@ -40,8 +45,9 @@ class TpchPowerRun(Workload):
     # ------------------------------------------------------------------
     def run_once(self, config: str, seed: int = 0,
                  scheduler_factory: Optional[SchedulerFactory] = None,
-                 ) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory)
+                 options: Optional[RunOptions] = None) -> RunResult:
+        system = self.build_system(config, seed, scheduler_factory,
+                                   options)
         server = DatabaseServer(system, lock_kind=self.lock_kind,
                                 latch_cycles=self.latch_cycles)
         query_times: Dict[int, float] = {}
@@ -82,8 +88,9 @@ class TpchQuery(Workload):
 
     def run_once(self, config: str, seed: int = 0,
                  scheduler_factory: Optional[SchedulerFactory] = None,
-                 ) -> RunResult:
-        result = self._power.run_once(config, seed, scheduler_factory)
+                 options: Optional[RunOptions] = None) -> RunResult:
+        result = self._power.run_once(config, seed, scheduler_factory,
+                                      options)
         return RunResult(self.name, config, seed,
                          {"runtime": result.metric("runtime")},
                          run_metrics=result.run_metrics,

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.workloads.base import RunResult, SchedulerFactory, Workload
+from repro.workloads.base import (
+    RunOptions,
+    RunResult,
+    SchedulerFactory,
+    Workload,
+)
 from repro.workloads.webserver.apache import (
     DEFAULT_RECYCLE_AFTER,
     FINE_GRAINED_RECYCLE_AFTER,
@@ -46,8 +51,9 @@ class _WebWorkload(Workload):
 
     def run_once(self, config: str, seed: int = 0,
                  scheduler_factory: Optional[SchedulerFactory] = None,
-                 ) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory)
+                 options: Optional[RunOptions] = None) -> RunResult:
+        system = self.build_system(config, seed, scheduler_factory,
+                                   options)
         server = self._build_server(system)
         client = ClosedLoopClient(system, server, self.concurrency,
                                   network_delay=self.network_delay)

@@ -67,6 +67,7 @@ from repro.sim import trace as _trace
 from repro.sim.events import EventQueue
 from repro.sim.trace import FLIGHT_RECORDER_CAPACITY, TraceRecord, Tracer
 from repro.sim.trace_export import TraceData, chrome_trace, trace_to_json
+from repro.workloads.base import RunOptions
 from repro.workloads.h264 import H264Encoder
 from repro.workloads.jappserver import SpecJAppServer
 from repro.workloads.lockstress import LockStress
@@ -247,20 +248,19 @@ def watch_fast_cores(system: System) -> FastCoreIdleWatcher:
 # ----------------------------------------------------------------------
 # Golden runs
 # ----------------------------------------------------------------------
+#: Run options recording the default trace categories.
+TRACED = RunOptions(trace=frozenset(_trace.DEFAULT_TRACE_CATEGORIES))
+
+
 def _traced_run_once(name: str, workload, *args, **kwargs):
-    """Run a workload with the default trace categories installed.
+    """Run a workload with the default trace categories recorded.
 
     Tracing is passive — it schedules no events and changes no
     metrics, so the golden payload is byte-identical either way — but
     the captured timeline feeds :data:`GOLDEN_FLIGHT` so a drifted
     fixture ships its flight-recorder dump.
     """
-    previous = _trace.default_categories()
-    _trace.install_default_categories(_trace.DEFAULT_TRACE_CATEGORIES)
-    try:
-        result = workload.run_once(*args, **kwargs)
-    finally:
-        _trace.install_default_categories(previous)
+    result = workload.run_once(*args, options=TRACED, **kwargs)
     GOLDEN_FLIGHT[name] = _flight_from_trace(result.trace)
     return result
 
@@ -644,17 +644,16 @@ def macro_queue_violations(run: Callable[[], Any]) -> List[str]:
 
 @contextlib.contextmanager
 def pinned_coalescing(enabled: bool) -> Iterator[None]:
-    """Run with the process-wide coalescing default pinned to
-    ``enabled``, whatever ``REPRO_NO_COALESCE`` says; restore both
-    afterwards."""
-    saved_env = os.environ.pop("REPRO_NO_COALESCE", None)
-    saved = _kernel.coalescing_enabled()
-    _kernel.install_coalescing(enabled)
+    """Run with the default coalescing mode pinned to ``enabled`` by
+    setting ``REPRO_NO_COALESCE``; restore the variable afterwards."""
+    saved_env = os.environ.get("REPRO_NO_COALESCE")
+    os.environ["REPRO_NO_COALESCE"] = "0" if enabled else "1"
     try:
         yield
     finally:
-        _kernel.install_coalescing(saved)
-        if saved_env is not None:
+        if saved_env is None:
+            del os.environ["REPRO_NO_COALESCE"]
+        else:
             os.environ["REPRO_NO_COALESCE"] = saved_env
 
 

@@ -21,6 +21,7 @@ from repro.experiments.parallel import (
 )
 from repro.kernel.asym_scheduler import AsymmetryAwareScheduler
 from repro.service import registry
+from repro.workloads.base import RunOptions
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -30,17 +31,18 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(
 CASES = {name: (name, {}) for name in registry.WORKLOADS}
 CASES["specomp-dynamic"] = ("specomp", {"omp_schedule": "dynamic"})
 
-#: Keys in one fresh interpreter, printed as JSON (explicit trace and
-#: coalesce settings, so the environment cannot move them).
+#: Keys in one fresh interpreter, printed as JSON (explicit run
+#: options, so the environment cannot move them).
 KEYS_SCRIPT = """
 import json, sys
 from repro.experiments.parallel import RunTask, task_fingerprint
 from repro.service import registry
+from repro.workloads.base import RunOptions
 cases = json.loads(sys.argv[1])
 print(json.dumps({
     label: task_fingerprint(
-        RunTask(registry.build_workload(name, params), "2f-2s/8", 7),
-        trace_categories=None, coalesce=True)
+        RunTask(registry.build_workload(name, params), "2f-2s/8", 7,
+                options=RunOptions(trace=None, coalesce=True)))
     for label, (name, params) in cases.items()}))
 """
 
@@ -89,16 +91,16 @@ def test_shared_state_renders_in_full_and_cycles_stop():
 def test_enum_free_keys_are_pinned():
     """LockStress and TPC-H keys are byte-identical to those the disk
     cache was filled under before enum rendering changed."""
+    options = RunOptions(trace=None, coalesce=True)
     lockstress = RunTask(
         registry.build_workload("lockstress",
                                 {"n_threads": 4, "duration": 0.01}),
-        "2f-2s/8", 7)
+        "2f-2s/8", 7, options=options)
     tpch = RunTask(
         registry.build_workload("tpch", {"parallel_degree": 2,
                                          "queries": [3, 6]}),
-        "1f-3s", 100, AsymmetryAwareScheduler)
-    keys = [task_fingerprint(task, trace_categories=None, coalesce=True)
-            for task in (lockstress, tpch)]
+        "1f-3s", 100, AsymmetryAwareScheduler, options)
+    keys = [task_fingerprint(task) for task in (lockstress, tpch)]
     assert keys == [
         "ec99843a6c1a289db0d659ba21319ba99971821b75a1c1e9c27f13a2612cfc76",
         "3ede66e0ec1d77cd9391d7d837755a820ddb29a7ef1853ee6520498123316d5b",

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.experiments.runner import Runner
+from repro.kernel.kernel import Kernel
 from repro.workloads import SpecJBB, TpchPowerRun
 from repro.workloads.webserver.client import ClosedLoopClient, Request
 from repro._system import System
@@ -30,6 +32,41 @@ class TestCli:
     def test_bad_profile_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["fig09", "--profile", "huge"])
+
+
+class TestCliRunContext:
+    """An invocation's flags reach its own runs and nothing else."""
+
+    def test_failed_invocation_leaves_later_runs_untraced(self,
+                                                          tmp_path):
+        with pytest.raises(OSError):
+            cli_main(["fig09", "--trace-out", str(tmp_path / "t.json"),
+                      "--metrics-out", str(tmp_path / "m.json"),
+                      "--faults", str(tmp_path / "missing.json")])
+        sweep = Runner(configs=["2f-2s/8"], runs=1).run(
+            SpecJBB(warehouses=1, measurement_seconds=0.1,
+                    warmup_seconds=0.05))
+        assert [run.trace for run in sweep.all_results()] == [None]
+
+    def test_sweep_no_coalesce_builds_only_sliced_kernels(
+            self, monkeypatch, capsys):
+        modes = []
+        init = Kernel.__init__
+
+        def recording_init(kernel, *args, **kwargs):
+            init(kernel, *args, **kwargs)
+            modes.append(kernel.coalescing)
+
+        monkeypatch.setattr(Kernel, "__init__", recording_init)
+        assert cli_main(["sweep", "--workload", "tpch",
+                         "--no-coalesce"]) == 0
+        assert modes and not any(modes)
+
+    def test_sweep_with_a_missing_fault_schedule_fails(self, tmp_path,
+                                                       capsys):
+        with pytest.raises(OSError):
+            cli_main(["sweep", "--workload", "tpch",
+                      "--faults", str(tmp_path / "missing.json")])
 
 
 class TestClientEdgeCases:

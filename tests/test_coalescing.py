@@ -16,11 +16,14 @@ fast the simulator gets there.  These tests hold that contract down:
   a coalesced core mid-window, pull migration absorbing a macro);
 * the engagement guarantee the benchmarks rely on (uncontended runs
   fire an order of magnitude fewer events; contended cores slice);
-* the process-wide plumbing: ``REPRO_NO_COALESCE``, the ``coalesce``
-  override, and the result-cache fingerprint folding the mode.
+* the plumbing: ``REPRO_NO_COALESCE``, the ``coalesce`` override,
+  ``RunOptions.coalesce`` and the result-cache fingerprint folding
+  the mode.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -36,6 +39,7 @@ from repro.kernel import kernel as _kernel
 from repro.kernel.instructions import Sleep
 from repro.machine.topology import STANDARD_CONFIG_LABELS
 from repro.sim import trace as _trace
+from repro.workloads.base import RunOptions
 from repro.workloads.specjbb import SpecJBB
 
 from tests.harness import (
@@ -123,12 +127,10 @@ def test_workload_run_byte_identity():
     """End-to-end through a real workload's ``run_once`` path."""
     workload = SpecJBB(warehouses=2, measurement_seconds=0.3,
                        warmup_seconds=0.1)
-    _kernel.install_coalescing(False)
-    try:
-        sliced = workload.run_once("2f-2s/8", seed=42)
-    finally:
-        _kernel.install_coalescing(True)
-    coalesced = workload.run_once("2f-2s/8", seed=42)
+    sliced = workload.run_once("2f-2s/8", seed=42,
+                               options=RunOptions(coalesce=False))
+    coalesced = workload.run_once("2f-2s/8", seed=42,
+                                  options=RunOptions(coalesce=True))
     assert coalesced.run_metrics.to_json() == sliced.run_metrics.to_json()
     assert coalesced.metrics == sliced.metrics
 
@@ -263,16 +265,18 @@ def test_observation_mid_macro_is_transparent():
 
 
 # ----------------------------------------------------------------------
-# Process-wide plumbing
+# Plumbing
 # ----------------------------------------------------------------------
 def test_env_override_disables_coalescing(monkeypatch):
     monkeypatch.setenv("REPRO_NO_COALESCE", "1")
     assert not _kernel.coalescing_enabled()
     system = System.build("2f-2s/4", seed=0)
     assert system.kernel.coalescing is False
+    assert RunOptions().coalesce is False
     monkeypatch.setenv("REPRO_NO_COALESCE", "0")
     assert _kernel.coalescing_enabled()
     assert System.build("2f-2s/4", seed=0).kernel.coalescing is True
+    assert RunOptions().coalesce is True
 
 
 def test_explicit_override_beats_process_default(monkeypatch):
@@ -284,21 +288,6 @@ def test_explicit_override_beats_process_default(monkeypatch):
                         coalesce=False).kernel.coalescing is False
 
 
-def test_install_coalescing_round_trip(monkeypatch):
-    # The env override outranks the process default by design, so the
-    # round trip is only observable with the variable cleared (the CI
-    # matrix runs the whole suite once under REPRO_NO_COALESCE=1).
-    monkeypatch.delenv("REPRO_NO_COALESCE", raising=False)
-    assert _kernel.coalescing_enabled()
-    _kernel.install_coalescing(False)
-    try:
-        assert not _kernel.coalescing_enabled()
-        assert System.build("2f-2s/4", seed=0).kernel.coalescing is False
-    finally:
-        _kernel.install_coalescing(True)
-    assert _kernel.coalescing_enabled()
-
-
 def test_fingerprint_folds_coalescing_mode(monkeypatch):
     """Cache entries from coalesced and sliced runs never collide."""
     monkeypatch.delenv("REPRO_NO_COALESCE", raising=False)
@@ -307,10 +296,7 @@ def test_fingerprint_folds_coalescing_mode(monkeypatch):
                                     warmup_seconds=0.05),
                    config="2f-2s/4", seed=9)
     coalesced_key = task_fingerprint(task)
-    _kernel.install_coalescing(False)
-    try:
-        sliced_key = task_fingerprint(task)
-    finally:
-        _kernel.install_coalescing(True)
+    sliced_key = task_fingerprint(
+        replace(task, options=RunOptions(coalesce=False)))
     assert coalesced_key != sliced_key
     assert task_fingerprint(task) == coalesced_key

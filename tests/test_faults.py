@@ -9,6 +9,7 @@ serial and process-pool alike.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -31,14 +32,11 @@ from repro.faults import (
     FaultSchedule,
     StallEvent,
     ThrottleEvent,
-    clear_default_schedule,
-    default_schedule,
     event_from_dict,
-    install_default_payload,
-    install_default_schedule,
 )
 from repro.kernel import AsymmetryAwareScheduler, Compute, SimThread
 from repro.machine.duty_cycle import SUPPORTED_DUTY_CYCLES, throttle_steps
+from repro.workloads.base import RunOptions
 from repro.workloads.specjbb import SpecJBB
 
 from tests.harness import assert_conservation, golden_fault_schedule
@@ -388,20 +386,19 @@ class TestParallelByteIdentity:
             [r.run_metrics.to_json() for r in pooled]
 
     def test_default_schedule_reaches_worker_processes(self):
-        # The CLI's --faults flag installs a process-wide default;
-        # worker processes must see it or parallel runs diverge.
+        # The CLI's --faults flag puts a schedule on every task's
+        # options; worker processes must apply it or parallel runs
+        # diverge.
+        faulted = RunOptions(faults=golden_fault_schedule())
         tasks = [RunTask(SpecJBB(warehouses=2,
                                  measurement_seconds=0.3,
                                  warmup_seconds=0.1),
-                         "2f-2s/8", seed)
+                         "2f-2s/8", seed, options=faulted)
                  for seed in (42, 43)]
-        install_default_schedule(golden_fault_schedule())
-        try:
-            serial = SerialBackend().execute(tasks)
-            pooled = ProcessPoolBackend(jobs=2).execute(tasks)
-        finally:
-            clear_default_schedule()
-        clean = SerialBackend().execute(tasks)
+        serial = SerialBackend().execute(tasks)
+        pooled = ProcessPoolBackend(jobs=2).execute(tasks)
+        clean = SerialBackend().execute(
+            [replace(task, options=RunOptions()) for task in tasks])
         assert [r.run_metrics.to_json() for r in serial] == \
             [r.run_metrics.to_json() for r in pooled]
         assert serial[0].run_metrics.to_json() != \
@@ -410,43 +407,36 @@ class TestParallelByteIdentity:
     def test_default_schedule_is_part_of_the_fingerprint(self):
         task = RunTask(SpecJBB(warehouses=2), "2f-2s/8", 42)
         bare = task_fingerprint(task)
-        install_default_schedule(golden_fault_schedule())
-        try:
-            faulted = task_fingerprint(task)
-        finally:
-            clear_default_schedule()
+        faulted = task_fingerprint(replace(
+            task, options=RunOptions(faults=golden_fault_schedule())))
         assert bare != faulted
         assert task_fingerprint(task) == bare
-
-    def test_payload_round_trip(self):
-        install_default_schedule(golden_fault_schedule())
-        try:
-            from repro.faults import default_schedule_payload
-            payload = default_schedule_payload()
-        finally:
-            clear_default_schedule()
-        assert default_schedule() is None
-        install_default_payload(payload)
-        try:
-            restored = default_schedule()
-            assert restored is not None
-            assert restored.to_json() == \
-                golden_fault_schedule().to_json()
-        finally:
-            install_default_payload(None)
-        assert default_schedule() is None
 
 
 class TestCli:
     def test_faults_flag_installs_and_clears_schedule(self, tmp_path,
-                                                      capsys):
+                                                      capsys,
+                                                      monkeypatch):
         from repro.__main__ import main as cli_main
+        from repro.experiments import parallel
         path = tmp_path / "storm.json"
         golden_fault_schedule().save(str(path))
+        schedules = []
+        execute = parallel.execute_task
+
+        def recording_execute(task):
+            schedules.append(task.options.faults.to_json())
+            return execute(task)
+
+        monkeypatch.setattr(parallel, "execute_task", recording_execute)
         assert cli_main(["fig09", "--faults", str(path)]) == 0
         out = capsys.readouterr().out
         assert "fault schedule: 5 events" in out
-        assert default_schedule() is None  # cleared afterwards
+        assert schedules
+        assert set(schedules) == {golden_fault_schedule().to_json()}
+        # Nothing outlives the invocation: a later task runs clean.
+        assert RunTask(SpecJBB(warehouses=2), "2f-2s/8", 42) \
+            .options.faults is None
 
     def test_injector_repr_and_applied_counter(self):
         system = System.build("2f-2s/8", seed=5)

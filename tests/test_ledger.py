@@ -30,6 +30,7 @@ from repro.service.ledger import (
     request_digest,
     summarize_ledger,
 )
+from repro.service.pool import ShardedPoolExecutor
 from repro.workloads.base import RunResult
 
 from tests.harness import GOLDEN_LEDGER_RECORDS
@@ -108,6 +109,32 @@ class TestServerLedger:
         assert second["fingerprint"] == first["fingerprint"]
         assert len(first["fingerprint"]) == 32
 
+    def test_shards_are_the_pools_own_split(self, tmp_path):
+        """The record's ``shards`` is what the pool would run: the
+        default split (about two shards per worker) and an explicit
+        ``shard_size`` alike."""
+        class SplitOnlyPool(ShardedPoolExecutor):
+            """A real pool's geometry; synthetic results, no workers."""
+
+            def run_tasks(self, tasks):
+                return StubExecutor().run_tasks(tasks)
+
+        records = []
+        for executor in (SplitOnlyPool(jobs=2),
+                         SplitOnlyPool(jobs=2, shard_size=3)):
+            path = tmp_path / f"ledger-{len(records)}.jsonl"
+
+            async def scenario():
+                async with running_server(
+                        executor=executor,
+                        ledger_path=str(path)) as server:
+                    return await one_rpc(server, _sweep_message())
+
+            assert asyncio.run(scenario())["simulations_run"] == 4
+            records.extend(read_ledger(str(path)))
+        assert [(r["shards"], r["jobs"]) for r in records] == \
+            [(4, 2), (2, 2)]
+
     def test_warm_hits_recorded_with_cache(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
 
@@ -131,8 +158,7 @@ class TestServerLedger:
         path = tmp_path / "ledger.jsonl"
 
         class CrashingExecutor:
-            def run_tasks(self, tasks, trace_categories=None,
-                          coalesce=None):
+            def run_tasks(self, tasks):
                 from repro.service.pool import WorkerCrashError
                 raise WorkerCrashError("boom")
 

@@ -31,9 +31,9 @@ from repro.kernel import (
     ThreadState,
     Unlock,
 )
-from repro.kernel import kernel as _kernel
 from repro.kernel.sync import make_lock
 from repro.machine import STANDARD_CONFIG_LABELS
+from repro.workloads.base import RunOptions
 from repro.workloads.lockstress import LockStress
 
 from tests.harness import assert_conservation
@@ -180,16 +180,13 @@ def test_sliced_vs_coalesced_byte_identity(config, scheduler_name):
     factory = {"stock": SymmetricScheduler,
                "asym": AsymmetryAwareScheduler}[scheduler_name]
 
-    def observed():
+    def observed(coalesce):
         return _stress(index).run_once(
-            config, seed=17, scheduler_factory=factory)
+            config, seed=17, scheduler_factory=factory,
+            options=RunOptions(coalesce=coalesce))
 
-    _kernel.install_coalescing(False)
-    try:
-        sliced = observed()
-    finally:
-        _kernel.install_coalescing(True)
-    coalesced = observed()
+    sliced = observed(False)
+    coalesced = observed(True)
     assert coalesced.run_metrics.to_json() == sliced.run_metrics.to_json()
     assert coalesced.metrics == sliced.metrics
 

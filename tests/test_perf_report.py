@@ -271,7 +271,7 @@ class TestMetricsOutEmbed:
         class StubExhibit:
             """No-op exhibit: exercises only the sink plumbing."""
             @staticmethod
-            def main(profile, jobs=0):
+            def main(profile, backend=None):
                 pass
 
         monkeypatch.setitem(ALL_EXHIBITS, "stub-exhibit",

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -20,8 +21,10 @@ from repro.experiments.parallel import (
     RunTask,
     SerialBackend,
     execute_task,
+    make_backend,
     task_fingerprint,
 )
+from repro.experiments.runner import Runner
 from repro.service.cache import (
     CACHE_FORMAT,
     DiskResultCache,
@@ -30,10 +33,13 @@ from repro.service.cache import (
     result_text,
     result_to_payload,
 )
-from repro.sim import trace as _trace
+from repro.service.protocol import parse_scenario
+from repro.workloads.base import RunOptions
 from repro.workloads.lockstress import LockStress
 from repro.workloads.specjbb import SpecJBB
 from repro.workloads.tpch import TpchQuery
+
+from tests.harness import TRACED
 
 
 def _task(seed=100, config="2f-2s/8"):
@@ -61,13 +67,7 @@ class TestPayloadRoundTrip:
             result.run_metrics.as_dict(include_coalesce=True)
 
     def test_round_trip_preserves_traces(self):
-        previous = _trace.default_categories()
-        _trace.install_default_categories(
-            frozenset(_trace.DEFAULT_TRACE_CATEGORIES))
-        try:
-            result = _run(_task())
-        finally:
-            _trace.install_default_categories(previous)
+        result = _run(replace(_task(), options=TRACED))
         assert result.trace is not None
         rebuilt = result_from_payload(result_to_payload(result))
         assert rebuilt.trace is not None
@@ -374,21 +374,33 @@ class TestPersistentCacheDrift:
 
     def test_fingerprint_folds_trace_and_coalesce_overrides(self):
         task = self._anchor_task()
-        base = task_fingerprint(task, trace_categories=None,
-                                coalesce=True)
-        traced = task_fingerprint(task,
-                                  trace_categories=frozenset({"exec"}),
-                                  coalesce=True)
-        sliced = task_fingerprint(task, trace_categories=None,
-                                  coalesce=False)
+
+        def key(**options):
+            return task_fingerprint(
+                replace(task, options=RunOptions(**options)))
+
+        base = key(trace=None, coalesce=True)
+        traced = key(trace=frozenset({"exec"}), coalesce=True)
+        sliced = key(trace=None, coalesce=False)
         assert len({base, traced, sliced}) == 3
 
     def test_service_overrides_match_ambient_defaults(self):
         """Service keys coincide with CLI keys for the same settings."""
-        task = self._anchor_task()
-        from repro.kernel import kernel as _kernel
-        ambient = task_fingerprint(task)
-        explicit = task_fingerprint(
-            task, trace_categories=_trace.default_categories(),
-            coalesce=_kernel.coalescing_enabled())
-        assert ambient == explicit
+        workload = self._anchor_task().workload
+
+        def cli_key(options):
+            backend = make_backend(0, options=options)
+            task, = Runner(configs=["2f-2s/8"], runs=1, base_seed=7,
+                           backend=backend).tasks(workload)
+            return task_fingerprint(task)
+
+        def service_key(**settings):
+            request = parse_scenario({
+                "type": "run", "workload": "lockstress",
+                "params": {"n_threads": 4, "duration": 0.01},
+                "config": "2f-2s/8", "seed": 7, **settings})
+            return task_fingerprint(request.tasks[0])
+
+        assert service_key() == cli_key(RunOptions())
+        assert service_key(trace=["exec"], coalesce=False) == cli_key(
+            RunOptions(trace=frozenset({"exec"}), coalesce=False))

@@ -114,7 +114,7 @@ class StubExecutor:
         self.gate = gate
         self.calls = []
 
-    def run_tasks(self, tasks, trace_categories=None, coalesce=None):
+    def run_tasks(self, tasks):
         if self.gate is not None:
             assert self.gate.wait(30)
         self.calls.append([(t.config, t.seed) for t in tasks])
@@ -366,8 +366,7 @@ class TestFaultPaths:
 
     def test_executor_exception_is_an_internal_error(self):
         class Exploding:
-            def run_tasks(self, tasks, trace_categories=None,
-                          coalesce=None):
+            def run_tasks(self, tasks):
                 raise RuntimeError("simulated engine bug")
 
         async def scenario():
@@ -443,19 +442,22 @@ class CrashOnceLockStress(LockStress):
         super().__init__(**kwargs)
         self.flag_path = flag_path
 
-    def run_once(self, config, seed=100, scheduler_factory=None):
+    def run_once(self, config, seed=100, scheduler_factory=None,
+                 options=None):
         if not os.path.exists(self.flag_path):
             with open(self.flag_path, "w") as handle:
                 handle.write("crashed\n")
             os._exit(17)
         return super().run_once(
-            config, seed=seed, scheduler_factory=scheduler_factory)
+            config, seed=seed, scheduler_factory=scheduler_factory,
+            options=options)
 
 
 class AlwaysCrashLockStress(LockStress):
     """Dies on every attempt: the poisoned-scenario case."""
 
-    def run_once(self, config, seed=100, scheduler_factory=None):
+    def run_once(self, config, seed=100, scheduler_factory=None,
+                 options=None):
         os._exit(17)
 
 
@@ -504,8 +506,7 @@ class TestWorkerDeath:
                 with pytest.raises(Exception) as excinfo:
                     await loop.run_in_executor(
                         None, server.executor.run_tasks,
-                        [RunTask(poisoned, "2f-2s/8", 100)],
-                        None, None)
+                        [RunTask(poisoned, "2f-2s/8", 100)])
                 # The service keeps serving after the crash.
                 healthy = await one_rpc(server, {
                     "type": "run", "workload": "lockstress",
@@ -525,15 +526,13 @@ class TestWorkerDeath:
             def __init__(self):
                 super().__init__(jobs=1)
 
-            def run_tasks(self, tasks, trace_categories=None,
-                          coalesce=None):
+            def run_tasks(self, tasks):
                 poisoned = [
                     type(t)(AlwaysCrashLockStress(
                         n_threads=2, duration=0.005),
                         t.config, t.seed, t.scheduler_factory)
                     for t in tasks]
-                return super().run_tasks(
-                    poisoned, trace_categories, coalesce)
+                return super().run_tasks(poisoned)
 
         async def scenario():
             async with running_server(

@@ -8,11 +8,13 @@ from repro.experiments.parallel import (
     ProcessPoolBackend,
     RunTask,
     SerialBackend,
+    make_backend,
     task_fingerprint,
 )
 from repro.sim import trace as _trace
 from repro.sim import trace_export
-from repro.sim.trace_export import TraceData, TraceSink
+from repro.sim.trace_export import TraceData
+from repro.workloads.base import RunOptions
 from repro.workloads.specjbb import SpecJBB
 
 import sys
@@ -22,15 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import check_trace_schema  # noqa: E402
 import trace_diff  # noqa: E402
 
-
-@pytest.fixture
-def default_tracing():
-    """Install the default trace categories for the test's duration."""
-    _trace.install_default_categories(_trace.DEFAULT_TRACE_CATEGORIES)
-    try:
-        yield
-    finally:
-        _trace.clear_default_categories()
+from tests.harness import TRACED  # noqa: E402
 
 
 def _workload():
@@ -38,14 +32,19 @@ def _workload():
                    warmup_seconds=0.05)
 
 
-def _tasks(seeds=(1, 2)):
+def _traced_run():
+    return _workload().run_once("2f-2s/8", seed=3, options=TRACED)
+
+
+def _tasks(seeds=(1, 2), options=TRACED):
     workload = _workload()
-    return [RunTask(workload, "2f-2s/8", seed) for seed in seeds]
+    return [RunTask(workload, "2f-2s/8", seed, options=options)
+            for seed in seeds]
 
 
 class TestTraceData:
-    def test_attached_only_when_tracing_enabled(self, default_tracing):
-        result = _workload().run_once("2f-2s/8", seed=3)
+    def test_attached_only_when_tracing_enabled(self):
+        result = _traced_run()
         assert result.trace is not None
         assert result.trace.spans, "traced run captured no spans"
         assert len(result.trace.core_labels) == 4
@@ -55,8 +54,8 @@ class TestTraceData:
     def test_not_attached_by_default(self):
         assert _workload().run_once("2f-2s/8", seed=3).trace is None
 
-    def test_dict_round_trip(self, default_tracing):
-        data = _workload().run_once("2f-2s/8", seed=3).trace
+    def test_dict_round_trip(self):
+        data = _traced_run().trace
         back = TraceData.from_dict(data.as_dict())
         assert back.core_labels == data.core_labels
         assert back.spans == data.spans
@@ -64,8 +63,8 @@ class TestTraceData:
 
 
 class TestChromeTrace:
-    def test_schema_valid_and_tracks_named(self, default_tracing):
-        result = _workload().run_once("2f-2s/8", seed=3)
+    def test_schema_valid_and_tracks_named(self):
+        result = _traced_run()
         trace = trace_export.chrome_trace([result])
         errors, census = check_trace_schema.check_trace(trace)
         assert errors == []
@@ -81,16 +80,16 @@ class TestChromeTrace:
                          and event["name"] == "process_name"]
         assert process_names == ["SPECjbb 2f-2s/8 seed=3"]
 
-    def test_migrations_become_flow_events(self, default_tracing):
-        result = _workload().run_once("2f-2s/8", seed=3)
+    def test_migrations_become_flow_events(self):
+        result = _traced_run()
         trace = trace_export.chrome_trace([result])
         starts = [e for e in trace["traceEvents"] if e["ph"] == "s"]
         ends = [e for e in trace["traceEvents"] if e["ph"] == "f"]
         migrations = result.run_metrics.migrations
         assert len(starts) == len(ends) == migrations
 
-    def test_histograms_embedded_for_trace_diff(self, default_tracing):
-        result = _workload().run_once("2f-2s/8", seed=3)
+    def test_histograms_embedded_for_trace_diff(self):
+        result = _traced_run()
         trace = trace_export.chrome_trace([result])
         runs = trace["otherData"]["runs"]
         assert len(runs) == 1
@@ -104,8 +103,7 @@ class TestChromeTrace:
 
 
 class TestDeterminism:
-    def test_serial_and_pool_export_byte_identical(self,
-                                                   default_tracing):
+    def test_serial_and_pool_export_byte_identical(self):
         serial = SerialBackend().execute(_tasks())
         pooled = ProcessPoolBackend(jobs=2).execute(_tasks())
         text_serial = trace_export.trace_to_json(
@@ -115,13 +113,9 @@ class TestDeterminism:
         assert text_serial == text_pooled
 
     def test_fingerprint_distinguishes_traced_runs(self):
-        task = _tasks()[0]
-        untraced = task_fingerprint(task)
-        _trace.install_default_categories(("exec",))
-        try:
-            traced = task_fingerprint(task)
-        finally:
-            _trace.clear_default_categories()
+        untraced = task_fingerprint(_tasks(options=RunOptions())[0])
+        traced = task_fingerprint(
+            _tasks(options=RunOptions(trace=frozenset({"exec"})))[0])
         assert traced != untraced
 
 
@@ -132,9 +126,8 @@ class TestTraceDiff:
                         encoding="utf-8")
         return str(path)
 
-    def test_identical_traces_exit_zero(self, default_tracing,
-                                        tmp_path, capsys):
-        result = _workload().run_once("2f-2s/8", seed=3)
+    def test_identical_traces_exit_zero(self, tmp_path, capsys):
+        result = _traced_run()
         trace = trace_export.chrome_trace([result])
         a = self._export(tmp_path, "a.json", trace)
         b = self._export(tmp_path, "b.json", trace)
@@ -142,9 +135,9 @@ class TestTraceDiff:
         assert "1 of 1 matched runs identical" in capsys.readouterr().out
 
     def test_histogram_only_divergence_exits_nonzero(
-            self, default_tracing, tmp_path, capsys):
+            self, tmp_path, capsys):
         """Identical event streams must not mask a histogram drift."""
-        result = _workload().run_once("2f-2s/8", seed=3)
+        result = _traced_run()
         trace = trace_export.chrome_trace([result])
         a = self._export(tmp_path, "a.json", trace)
         drifted = json.loads(trace_export.trace_to_json(trace))
@@ -159,25 +152,29 @@ class TestTraceDiff:
 
 
 class TestTraceSink:
-    def test_backends_feed_the_active_sink(self, default_tracing):
-        sink = trace_export.install_sink(TraceSink())
-        try:
+    def test_backends_feed_their_result_list(self):
+        for jobs in (0, 2):
+            sink = []
+            results = make_backend(jobs, sink=sink).execute(_tasks())
+            assert sink == results
+            assert len(sink) == 2
+            assert all(result.trace is not None for result in sink)
+            # The list belongs to that backend; another leaves it be.
             SerialBackend().execute(_tasks())
-        finally:
-            trace_export.remove_sink()
-        assert len(sink.records) == 2
-        assert trace_export.active_sink() is None
+            assert len(sink) == 2
 
-    def test_sink_drops_untraced_results(self):
-        sink = TraceSink()
-        sink.extend([_workload().run_once("2f-2s/8", seed=3)])
-        assert sink.records == []
+    def test_sink_drops_untraced_results(self, tmp_path):
+        sink = []
+        SerialBackend(sink=sink).execute(_tasks(options=RunOptions()))
+        path = tmp_path / "untraced.json"
+        assert trace_export.write_chrome_trace(str(path), sink) == 0
+        assert json.loads(path.read_text(encoding="utf-8"))[
+            "otherData"]["runs"] == []
 
 
 class TestWriteTrace:
-    def test_written_file_is_valid_and_loadable(self, tmp_path,
-                                                default_tracing):
-        result = _workload().run_once("2f-2s/8", seed=3)
+    def test_written_file_is_valid_and_loadable(self, tmp_path):
+        result = _traced_run()
         path = tmp_path / "run.trace.json"
         count = trace_export.write_chrome_trace(str(path), [result])
         assert count > 0

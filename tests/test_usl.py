@@ -18,12 +18,7 @@ from repro.analysis.usl import (
     scaling_axis,
 )
 from repro.errors import PredictionGateError
-from repro.experiments.parallel import (
-    ResultCache,
-    RunTask,
-    SerialBackend,
-    task_fingerprint,
-)
+from repro.experiments.parallel import ResultCache, SerialBackend
 from repro.experiments.runner import Runner
 from repro.machine.topology import STANDARD_CONFIG_LABELS
 from repro.workloads.specjbb import SpecJBB
@@ -190,13 +185,3 @@ def test_predict_sweep_rejects_bad_inputs():
         runner.predict_sweep(_specjbb(), anchors=["9f-9s/2"])
     with pytest.raises(ValueError, match="tolerance"):
         runner.predict_sweep(_specjbb(), tolerance=0.0)
-
-
-def test_fingerprint_folds_prediction_mode():
-    """Analytic results can never collide with simulated ones."""
-    workload = _specjbb()
-    simulated = RunTask(workload, "2f-2s/8", 7)
-    predicted = RunTask(workload, "2f-2s/8", 7, predicted=True)
-    assert task_fingerprint(simulated) != task_fingerprint(predicted)
-    assert task_fingerprint(simulated) == \
-        task_fingerprint(RunTask(workload, "2f-2s/8", 7))
