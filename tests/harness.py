@@ -779,10 +779,6 @@ def _golden_event_stream_files() -> Dict[str, str]:
 # ----------------------------------------------------------------------
 # Exhibits
 # ----------------------------------------------------------------------
-def exhibit_filename(name: str) -> str:
-    return f"exhibit_{name}.txt"
-
-
 def _golden_exhibit_files() -> Dict[str, str]:
     """Every exhibit's rendered text at the quick profile.
 
@@ -794,7 +790,7 @@ def _golden_exhibit_files() -> Dict[str, str]:
     from repro.experiments.figures import ALL_EXHIBITS
     from repro.experiments.profiles import QUICK
 
-    return {exhibit_filename(name): module.render(module.run(QUICK)) + "\n"
+    return {f"exhibit_{name}.txt": module.render(module.run(QUICK)) + "\n"
             for name, module in ALL_EXHIBITS.items()}
 
 
