@@ -1,8 +1,9 @@
 """Shared fixtures for the exhibit benchmarks.
 
 Each benchmark regenerates one of the paper's figures/tables, times
-the regeneration, prints the rendered rows/series, and archives them
-under ``benchmarks/results/``.
+the regeneration and prints the rendered rows/series.  The rendered
+text at the quick profile is pinned in ``tests/golden/exhibit_*.txt``
+and verified by ``python tests/golden/regenerate.py --check``.
 
 Profile selection: set ``REPRO_PROFILE=paper`` for the full protocol
 (the paper's run counts and sweeps — minutes of wall time) or leave
@@ -32,16 +33,15 @@ def results_dir():
 
 
 @pytest.fixture
-def regenerate(benchmark, profile, results_dir):
+def regenerate(benchmark, profile):
     """Run an exhibit module once under the benchmark timer, render
-    it, archive the text, and return it."""
+    it, print the text, and return it."""
 
     def _regenerate(name, module):
         data = benchmark.pedantic(module.run, args=(profile,),
                                   rounds=1, iterations=1)
         text = module.render(data)
-        (results_dir / f"{name}.txt").write_text(text + "\n")
-        print(f"\n{text}")
+        print(f"\n== {name}\n{text}")
         return text
 
     return _regenerate

@@ -24,8 +24,9 @@ import time
 
 import pytest
 
+from repro.experiments.parallel import ProcessPoolBackend
+from repro.service.cache import ResultCache
 from repro.service.client import ServiceClient
-from repro.service.pool import ShardedPoolExecutor
 from repro.service.server import ScenarioServer
 
 _MEASUREMENTS = {}
@@ -69,8 +70,9 @@ class ServerThread:
     async def _main(self):
         self.loop = asyncio.get_running_loop()
         self.server = ScenarioServer(
-            host="127.0.0.1", port=0, cache_dir=self.cache_dir,
-            executor=ShardedPoolExecutor(
+            host="127.0.0.1", port=0,
+            cache=ResultCache(self.cache_dir),
+            executor=ProcessPoolBackend(
                 jobs=min(4, os.cpu_count() or 1)))
         await self.server.start()
         self._ready.set()

@@ -12,12 +12,9 @@ the 2f-2s/8 machine, plus the serial (degree 1) bimodality.
 import argparse
 import statistics
 
-from repro.experiments.parallel import (
-    ResultCache,
-    RunTask,
-    make_backend,
-)
+from repro.experiments.parallel import RunTask, make_backend
 from repro.experiments.report import format_table
+from repro.service.cache import ResultCache
 from repro.workloads.tpch import TpchQuery
 
 CONFIG = "2f-2s/8"

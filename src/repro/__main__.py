@@ -140,7 +140,8 @@ def _cmd_serve(args) -> int:
     import signal
     import tempfile
 
-    from repro.service.cache import DiskResultCache
+    from repro.experiments.parallel import ProcessPoolBackend
+    from repro.service.cache import ResultCache
     from repro.service.server import ScenarioServer
 
     logging.basicConfig(
@@ -149,7 +150,7 @@ def _cmd_serve(args) -> int:
     cache_dir = (args.cache_dir
                  or os.environ.get("REPRO_SERVICE_CACHE_DIR")
                  or tempfile.mkdtemp(prefix="repro-service-cache-"))
-    cache = DiskResultCache(
+    cache = ResultCache(
         cache_dir,
         max_disk_entries=args.cache_max_entries,
         max_disk_bytes=args.cache_max_bytes)
@@ -157,7 +158,7 @@ def _cmd_serve(args) -> int:
     async def main() -> None:
         server = ScenarioServer(
             host=args.host, port=args.port, cache=cache,
-            jobs=args.jobs or None,
+            executor=ProcessPoolBackend(args.jobs),
             max_inflight=args.max_inflight,
             max_pending_tasks=args.max_pending,
             ledger_path=args.ledger)
@@ -488,8 +489,11 @@ def main(argv=None) -> int:
                         help="experiment scale (default: quick)")
     parser.add_argument("--jobs", type=int, default=0, metavar="N",
                         help="worker processes for simulation runs "
-                             "(0 or 1: serial; results are identical "
-                             "either way)")
+                             "(default: 0). Exhibits, 'sweep' and "
+                             "'report' run serially at 0 or 1; "
+                             "'serve' always starts a pool, one "
+                             "worker per CPU at 0. Results are "
+                             "identical either way")
     parser.add_argument("--metrics-out", metavar="PATH", default=None,
                         help="write per-run simulation metrics "
                              "(RunMetrics JSON) for every run the "
@@ -649,18 +653,22 @@ def main(argv=None) -> int:
         print(f"unknown exhibit {args.exhibit!r}; try 'list'",
               file=sys.stderr)
         return 2
-    # One backend per invocation: its options go on every task, and
-    # its result list feeds --metrics-out and --trace-out.
+    # One backend per invocation (with --jobs N, one warm pool): its
+    # options go on every task, and its result list feeds
+    # --metrics-out and --trace-out.
     results = []
     backend = make_backend(args.jobs, options=_run_options(args),
                            sink=results)
-    if args.exhibit == "sweep":
-        _cmd_sweep(args.workload, args.profile, args.predict, backend,
-                   spot_checks=args.spot_checks,
-                   tolerance=args.tolerance,
-                   omp_schedule=args.omp_schedule)
-    else:
-        _cmd_exhibits(args.exhibit, args.profile, backend)
+    try:
+        if args.exhibit == "sweep":
+            _cmd_sweep(args.workload, args.profile, args.predict,
+                       backend, spot_checks=args.spot_checks,
+                       tolerance=args.tolerance,
+                       omp_schedule=args.omp_schedule)
+        else:
+            _cmd_exhibits(args.exhibit, args.profile, backend)
+    finally:
+        backend.shutdown()
     _write_run_outputs(args, results)
     return 0
 

@@ -3,7 +3,6 @@
 from repro.experiments.figures import ALL_EXHIBITS
 from repro.experiments.parallel import (
     ProcessPoolBackend,
-    ResultCache,
     RunTask,
     SerialBackend,
     make_backend,
@@ -26,7 +25,6 @@ __all__ = [
     "RunTask",
     "SerialBackend",
     "ProcessPoolBackend",
-    "ResultCache",
     "make_backend",
     "Profile",
     "PAPER",

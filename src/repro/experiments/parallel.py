@@ -9,18 +9,21 @@ such run tasks:
 * :class:`SerialBackend` — runs tasks in order in this process.  The
   default, and byte-for-byte identical to the historical behaviour of
   :class:`~repro.experiments.runner.Runner`.
-* :class:`ProcessPoolBackend` — fans tasks out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  Because every task
-  carries its seed explicitly and results are reassembled by submission
-  index, the output is **bit-identical** to a serial run — parallelism
-  changes wall-clock time and nothing else.
+* :class:`ProcessPoolBackend` — a warm pool of worker processes: an
+  idle worker takes the next slice of a call's tasks, and a slice
+  whose worker dies is retried once.  Because every task carries its
+  seed explicitly and results are reassembled by task index, the
+  output is **bit-identical** to a serial run — parallelism changes
+  wall-clock time and nothing else.
 
-Both backends optionally share a :class:`ResultCache` keyed on a
-fingerprint of the workload's construction parameters, the machine
-configuration, the seed, the scheduler factory and the task's
-:class:`~repro.workloads.base.RunOptions`, so that re-running a sweep
-(e.g. regenerating a figure after an unrelated edit) costs zero
-simulations.
+Both share :meth:`SerialBackend.execute`: an optional
+:class:`~repro.service.cache.ResultCache`, keyed on
+:func:`task_fingerprint` (the workload's construction parameters, the
+machine configuration, the seed, the scheduler factory and the task's
+:class:`~repro.workloads.base.RunOptions`), serves known results, so
+re-running a sweep (e.g. regenerating a figure after an unrelated
+edit) costs zero simulations; the backend's ``run_tasks`` simulates
+the misses.
 
 A task depends on nothing but itself: its ``RunOptions`` (fault
 schedule, trace categories, coalescing mode) travel with it into
@@ -38,15 +41,31 @@ import hashlib
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from repro.errors import ReproError
+from repro.metrics import CounterBag
 from repro.workloads.base import (
     RunOptions,
     RunResult,
     SchedulerFactory,
     Workload,
 )
+
+if TYPE_CHECKING:
+    from repro.service.cache import ResultCache
 
 
 @dataclass(frozen=True)
@@ -62,10 +81,16 @@ class RunTask:
 
 
 def execute_task(task: RunTask) -> RunResult:
-    """Run one task to completion (also the worker-process entry point)."""
+    """Run one task to completion."""
     return task.workload.run_once(
         task.config, seed=task.seed,
         scheduler_factory=task.scheduler_factory, options=task.options)
+
+
+def execute_tasks(tasks: Sequence[RunTask]) -> List[RunResult]:
+    """Run tasks in order: a serial backend's batch, and the unit of
+    work a pool worker process receives."""
+    return [execute_task(task) for task in tasks]
 
 
 def _stable_repr(value: object,
@@ -146,62 +171,23 @@ def task_fingerprint(task: RunTask) -> str:
     return digest.hexdigest()
 
 
-class ResultCache:
-    """In-memory map from task fingerprint to :class:`RunResult`.
+class WorkerCrashError(ReproError):
+    """A worker process died twice running the attached tasks."""
 
-    Share one instance across several backend calls (or several
-    figures) to skip simulations whose inputs have not changed.
-
-    Thread safety: lookup/store and the hit/miss counters mutate under
-    one lock, so a cache shared by concurrent ``execute`` calls (the
-    scenario service runs one backend call per admitted request, each
-    on its own executor thread) keeps ``hits + misses == lookups``
-    exactly.  Before the lock, a backend's pre-scan hit bump could
-    interleave with another thread's post-pool miss/store bump and
-    lose an increment — the counters drifted from the lookup count
-    under load while the entries themselves stayed correct.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, RunResult] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        #: Total lookups; always equals ``hits + misses``.
-        self.lookups = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def lookup(self, key: str) -> Optional[RunResult]:
-        with self._lock:
-            result = self._entries.get(key)
-            self.lookups += 1
-            if result is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return result
-
-    def store(self, key: str, result: RunResult) -> None:
-        with self._lock:
-            self._entries[key] = result
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.lookups = 0
+    def __init__(self, message: str,
+                 tasks: Sequence[RunTask] = ()) -> None:
+        super().__init__(message)
+        self.tasks = tuple(tasks)
 
 
 class SerialBackend:
     """Run tasks one after another in the calling process.
 
-    ``options`` is what callers building tasks for this backend put on
-    them (default: ``RunOptions()``); ``sink``, when given, receives
-    every returned result, in order.
+    ``cache`` is an optional shared
+    :class:`~repro.service.cache.ResultCache`; ``options`` is what
+    callers building tasks for this backend put on them (default:
+    ``RunOptions()``); ``sink``, when given, receives every returned
+    result, in order.
     """
 
     jobs = 1
@@ -216,90 +202,160 @@ class SerialBackend:
         self.simulations_run = 0
 
     def execute(self, tasks: Iterable[RunTask]) -> List[RunResult]:
-        results = []
+        """Results for ``tasks`` in task order: cache hits are served,
+        the misses simulated by :meth:`run_tasks` and stored."""
+        tasks = list(tasks)
+        results: List[Optional[RunResult]] = [None] * len(tasks)
+        keys: Dict[int, str] = {}
         cache = self.cache
-        for task in tasks:
+        if cache is not None:
+            for index, task in enumerate(tasks):
+                keys[index] = task_fingerprint(task)
+                results[index] = cache.lookup(keys[index])
+        misses = [index for index, result in enumerate(results)
+                  if result is None]
+        fresh = self.run_tasks([tasks[index] for index in misses])
+        self.simulations_run += len(fresh)
+        for index, result in zip(misses, fresh):
+            results[index] = result
             if cache is not None:
-                key = task_fingerprint(task)
-                hit = cache.lookup(key)
-                if hit is not None:
-                    results.append(hit)
-                    continue
-            result = execute_task(task)
-            self.simulations_run += 1
-            if cache is not None:
-                cache.store(key, result)
-            results.append(result)
+                cache.store(keys[index], result)
         if self.sink is not None:
-            self.sink.extend(results)
-        return results
+            self.sink.extend(results)  # type: ignore[arg-type]
+        return results  # type: ignore[return-value]
+
+    def run_tasks(self, tasks: Sequence[RunTask]) -> List[RunResult]:
+        """Simulate every task; results in task order."""
+        return execute_tasks(tasks)
+
+    def shutdown(self) -> None:
+        """Release worker processes (a serial backend has none)."""
 
 
-class ProcessPoolBackend:
-    """Fan tasks out over worker processes.
+class ProcessPoolBackend(SerialBackend):
+    """Simulate on a warm pool of worker processes.
 
     Parameters
     ----------
     jobs:
-        Worker count; defaults to ``os.cpu_count()``.
-    cache:
-        Optional shared :class:`ResultCache`.  Hits are served without
-        touching the pool; missed results are stored on completion.
-    chunk_size:
-        Tasks per pickled submission.  The default splits the pending
-        work into roughly four chunks per worker, amortizing pickling
-        overhead while keeping the pool load-balanced.
-    options, sink:
+        Worker count; ``None`` or below 1 means ``os.cpu_count()``.
+    cache, options, sink:
         As for :class:`SerialBackend`.
 
-    Determinism: results are reassembled in submission order
-    (``ProcessPoolExecutor.map`` preserves input order regardless of
-    completion order), and each task's simulation derives all of its
-    randomness from the task's own seed — so the result list is
-    bit-identical to what :class:`SerialBackend` produces.
+    The pool starts on the first :meth:`run_tasks` call and serves
+    every later one (all of a CLI invocation's ``execute`` calls, all
+    of the scenario server's batches) until :meth:`shutdown`.  A call
+    submits its tasks as about two contiguous slices per worker, and
+    an idle worker takes the next slice.  Not one submission per task:
+    each submission costs the calling process executor bookkeeping
+    (about 0.4 ms of CPU on a 2-CPU Xeon VM), which the scenario
+    server would spend on the process that answers cached requests
+    (DESIGN.md §2.6).
+
+    Determinism: results are reassembled by task index, and each
+    simulation derives all of its randomness from its task's own seed,
+    so the result list is bit-identical to :class:`SerialBackend`'s.
+
+    Crash containment: a worker dying (OOM kill, a segfault in an
+    extension, ``os._exit``) breaks the whole ``ProcessPoolExecutor``.
+    The backend then replaces the pool and resubmits every slice the
+    death lost; the tasks of a slice lost twice raise
+    :class:`WorkerCrashError`.  Concurrent callers (the server's batch
+    threads) share the pool and its rebuilds, so one poisoned request
+    cannot wedge the others.  ``counters`` holds
+    ``service.pool.starts``, ``.rebuilds``, ``.retries`` (tasks
+    resubmitted) and ``.failures`` (tasks given up on).
     """
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
-                 chunk_size: Optional[int] = None,
                  options: Optional[RunOptions] = None,
                  sink: Optional[List[RunResult]] = None) -> None:
+        super().__init__(cache=cache, options=options, sink=sink)
         self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-        self.cache = cache
-        self.chunk_size = chunk_size
-        self.options = options if options is not None else RunOptions()
-        self.sink = sink
-        self.simulations_run = 0
+        self.counters = CounterBag()
+        self._lock = threading.Lock()
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._generation = 0
+        self._closed = False
 
-    def execute(self, tasks: Iterable[RunTask]) -> List[RunResult]:
-        tasks = list(tasks)
-        results: List[Optional[RunResult]] = [None] * len(tasks)
-        cache = self.cache
-        pending: List[int] = []
-        keys: Dict[int, str] = {}
-        for index, task in enumerate(tasks):
-            if cache is not None:
-                keys[index] = task_fingerprint(task)
-                hit = cache.lookup(keys[index])
-                if hit is not None:
-                    results[index] = hit
-                    continue
-            pending.append(index)
-        if pending:
-            chunk = self.chunk_size or max(
-                1, len(pending) // (self.jobs * 4))
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                fresh = pool.map(execute_task,
-                                 [tasks[i] for i in pending],
-                                 chunksize=chunk)
-                for index, result in zip(pending, fresh):
-                    results[index] = result
-                    self.simulations_run += 1
-                    if cache is not None:
-                        cache.store(keys[index], result)
-        if self.sink is not None:
-            self.sink.extend(results)  # type: ignore[arg-type]
-        return results  # type: ignore[return-value]
+    def _pool_handle(self) -> Tuple[ProcessPoolExecutor, int]:
+        """The live pool and its generation, starting it if needed."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("backend is shut down")
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+                self.counters.incr("service.pool.starts")
+            return self._pool, self._generation
+
+    def _retire_pool(self, generation: int) -> None:
+        """Discard a broken pool (idempotent across racing threads)."""
+        with self._lock:
+            if self._generation != generation or self._pool is None:
+                return  # another thread already rebuilt
+            broken = self._pool
+            self._pool = None
+            self._generation += 1
+            self.counters.incr("service.pool.rebuilds")
+        broken.shutdown(wait=False, cancel_futures=True)
+
+    def run_tasks(self, tasks: Sequence[RunTask]) -> List[RunResult]:
+        """Simulate every task on the warm pool; results in task order.
+
+        Blocking and thread-safe: the server calls it from one thread
+        per admitted batch.  Raises :class:`WorkerCrashError` if a
+        worker dies twice running the same tasks.
+        """
+        size = max(1, (len(tasks) + 2 * self.jobs - 1) // (2 * self.jobs))
+        slices = [tasks[start:start + size]
+                  for start in range(0, len(tasks), size)]
+        results: List[List[RunResult]] = [[] for _ in slices]
+        tries = [0] * len(slices)
+        pending = list(range(len(slices)))
+        while pending:
+            pool, generation = self._pool_handle()
+            futures = {}
+            try:
+                for index in pending:
+                    tries[index] += 1
+                    futures[index] = pool.submit(execute_tasks,
+                                                 slices[index])
+            except BrokenProcessPool:
+                pass  # died mid-submit: the rest go round again
+            lost = [index for index in pending if index not in futures]
+            for index, future in futures.items():
+                try:
+                    results[index] = future.result()
+                except BrokenProcessPool:
+                    lost.append(index)
+            if not lost:
+                break
+            # Rebuild before raising, so concurrent and later calls
+            # land on a fresh pool rather than the broken one.
+            self._retire_pool(generation)
+            dead = [task for index in sorted(lost) if tries[index] >= 2
+                    for task in slices[index]]
+            if dead:
+                with self._lock:
+                    self.counters.incr("service.pool.failures",
+                                       len(dead))
+                raise WorkerCrashError(
+                    f"worker process died running {len(dead)} "
+                    "task(s) twice; giving up", tasks=dead)
+            with self._lock:
+                self.counters.incr("service.pool.retries", sum(
+                    len(slices[index]) for index in lost))
+            pending = sorted(lost)
+        return [result for chunk in results for result in chunk]
+
+    def shutdown(self) -> None:
+        """Stop the pool; later :meth:`run_tasks` calls fail."""
+        with self._lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 Backend = Union[SerialBackend, ProcessPoolBackend]

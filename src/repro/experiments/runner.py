@@ -201,7 +201,7 @@ class Runner:
         """Run the full repeated-runs protocol on a subset of configs.
 
         Seeds match the full sweep's per-config seeds exactly, so a
-        shared :class:`~repro.experiments.parallel.ResultCache` serves
+        shared :class:`~repro.service.cache.ResultCache` serves
         anchor runs to a later full sweep (and vice versa) for free.
         """
         sub = Runner(configs=labels, runs=self.runs,

@@ -1,13 +1,14 @@
 """Simulation-as-a-service: the async scenario server stack.
 
-* :mod:`repro.service.server` — asyncio NDJSON server over the warm
-  worker pool (:class:`~repro.service.server.ScenarioServer`).
+* :mod:`repro.service.server` — asyncio NDJSON server over a warm
+  :class:`~repro.experiments.parallel.ProcessPoolBackend`
+  (:class:`~repro.service.server.ScenarioServer`).
 * :mod:`repro.service.client` — blocking client
   (:class:`~repro.service.client.ServiceClient`).
-* :mod:`repro.service.cache` — disk-persistent, fingerprint-keyed
-  result cache (:class:`~repro.service.cache.DiskResultCache`).
-* :mod:`repro.service.pool` — sharded warm pool with crash
-  containment (:class:`~repro.service.pool.ShardedPoolExecutor`).
+* :mod:`repro.service.cache` — the fingerprint-keyed result cache,
+  an LRU memory tier over an optional disk tier
+  (:class:`~repro.service.cache.ResultCache`), shared with the
+  experiment backends.
 * :mod:`repro.service.protocol` — the wire protocol and validation.
 
 See DESIGN.md §12 for the protocol schema, the cache-identity
@@ -15,27 +16,24 @@ argument and the backpressure state machine.
 """
 
 from repro.service.cache import (
-    DiskResultCache,
+    ResultCache,
     canonical_result_json,
     result_from_payload,
     result_to_payload,
 )
 from repro.service.client import ServiceClient, ServiceError, SweepResponse
-from repro.service.pool import ShardedPoolExecutor, WorkerCrashError
 from repro.service.protocol import ProtocolError, ScenarioRequest
 from repro.service.server import ScenarioServer, StreamingMetricsSink
 
 __all__ = [
-    "DiskResultCache",
     "ProtocolError",
+    "ResultCache",
     "ScenarioRequest",
     "ScenarioServer",
     "ServiceClient",
     "ServiceError",
-    "ShardedPoolExecutor",
     "StreamingMetricsSink",
     "SweepResponse",
-    "WorkerCrashError",
     "canonical_result_json",
     "result_from_payload",
     "result_to_payload",

@@ -1,11 +1,12 @@
-"""Persistent, fingerprint-keyed result store for the scenario service.
+"""The fingerprint-keyed result cache: an LRU memory tier over an
+optional disk tier.
 
 The cache-identity argument (DESIGN.md §12): a task's fingerprint
 (:func:`repro.experiments.parallel.task_fingerprint`) folds the
 workload's full constructor state, the machine configuration, the
 seed, the scheduler factory, the fault schedule, the trace categories
 and the coalescing mode — every input the simulation derives behaviour
-from.  Two requests with the same fingerprint therefore describe the
+from.  Two tasks with the same fingerprint therefore describe the
 *same deterministic computation*, so serving the second from a stored
 copy of the first's :class:`~repro.workloads.base.RunResult` is
 byte-identical to re-simulating by construction, not by luck.
@@ -15,17 +16,18 @@ What is stored is each result's canonical payload text
 sort_keys=True)``), written once when the result is fresh.  Memory and
 disk hits return that same text, and the server splices it into its
 response line unparsed, so a cold answer, a memory hit and a disk hit
-carry the same bytes.
+carry the same bytes; the backends' object API parses it back into a
+fresh :class:`~repro.workloads.base.RunResult`.
 
-Storage layout: one file per fingerprint under the cache directory —
-a header line ``{"fingerprint": ..., "format": 2, "sha256": ...}``
-followed by the text — written atomically (temp file +
-``os.replace``) so a concurrent reader never observes a torn entry and
-a crashed writer never corrupts the store.  A disk hit is served only
-when the header's format, fingerprint and the sha256 of the text all
-match; anything else (an older format, a renamed or altered file) is a
-miss, and the next store replaces it.  An in-memory LRU front keeps
-the hottest texts; hit/miss/eviction counters live in a
+Storage layout of the disk tier: one file per fingerprint under the
+cache directory — a header line ``{"fingerprint": ..., "format": 2,
+"sha256": ...}`` followed by the text — written atomically (temp file
++ ``os.replace``) so a concurrent reader never observes a torn entry
+and a crashed writer never corrupts the store.  A disk hit is served
+only when the header's format, fingerprint and the sha256 of the text
+all match; anything else (an older format, a renamed or altered file)
+is a miss, and the next store replaces it.  The in-memory LRU tier
+keeps the hottest texts; hit/miss/eviction counters live in a
 :class:`~repro.metrics.CounterBag` so the service surfaces them
 through the same layer as every other counter in the system.
 """
@@ -119,7 +121,7 @@ def canonical_result_json(result: RunResult) -> str:
 
 
 # ----------------------------------------------------------------------
-# Disk-persistent cache with an in-memory LRU front
+# The cache: an LRU memory tier over an optional disk tier
 # ----------------------------------------------------------------------
 def _entry_header(key: str, body: bytes) -> bytes:
     """The header line of an entry holding ``body`` under ``key``."""
@@ -128,36 +130,38 @@ def _entry_header(key: str, body: bytes) -> bytes:
     return (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
 
 
-class DiskResultCache:
-    """Fingerprint-keyed result store: LRU memory front, entry files.
+class ResultCache:
+    """Fingerprint-keyed result store: LRU memory tier, optional disk tier.
 
-    API-compatible with
-    :class:`repro.experiments.parallel.ResultCache` (``lookup`` /
-    ``store`` / ``hits`` / ``misses`` / ``lookups`` / ``clear``), so
-    the existing backends accept it unchanged; the service stores and
-    reads payload texts directly via :meth:`store_text` /
+    With ``directory=None`` the cache lives in memory only, bounded at
+    ``max_memory_entries`` texts: an evicted entry is a plain miss.
+    With a directory every store also lands in an entry file, and the
+    memory tier is a front over the disk tier.  The backends use the
+    object API (:meth:`lookup` / :meth:`store`; a hit is parsed into a
+    fresh :class:`~repro.workloads.base.RunResult`); the service
+    stores and reads payload texts directly via :meth:`store_text` /
     :meth:`lookup_text`, so a response never re-serializes a result.
 
-    The disk tier is bounded too (ROADMAP's open gap): pass
-    ``max_disk_entries`` and/or ``max_disk_bytes`` and the store
-    evicts least-recently-used entries — mirroring the memory front's
-    policy — unlinking their files and counting
-    ``service.cache.disk_evictions`` /
+    The disk tier can be bounded too: pass ``max_disk_entries`` and/or
+    ``max_disk_bytes`` and the store evicts least-recently-used
+    entries — mirroring the memory tier's policy — unlinking their
+    files and counting ``service.cache.disk_evictions`` /
     ``service.cache.disk_evicted_bytes``.  The LRU index survives a
     restart by seeding from the directory in mtime order; lookups and
     stores promote their entry.  Both bounds default to ``None``
-    (unbounded), the pre-existing behaviour.
+    (unbounded).
 
-    Thread safety mirrors the in-memory cache: counters and the LRU
-    structure mutate under one lock, so shared use from concurrent
-    backend executions keeps ``hits + misses == lookups`` exact.
-    Disk I/O happens outside the lock; atomic replace makes concurrent
-    writers of the same fingerprint last-writer-wins with no torn
-    state (both wrote the identical bytes anyway — see the module
-    docstring's identity argument).
+    Thread safety: counters and the LRU structures mutate under one
+    lock, so shared use from concurrent backend executions (the
+    scenario service runs each admitted batch on its own thread) keeps
+    ``hits + misses == lookups`` exact.  Disk I/O happens outside the
+    lock; atomic replace makes concurrent writers of the same
+    fingerprint last-writer-wins with no torn state (both wrote the
+    identical bytes anyway — see the module docstring's identity
+    argument).
     """
 
-    def __init__(self, directory: str,
+    def __init__(self, directory: Optional[str] = None,
                  max_memory_entries: int = 256,
                  max_disk_entries: Optional[int] = None,
                  max_disk_bytes: Optional[int] = None) -> None:
@@ -171,7 +175,6 @@ class DiskResultCache:
         self.max_memory_entries = max_memory_entries
         self.max_disk_entries = max_disk_entries
         self.max_disk_bytes = max_disk_bytes
-        os.makedirs(directory, exist_ok=True)
         self._memory: "OrderedDict[str, str]" = OrderedDict()
         #: Disk-tier LRU index: fingerprint -> entry size in bytes,
         #: oldest first.  Seeded from the directory (mtime order) so a
@@ -182,9 +185,11 @@ class DiskResultCache:
         #: service.cache.* counters, surfaced by the server's ``stats``
         #: response next to the rest of the service counters.
         self.counters = CounterBag()
-        self._scan_disk()
+        if directory is not None:
+            os.makedirs(directory, exist_ok=True)
+            self._scan_disk()
 
-    # -- ResultCache-compatible counter surface ------------------------
+    # -- counter surface -----------------------------------------------
     @property
     def hits(self) -> int:
         return int(self.counters.get("service.cache.hits"))
@@ -212,15 +217,12 @@ class DiskResultCache:
             return self._disk_bytes
 
     def __len__(self) -> int:
-        """Entries on disk (the persistent tier is the cache's size;
-        in-flight temp files — dotfiles — are not entries)."""
-        try:
-            names = os.listdir(self.directory)
-        except FileNotFoundError:
-            return 0
-        return sum(1 for name in names
-                   if name.endswith(".json")
-                   and not name.startswith("."))
+        """Entries held: the disk tier's index, or the memory tier's
+        when there is no disk tier."""
+        with self._lock:
+            if self.directory is None:
+                return len(self._memory)
+            return len(self._disk)
 
     def stats(self) -> Dict[str, Any]:
         """Tier occupancy and bounds for the ``stats`` response."""
@@ -300,7 +302,7 @@ class DiskResultCache:
                 pass
 
     def _remember(self, key: str, text: str) -> None:
-        """Promote ``key`` in the LRU front (caller holds no lock)."""
+        """Promote ``key`` in the memory tier (caller holds no lock)."""
         with self._lock:
             self._memory.pop(key, None)
             if self.max_memory_entries == 0:
@@ -337,6 +339,9 @@ class DiskResultCache:
                 self.counters.incr("service.cache.hits")
                 self.counters.incr("service.cache.memory_hits")
                 return text
+            if self.directory is None:
+                self.counters.incr("service.cache.misses")
+                return None
         text = self._read_disk(key)
         with self._lock:
             if text is None:
@@ -350,7 +355,16 @@ class DiskResultCache:
         return text
 
     def store_text(self, key: str, text: str) -> None:
-        """Persist one payload text atomically and front-load it."""
+        """Store one payload text in the memory tier, first persisting
+        it atomically when the cache has a disk tier."""
+        if self.directory is not None:
+            self._write_entry(key, text)
+        with self._lock:
+            self.counters.incr("service.cache.stores")
+        self._remember(key, text)
+
+    def _write_entry(self, key: str, text: str) -> None:
+        """Write one entry file atomically and index it."""
         body = text.encode("utf-8")
         data = _entry_header(key, body) + body
         fd, tmp_path = tempfile.mkstemp(
@@ -367,15 +381,15 @@ class DiskResultCache:
                 pass
             raise
         with self._lock:
-            self.counters.incr("service.cache.stores")
             self._disk_bytes -= self._disk.pop(key, 0)
             self._disk[key] = len(data)
             self._disk_bytes += len(data)
         self._evict_disk(keep=key)
-        self._remember(key, text)
 
-    # -- ResultCache-compatible object API -----------------------------
+    # -- RunResult object API (the backends') ---------------------------
     def lookup(self, key: str) -> Optional[RunResult]:
+        """The stored result for a fingerprint as a fresh
+        :class:`RunResult` parsed from its text, or None (a miss)."""
         text = self.lookup_text(key)
         if text is None:
             return None
@@ -385,12 +399,14 @@ class DiskResultCache:
         self.store_text(key, result_text(result))
 
     def clear(self) -> None:
-        """Drop every entry (disk and memory) and reset counters."""
+        """Drop every entry (memory and disk) and reset counters."""
         with self._lock:
             self._memory.clear()
             self._disk.clear()
             self._disk_bytes = 0
             self.counters = CounterBag()
+        if self.directory is None:
+            return
         try:
             names = os.listdir(self.directory)
         except FileNotFoundError:

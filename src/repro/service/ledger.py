@@ -26,7 +26,7 @@ Record schema (``format`` = :data:`LEDGER_FORMAT`)::
                     coalesced, fresh
     fresh batches:  queue_wait_seconds (admission -> batch-gate
                     acquisition), execute_seconds (pool wall time),
-                    shards, jobs
+                    jobs (the pool's worker count)
 
 :func:`summarize_ledger` folds a record list into the aggregate the
 report's service section renders: request/outcome censuses, the

@@ -30,7 +30,7 @@ Responses (server -> client)::
 A ``run`` request is normalized into a single-config, single-run
 sweep; both shapes expand to the *same deterministic task order* a
 :class:`~repro.experiments.runner.Runner` would produce (config-major,
-then ``base_seed + i``), so a service response reassembles shard
+then ``base_seed + i``), so a service response reassembles task
 results into exactly the sequence a local
 :class:`~repro.experiments.parallel.SerialBackend` returns.
 """

@@ -1,8 +1,8 @@
 r"""The asyncio scenario server: simulation-as-a-service.
 
 One long-running process owns a warm
-:class:`~repro.service.pool.ShardedPoolExecutor` and a persistent
-:class:`~repro.service.cache.DiskResultCache`; clients connect over
+:class:`~repro.experiments.parallel.ProcessPoolBackend` and a
+:class:`~repro.service.cache.ResultCache`; clients connect over
 TCP and exchange newline-delimited JSON
 (:mod:`repro.service.protocol`).  Per request the server:
 
@@ -40,11 +40,15 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.histogram import LatencyHistogram
 from repro.metrics import CounterBag, metrics_record
-from repro.experiments.parallel import RunTask, task_fingerprint
+from repro.experiments.parallel import (
+    ProcessPoolBackend,
+    RunTask,
+    WorkerCrashError,
+    task_fingerprint,
+)
 from repro.service import protocol
-from repro.service.cache import DiskResultCache, result_text
+from repro.service.cache import ResultCache, result_text
 from repro.service.ledger import RunLedger, request_digest
-from repro.service.pool import ShardedPoolExecutor, WorkerCrashError
 
 log = logging.getLogger("repro.service")
 
@@ -104,35 +108,32 @@ class ScenarioServer:
         :attr:`port` after :meth:`start`).
     cache:
         Result cache; anything with the
-        :class:`~repro.service.cache.DiskResultCache` payload text
-        API (``lookup_text`` / ``store_text``).
-        ``cache_dir`` builds one; both ``None`` disables caching.
+        :class:`~repro.service.cache.ResultCache` payload text API
+        (``lookup_text`` / ``store_text``).  ``None`` disables
+        caching.
     executor:
         Simulation executor with a blocking ``run_tasks(tasks)``
-        method; default is a warm :class:`ShardedPoolExecutor` with
-        ``jobs`` workers.  Tests inject stubs here.
+        method; default is a warm :class:`ProcessPoolBackend` with
+        one worker per CPU.  Tests inject stubs here.
     max_inflight:
         Batches simulating concurrently; admitted batches over this
         wait their turn (still counted as pending).
     max_pending_tasks:
         Bound on admitted-but-unfinished fresh tasks across all
         requests — the service's backpressure valve.
-    ledger, ledger_path:
-        Optional :class:`~repro.service.ledger.RunLedger` (or a path
-        to build one at) receiving exactly one JSONL record per
-        request.  The ledger is outside the byte-identity surface,
-        like tracing; the per-request queue-wait/execute latency
-        histograms in :attr:`latency` are maintained either way.
+    ledger_path:
+        Optional path of a :class:`~repro.service.ledger.RunLedger`
+        receiving exactly one JSONL record per request.  The ledger
+        is outside the byte-identity surface, like tracing; the
+        per-request queue-wait/execute latency histograms in
+        :attr:`latency` are maintained either way.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 cache: Optional[DiskResultCache] = None,
-                 cache_dir: Optional[str] = None,
-                 jobs: Optional[int] = None,
+                 cache: Optional[ResultCache] = None,
                  executor: Optional[Any] = None,
                  max_inflight: int = 4,
                  max_pending_tasks: int = 256,
-                 ledger: Optional[RunLedger] = None,
                  ledger_path: Optional[str] = None) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
@@ -140,16 +141,13 @@ class ScenarioServer:
             raise ValueError("max_pending_tasks must be >= 1")
         self.host = host
         self.port = port
-        if cache is None and cache_dir is not None:
-            cache = DiskResultCache(cache_dir)
         self.cache = cache
         self.executor = executor if executor is not None \
-            else ShardedPoolExecutor(jobs=jobs)
+            else ProcessPoolBackend()
         self.max_inflight = max_inflight
         self.max_pending_tasks = max_pending_tasks
-        if ledger is None and ledger_path is not None:
-            ledger = RunLedger(ledger_path)
-        self.ledger = ledger
+        self.ledger = (RunLedger(ledger_path)
+                       if ledger_path is not None else None)
         #: Always-on per-request service latency distributions
         #: (ledger-independent, surfaced by ``stats``).
         self.latency: Dict[str, LatencyHistogram] = {
@@ -484,18 +482,11 @@ class ScenarioServer:
         }
 
     def _note_batch(self, entry: Optional[Dict[str, Any]], name: str,
-                    value: float,
-                    tasks: Optional[List[RunTask]] = None) -> None:
-        """Record one batch latency (and, once, shard placement)."""
+                    value: float) -> None:
+        """Record one batch latency (and the pool's worker count)."""
         if entry is None:
             return
         entry[name] = value
-        if tasks is None:
-            return
-        # The pool's own split; an executor without one runs the
-        # batch as one shard.
-        shards = getattr(self.executor, "shards", None)
-        entry["shards"] = len(shards(tasks)) if shards else 1
         jobs = getattr(self.executor, "jobs", None)
         if jobs is not None:
             entry["jobs"] = jobs
@@ -524,8 +515,7 @@ class ScenarioServer:
             async with self._batch_gate:
                 queue_wait = time.monotonic() - admitted
                 self.latency["queue_wait_seconds"].add(queue_wait)
-                self._note_batch(entry, "queue_wait_seconds",
-                                 queue_wait, tasks)
+                self._note_batch(entry, "queue_wait_seconds", queue_wait)
                 started = time.monotonic()
                 results = await loop.run_in_executor(
                     self._threads, self.executor.run_tasks, tasks)

@@ -484,7 +484,7 @@ GOLDEN_LEDGER_RECORDS: List[Dict[str, Any]] = [
      "fingerprint": "00112233445566778899aabbccddeeff",
      "tasks": 6, "cache_hits": 0, "coalesced": 0, "fresh": 6,
      "queue_wait_seconds": 1.5e-05, "execute_seconds": 0.125,
-     "shards": 3, "jobs": 2},
+     "jobs": 2},
     {"format": 1, "index": 2, "request": "sweep", "outcome": "ok",
      "workload": "specjbb", "scheduler": "asym",
      "fingerprint": "ffeeddccbbaa99887766554433221100",

@@ -30,7 +30,8 @@ from repro.service.ledger import (
     request_digest,
     summarize_ledger,
 )
-from repro.service.pool import ShardedPoolExecutor
+from repro.experiments.parallel import ProcessPoolBackend, WorkerCrashError
+from repro.service.cache import ResultCache
 from repro.workloads.base import RunResult
 
 from tests.harness import GOLDEN_LEDGER_RECORDS
@@ -98,9 +99,8 @@ class TestServerLedger:
         assert first["cache_hits"] == 0
         assert first["queue_wait_seconds"] >= 0
         assert first["execute_seconds"] >= 0
-        # The stub executor exposes no pool geometry: one shard,
-        # no jobs field (a real ShardedPoolExecutor adds both).
-        assert first["shards"] >= 1
+        # The stub executor has no worker count: no jobs field (a
+        # real ProcessPoolBackend adds it).
         assert "jobs" not in first
         # No cache configured: the warm resubmission coalesces onto
         # nothing and simulates again -- but its record still agrees
@@ -109,31 +109,26 @@ class TestServerLedger:
         assert second["fingerprint"] == first["fingerprint"]
         assert len(first["fingerprint"]) == 32
 
-    def test_shards_are_the_pools_own_split(self, tmp_path):
-        """The record's ``shards`` is what the pool would run: the
-        default split (about two shards per worker) and an explicit
-        ``shard_size`` alike."""
-        class SplitOnlyPool(ShardedPoolExecutor):
-            """A real pool's geometry; synthetic results, no workers."""
+    def test_record_carries_the_pools_worker_count(self, tmp_path):
+        class StubPool(ProcessPoolBackend):
+            """A real pool's worker count; synthetic results, no
+            workers."""
 
             def run_tasks(self, tasks):
                 return StubExecutor().run_tasks(tasks)
 
-        records = []
-        for executor in (SplitOnlyPool(jobs=2),
-                         SplitOnlyPool(jobs=2, shard_size=3)):
-            path = tmp_path / f"ledger-{len(records)}.jsonl"
+        path = tmp_path / "ledger.jsonl"
 
-            async def scenario():
-                async with running_server(
-                        executor=executor,
-                        ledger_path=str(path)) as server:
-                    return await one_rpc(server, _sweep_message())
+        async def scenario():
+            async with running_server(
+                    executor=StubPool(jobs=3),
+                    ledger_path=str(path)) as server:
+                return await one_rpc(server, _sweep_message())
 
-            assert asyncio.run(scenario())["simulations_run"] == 4
-            records.extend(read_ledger(str(path)))
-        assert [(r["shards"], r["jobs"]) for r in records] == \
-            [(4, 2), (2, 2)]
+        assert asyncio.run(scenario())["simulations_run"] == 4
+        (record,) = read_ledger(str(path))
+        assert record["jobs"] == 3
+        assert "shards" not in record
 
     def test_warm_hits_recorded_with_cache(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -141,7 +136,7 @@ class TestServerLedger:
         async def scenario():
             async with running_server(
                     executor=StubExecutor(),
-                    cache_dir=str(tmp_path / "cache"),
+                    cache=ResultCache(str(tmp_path / "cache")),
                     ledger_path=str(path)) as server:
                 await one_rpc(server, _sweep_message())
                 return await one_rpc(server, _sweep_message())
@@ -159,7 +154,6 @@ class TestServerLedger:
 
         class CrashingExecutor:
             def run_tasks(self, tasks):
-                from repro.service.pool import WorkerCrashError
                 raise WorkerCrashError("boom")
 
         async def scenario():

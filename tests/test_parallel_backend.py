@@ -10,7 +10,6 @@ import pytest
 
 from repro.experiments.parallel import (
     ProcessPoolBackend,
-    ResultCache,
     RunTask,
     SerialBackend,
     make_backend,
@@ -18,6 +17,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import Runner
 from repro.kernel.asym_scheduler import AsymmetryAwareScheduler
+from repro.service.cache import ResultCache, canonical_result_json
 from repro.workloads.tpch import TpchQuery
 
 CONFIGS = ["4f-0s", "2f-2s/8"]
@@ -53,12 +53,21 @@ class TestDeterminism:
         assert _sweep_metrics(serial) == _sweep_metrics(parallel)
 
     def test_results_preserve_task_order(self):
+        """Task order holds on every call, and later calls reuse the
+        warm pool the first one started."""
         backend = ProcessPoolBackend(jobs=2)
         tasks = [RunTask(_workload(), config, seed)
                  for config in CONFIGS for seed in (100, 101)]
-        results = backend.execute(tasks)
+        try:
+            results = backend.execute(tasks)
+            again = backend.execute(tasks)
+        finally:
+            backend.shutdown()
         assert [(r.config, r.seed) for r in results] == \
             [(t.config, t.seed) for t in tasks]
+        assert [canonical_result_json(r) for r in again] == \
+            [canonical_result_json(r) for r in results]
+        assert backend.counters.get("service.pool.starts") == 1
 
 
 class TestMetricsDeterminism:

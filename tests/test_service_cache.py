@@ -1,11 +1,12 @@
-"""Tests for the service's persistent result cache.
+"""Tests for the result cache (:class:`repro.service.cache.ResultCache`).
 
 The contracts under test: a cached payload round-trips a
 :class:`RunResult` losslessly (the warm path is byte-identical to the
 cold path on the canonical surface), the disk tier survives process
 boundaries and serves an entry only when its header's format,
-fingerprint and sha256 match the stored text, the LRU memory front
-evicts without losing data, and the hit/miss counters stay exact
+fingerprint and sha256 match the stored text, the LRU memory tier
+evicts without losing data when a disk tier backs it (and is the
+whole cache when none does), and the hit/miss counters stay exact
 (``hits + misses == lookups``) under concurrent use.
 """
 
@@ -27,7 +28,7 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import Runner
 from repro.service.cache import (
     CACHE_FORMAT,
-    DiskResultCache,
+    ResultCache,
     canonical_result_json,
     result_from_payload,
     result_text,
@@ -85,7 +86,7 @@ class TestPayloadRoundTrip:
 
 class TestDiskResultCache:
     def test_store_then_lookup_hits(self, tmp_path):
-        cache = DiskResultCache(str(tmp_path))
+        cache = ResultCache(str(tmp_path))
         result = _run(_task())
         cache.store("abc", result)
         hit = cache.lookup("abc")
@@ -96,14 +97,14 @@ class TestDiskResultCache:
         assert len(cache) == 1
 
     def test_miss_on_unknown_key(self, tmp_path):
-        cache = DiskResultCache(str(tmp_path))
+        cache = ResultCache(str(tmp_path))
         assert cache.lookup("nope") is None
         assert (cache.hits, cache.misses, cache.lookups) == (0, 1, 1)
 
     def test_entries_survive_a_new_cache_instance(self, tmp_path):
         result = _run(_task())
-        DiskResultCache(str(tmp_path)).store("abc", result)
-        reopened = DiskResultCache(str(tmp_path))
+        ResultCache(str(tmp_path)).store("abc", result)
+        reopened = ResultCache(str(tmp_path))
         hit = reopened.lookup("abc")
         assert hit is not None
         assert canonical_result_json(hit) == \
@@ -111,7 +112,7 @@ class TestDiskResultCache:
         assert reopened.counters.get("service.cache.disk_hits") == 1
 
     def test_lru_front_evicts_but_disk_still_serves(self, tmp_path):
-        cache = DiskResultCache(str(tmp_path), max_memory_entries=2)
+        cache = ResultCache(str(tmp_path), max_memory_entries=2)
         result = _run(_task())
         for key in ("a", "b", "c"):
             cache.store(key, result)
@@ -123,25 +124,25 @@ class TestDiskResultCache:
         assert cache.counters.get("service.cache.memory_hits") == 0
 
     def test_memory_front_can_be_disabled(self, tmp_path):
-        cache = DiskResultCache(str(tmp_path), max_memory_entries=0)
+        cache = ResultCache(str(tmp_path), max_memory_entries=0)
         cache.store("a", _run(_task()))
         assert cache.lookup("a") is not None
         assert cache.counters.get("service.cache.disk_hits") == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = DiskResultCache(str(tmp_path))
+        cache = ResultCache(str(tmp_path))
         (tmp_path / "bad.json").write_text("{not json")
         assert cache.lookup("bad") is None
 
     def test_format_mismatch_is_a_miss(self, tmp_path):
-        cache = DiskResultCache(str(tmp_path))
+        cache = ResultCache(str(tmp_path))
         entry = {"format": CACHE_FORMAT + 1, "fingerprint": "old",
                  "result": result_to_payload(_run(_task()))}
         (tmp_path / "old.json").write_text(json.dumps(entry))
         assert cache.lookup("old") is None
 
     def test_altered_payload_text_is_never_served(self, tmp_path):
-        cache = DiskResultCache(str(tmp_path), max_memory_entries=0)
+        cache = ResultCache(str(tmp_path), max_memory_entries=0)
         cache.store("abc", _run(_task()))
         path = tmp_path / "abc.json"
         data = path.read_bytes()
@@ -150,7 +151,7 @@ class TestDiskResultCache:
         json.loads(altered.split(b"\n", 1)[1])  # still valid JSON
         path.write_bytes(altered)
         assert cache.lookup_text("abc") is None
-        assert DiskResultCache(str(tmp_path)).lookup("abc") is None
+        assert ResultCache(str(tmp_path)).lookup("abc") is None
 
     def test_format_1_entry_is_a_miss_and_replaced(self, tmp_path):
         result = _run(_task())
@@ -158,7 +159,7 @@ class TestDiskResultCache:
                  "result": result_to_payload(result)}
         (tmp_path / "abc.json").write_text(
             json.dumps(entry, sort_keys=True))
-        cache = DiskResultCache(str(tmp_path))
+        cache = ResultCache(str(tmp_path))
         assert cache.lookup_text("abc") is None
         cache.store("abc", result)
         header, body = (tmp_path / "abc.json").read_bytes().split(
@@ -167,11 +168,11 @@ class TestDiskResultCache:
             "fingerprint": "abc", "format": CACHE_FORMAT,
             "sha256": hashlib.sha256(body).hexdigest()}
         assert body.decode("utf-8") == result_text(result)
-        reopened = DiskResultCache(str(tmp_path))
+        reopened = ResultCache(str(tmp_path))
         assert reopened.lookup_text("abc") == result_text(result)
 
     def test_clear_drops_disk_and_counters(self, tmp_path):
-        cache = DiskResultCache(str(tmp_path))
+        cache = ResultCache(str(tmp_path))
         cache.store("a", _run(_task()))
         cache.lookup("a")
         cache.clear()
@@ -180,7 +181,7 @@ class TestDiskResultCache:
         assert cache.lookup("a") is None
 
     def test_backends_accept_it_as_a_result_cache(self, tmp_path):
-        cache = DiskResultCache(str(tmp_path))
+        cache = ResultCache(str(tmp_path))
         backend = SerialBackend(cache=cache)
         tasks = [_task(seed) for seed in (100, 101)]
         backend.execute(tasks)
@@ -190,7 +191,7 @@ class TestDiskResultCache:
         assert cache.hits == 2
 
     def test_counters_exact_under_concurrent_use(self, tmp_path):
-        cache = DiskResultCache(str(tmp_path), max_memory_entries=4)
+        cache = ResultCache(str(tmp_path), max_memory_entries=4)
         text = result_text(_run(_task()))
         keys = [f"k{i}" for i in range(8)]
         barrier = threading.Barrier(4)
@@ -211,6 +212,25 @@ class TestDiskResultCache:
         assert cache.hits + cache.misses == cache.lookups
 
 
+class TestMemoryOnlyCache:
+    def test_evicted_entry_is_a_miss_and_no_file_is_written(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = ResultCache(max_memory_entries=2)
+        result = _run(_task())
+        for key in ("a", "b", "c"):
+            cache.store(key, result)
+        assert cache.evictions == 1
+        assert len(cache) == 2
+        assert cache.lookup("a") is None  # evicted: nothing behind it
+        hit = cache.lookup("c")
+        assert canonical_result_json(hit) == \
+            canonical_result_json(result)
+        assert (cache.hits, cache.misses, cache.lookups) == (1, 1, 2)
+        assert cache.stats()["disk_entries"] == 0
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBoundedDiskTier:
     """The disk tier's LRU bound (mirrors the memory front).
 
@@ -224,7 +244,7 @@ class TestBoundedDiskTier:
         return result_text(_run(_task()))
 
     def test_entry_bound_evicts_oldest(self, tmp_path, text):
-        cache = DiskResultCache(str(tmp_path), max_disk_entries=2)
+        cache = ResultCache(str(tmp_path), max_disk_entries=2)
         for key in ("k0", "k1", "k2"):
             cache.store_text(key, text)
         assert len(cache) == 2
@@ -234,7 +254,7 @@ class TestBoundedDiskTier:
         assert cache.lookup_text("k2") is not None
 
     def test_lookup_promotes_against_eviction(self, tmp_path, text):
-        cache = DiskResultCache(str(tmp_path), max_disk_entries=2)
+        cache = ResultCache(str(tmp_path), max_disk_entries=2)
         cache.store_text("a", text)
         cache.store_text("b", text)
         assert cache.lookup_text("a") is not None  # promote a
@@ -245,14 +265,14 @@ class TestBoundedDiskTier:
     def test_byte_bound_and_accounting(self, tmp_path, text):
         # Same-length keys: the stored entry embeds its fingerprint,
         # so equal keys mean equal entry sizes.
-        cache = DiskResultCache(str(tmp_path))
+        cache = ResultCache(str(tmp_path))
         cache.store_text("k0", text)
         entry_bytes = cache.disk_bytes
         assert entry_bytes > 0
         cache.clear()
 
-        bounded = DiskResultCache(str(tmp_path),
-                                  max_disk_bytes=entry_bytes)
+        bounded = ResultCache(str(tmp_path),
+                              max_disk_bytes=entry_bytes)
         bounded.store_text("k1", text)
         bounded.store_text("k2", text)
         assert len(bounded) == 1
@@ -263,23 +283,23 @@ class TestBoundedDiskTier:
         assert bounded.lookup_text("k2") is not None
 
     def test_just_stored_entry_is_never_the_victim(self, tmp_path, text):
-        cache = DiskResultCache(str(tmp_path), max_disk_entries=1)
+        cache = ResultCache(str(tmp_path), max_disk_entries=1)
         for key in ("x", "y", "z"):
             cache.store_text(key, text)
             assert cache.lookup_text(key) is not None
         assert len(cache) == 1
 
     def test_reopen_applies_a_tighter_bound(self, tmp_path, text):
-        unbounded = DiskResultCache(str(tmp_path))
+        unbounded = ResultCache(str(tmp_path))
         for index in range(4):
             unbounded.store_text(f"k{index}", text)
         assert len(unbounded) == 4
-        reopened = DiskResultCache(str(tmp_path), max_disk_entries=2)
+        reopened = ResultCache(str(tmp_path), max_disk_entries=2)
         assert len(reopened) == 2
         assert reopened.disk_evictions == 2
 
     def test_eviction_drops_memory_front_too(self, tmp_path, text):
-        cache = DiskResultCache(str(tmp_path), max_disk_entries=1)
+        cache = ResultCache(str(tmp_path), max_disk_entries=1)
         cache.store_text("a", text)
         cache.store_text("b", text)
         assert cache.lookup_text("a") is None
@@ -287,7 +307,7 @@ class TestBoundedDiskTier:
             "service.cache.memory_hits") == 0
 
     def test_stats_reports_bounds_and_occupancy(self, tmp_path, text):
-        cache = DiskResultCache(str(tmp_path), max_disk_entries=8,
+        cache = ResultCache(str(tmp_path), max_disk_entries=8,
                                 max_disk_bytes=1 << 20)
         cache.store_text("a", text)
         stats = cache.stats()
@@ -299,12 +319,12 @@ class TestBoundedDiskTier:
 
     def test_invalid_bounds_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            DiskResultCache(str(tmp_path), max_disk_entries=0)
+            ResultCache(str(tmp_path), max_disk_entries=0)
         with pytest.raises(ValueError):
-            DiskResultCache(str(tmp_path), max_disk_bytes=0)
+            ResultCache(str(tmp_path), max_disk_bytes=0)
 
     def test_unbounded_by_default(self, tmp_path, text):
-        cache = DiskResultCache(str(tmp_path))
+        cache = ResultCache(str(tmp_path))
         for index in range(6):
             cache.store_text(f"k{index}", text)
         assert len(cache) == 6
@@ -342,7 +362,7 @@ class TestPersistentCacheDrift:
                     warmup_seconds=0.02), "2f-2s/8", 7)
 
     def _check_anchor(self, cache_dir, name, make_task):
-        cache = DiskResultCache(cache_dir)
+        cache = ResultCache(cache_dir)
         key = task_fingerprint(make_task())
         fresh = _run(make_task())
         marker = os.path.join(cache_dir, f"drift-{name}.key")

@@ -7,7 +7,7 @@ The contracts under test, straight from the service's guarantees:
 * duplicate in-flight scenarios coalesce onto one execution;
 * the bounded admission queue rejects excess work with a structured
   ``overloaded`` error instead of queueing without limit;
-* a worker process dying mid-shard is retried once, then surfaces a
+* a task whose worker process dies is retried once, then surfaces a
   structured ``worker_crashed`` error without wedging the queue;
 * malformed requests get structured ``invalid`` errors;
 * a graceful drain finishes in-flight batches, rejects new scenarios
@@ -26,15 +26,21 @@ import time
 
 import pytest
 
-from repro.experiments.parallel import SerialBackend
+from repro.experiments.parallel import (
+    ProcessPoolBackend,
+    RunTask,
+    SerialBackend,
+    WorkerCrashError,
+    make_backend,
+    task_fingerprint,
+)
 from repro.service import protocol
 from repro.service.cache import (
-    DiskResultCache,
+    ResultCache,
     canonical_result_json,
     result_from_payload,
     result_to_payload,
 )
-from repro.service.pool import ShardedPoolExecutor
 from repro.service.server import ScenarioServer
 from repro.workloads.base import RunResult
 from repro.workloads.lockstress import LockStress
@@ -131,8 +137,8 @@ class TestColdWarmIdentity:
     def _roundtrip(self, tmp_path, extra):
         async def scenario():
             async with running_server(
-                    cache_dir=str(tmp_path / "cache"),
-                    executor=ShardedPoolExecutor(jobs=2)) as server:
+                    cache=ResultCache(str(tmp_path / "cache")),
+                    executor=ProcessPoolBackend(jobs=2)) as server:
                 cold = await one_rpc(
                     server, _sweep_message(**extra), timeout=120)
                 warm = await one_rpc(
@@ -168,8 +174,8 @@ class TestColdWarmIdentity:
     def test_run_request_round_trips(self, tmp_path):
         async def scenario():
             async with running_server(
-                    cache_dir=str(tmp_path / "cache"),
-                    executor=ShardedPoolExecutor(jobs=1)) as server:
+                    cache=ResultCache(str(tmp_path / "cache")),
+                    executor=ProcessPoolBackend(jobs=1)) as server:
                 return await one_rpc(
                     server,
                     {"type": "run", "workload": "tpch",
@@ -269,7 +275,7 @@ class TestDedupAndAdmission:
         async def scenario():
             async with running_server(
                     executor=stub, max_pending_tasks=4,
-                    cache_dir=str(tmp_path / "cache")) as server:
+                    cache=ResultCache(str(tmp_path / "cache"))) as server:
                 first = await one_rpc(server, _sweep_message())
                 # Fully cached: fresh=0 admits even at the bound.
                 warm = await one_rpc(server, _sweep_message())
@@ -292,8 +298,8 @@ class TestSplicedResultLines:
         exactly the ``result_to_payload`` dicts of the results."""
         gate = threading.Event()
         stub = StubExecutor(gate=gate)
-        cache = DiskResultCache(str(tmp_path / "cache"),
-                                max_memory_entries=memory_entries)
+        cache = ResultCache(str(tmp_path / "cache"),
+                            max_memory_entries=memory_entries)
 
         async def scenario():
             async with running_server(executor=stub,
@@ -469,37 +475,54 @@ needs_fork = pytest.mark.skipif(
 
 @needs_fork
 class TestWorkerDeath:
-    def _run_direct(self, executor, workload, seeds=(100,)):
-        """Drive the executor straight, like a server batch thread."""
-        from repro.experiments.parallel import RunTask
-        tasks = [RunTask(workload, "2f-2s/8", seed)
-                 for seed in seeds]
-        return executor.run_tasks(tasks)
-
-    def test_shard_retried_once_after_worker_death(self, tmp_path):
-        executor = ShardedPoolExecutor(jobs=1)
+    @pytest.mark.parametrize("front", ["server", "cli"])
+    def test_task_retried_once_after_worker_death(self, tmp_path,
+                                                  front):
+        """The server's call (``run_tasks`` on its pool) and the
+        CLI's (``execute`` on a ``--jobs 2`` backend) both rebuild
+        the pool once and retry the task once."""
+        cache = ResultCache()
+        if front == "server":
+            backend = ProcessPoolBackend(jobs=1)
+            run = backend.run_tasks
+        else:
+            backend = make_backend(2, cache=cache)
+            run = backend.execute
+        task = RunTask(CrashOnceLockStress(
+            str(tmp_path / "crashed.flag"),
+            n_threads=2, duration=0.005), "2f-2s/8", 100)
         try:
-            workload = CrashOnceLockStress(
-                str(tmp_path / "crashed.flag"),
-                n_threads=2, duration=0.005)
-            results = self._run_direct(executor, workload)
-            assert len(results) == 1
-            assert results[0].metrics["throughput"] > 0
-            assert executor.counters.get(
-                "service.pool.shard_retries") == 1
-            assert executor.counters.get(
-                "service.pool.rebuilds") == 1
+            results = run([task])
         finally:
-            executor.shutdown()
+            backend.shutdown()
+        assert len(results) == 1
+        assert results[0].metrics["throughput"] > 0
+        assert backend.counters.get("service.pool.retries") == 1
+        assert backend.counters.get("service.pool.rebuilds") == 1
+        if front == "cli":
+            stored = cache.lookup(task_fingerprint(task))
+            assert canonical_result_json(stored) == \
+                canonical_result_json(results[0])
+
+    def test_cli_backend_gives_up_on_a_task_that_dies_twice(self):
+        backend = make_backend(2)
+        task = RunTask(AlwaysCrashLockStress(
+            n_threads=2, duration=0.005), "2f-2s/8", 100)
+        try:
+            with pytest.raises(WorkerCrashError) as excinfo:
+                backend.execute([task])
+        finally:
+            backend.shutdown()
+        assert len(excinfo.value.tasks) == 1
+        assert backend.counters.get("service.pool.failures") == 1
 
     def test_server_survives_a_poisoned_scenario(self, tmp_path):
         async def scenario():
             async with running_server(
-                    executor=ShardedPoolExecutor(jobs=1),
-                    cache_dir=str(tmp_path / "cache")) as server:
+                    executor=ProcessPoolBackend(jobs=1),
+                    cache=ResultCache(str(tmp_path / "cache"))) as server:
                 # Poison the pool directly (the registry will not
                 # build a crashing workload; inject the task).
-                from repro.experiments.parallel import RunTask
                 loop = asyncio.get_running_loop()
                 poisoned = AlwaysCrashLockStress(
                     n_threads=2, duration=0.005)
@@ -514,7 +537,6 @@ class TestWorkerDeath:
                     "config": "2f-2s/8", "seed": 100}, timeout=120)
                 return excinfo.value, healthy
         error, healthy = asyncio.run(scenario())
-        from repro.service.pool import WorkerCrashError
         assert isinstance(error, WorkerCrashError)
         assert len(error.tasks) == 1
         assert healthy["type"] == "result"
@@ -522,7 +544,7 @@ class TestWorkerDeath:
 
     def test_worker_crash_surfaces_as_structured_response(self):
         """End-to-end: a crashing batch answers ``worker_crashed``."""
-        class CrashingExecutor(ShardedPoolExecutor):
+        class CrashingExecutor(ProcessPoolBackend):
             def __init__(self):
                 super().__init__(jobs=1)
 

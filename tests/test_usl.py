@@ -18,9 +18,10 @@ from repro.analysis.usl import (
     scaling_axis,
 )
 from repro.errors import PredictionGateError
-from repro.experiments.parallel import ResultCache, SerialBackend
+from repro.experiments.parallel import SerialBackend
 from repro.experiments.runner import Runner
 from repro.machine.topology import STANDARD_CONFIG_LABELS
+from repro.service.cache import ResultCache
 from repro.workloads.specjbb import SpecJBB
 from repro.workloads.tpch.workload import TpchPowerRun
 
