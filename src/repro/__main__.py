@@ -13,7 +13,10 @@ Usage::
     python -m repro serve --port 7070 --cache-dir /var/cache/repro
     python -m repro submit --port 7070 --workload specjbb --runs 2
     python -m repro report --workload specjbb --out-dir reports
+    python -m repro sweep --help          # the flags 'sweep' accepts
 
+Each command accepts only the flags it reads, and every exhibit name
+is an alias of ``all`` that regenerates just that exhibit.
 ``--jobs N`` parallelizes the independent simulation runs over N
 worker processes; results are bit-identical to a serial run.
 ``--trace-out`` exports a Chrome trace-event timeline of every run;
@@ -23,8 +26,8 @@ open it in https://ui.perfetto.dev.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import os
 import sys
 import time
 
@@ -34,17 +37,20 @@ from repro.metrics import metrics_record
 from repro.sim import trace as _trace
 from repro.sim import trace_export as _trace_export
 from repro.experiments.figures import ALL_EXHIBITS
-from repro.experiments.parallel import Backend, make_backend
+from repro.experiments.parallel import make_backend
 from repro.experiments.profiles import get_profile
 from repro.machine import (
     Machine,
     STANDARD_CONFIG_LABELS,
     run_microbenchmark,
 )
+from repro.service.registry import WORKLOADS
 from repro.workloads.base import RunOptions
+from repro.workloads.specomp import OMP_SCHEDULES
 
 
-def _cmd_list() -> int:
+def _cmd_list(args) -> int:
+    """List the exhibits."""
     print("available exhibits:")
     for name, module in ALL_EXHIBITS.items():
         summary = (module.__doc__ or "").strip().splitlines()[0]
@@ -70,39 +76,37 @@ def _sweep_workload(name: str, profile, omp_schedule: str = "all"):
                         queries=list(profile.tpch_queries))
 
 
-def _cmd_sweep(workload_name: str, profile_name: str, predict: bool,
-               backend: Backend, spot_checks: int = 1,
-               tolerance: float = 0.10,
-               omp_schedule: str = "all") -> None:
+def _cmd_sweep(args) -> int:
     """Run (or analytically predict) one workload's config sweep."""
-    from repro.experiments.report import format_sweep, format_table
+    from repro.experiments.report import format_sweep
     from repro.experiments.runner import Runner
 
-    profile = get_profile(profile_name)
-    if (workload_name == "specomp" and omp_schedule == "all"
-            and not predict):
-        # Per-policy comparison: one sweep per LoopSchedule, rendered
-        # as one mean column per policy (the fig13 layout).
-        from repro.workloads.specomp import (
-            OMP_SCHEDULES,
-            SpecOmpBenchmark,
-        )
+    profile = get_profile(args.profile)
+    with _local_backend(args) as backend:
         runner = Runner(runs=profile.runs, backend=backend)
-        sweeps = {
-            policy: runner.run(
-                SpecOmpBenchmark("swim", omp_schedule=policy))
-            for policy in OMP_SCHEDULES
-        }
-        print(format_sweep(policies=sweeps))
-        return
-    workload = _sweep_workload(workload_name, profile, omp_schedule)
-    runner = Runner(runs=profile.runs, backend=backend)
-    if not predict:
-        print(format_sweep(runner.run(workload)))
-        return
-    prediction = runner.predict_sweep(workload,
-                                      spot_checks=spot_checks,
-                                      tolerance=tolerance)
+        if args.predict:
+            _print_prediction(runner.predict_sweep(
+                _sweep_workload(args.workload, profile, args.omp_schedule),
+                spot_checks=args.spot_checks, tolerance=args.tolerance))
+        elif args.workload == "specomp" and args.omp_schedule == "all":
+            # Per-policy comparison: one sweep per LoopSchedule, rendered
+            # as one mean column per policy (the fig13 layout).
+            from repro.workloads.specomp import SpecOmpBenchmark
+            print(format_sweep(policies={
+                policy: runner.run(
+                    SpecOmpBenchmark("swim", omp_schedule=policy))
+                for policy in OMP_SCHEDULES
+            }))
+        else:
+            print(format_sweep(runner.run(_sweep_workload(
+                args.workload, profile, args.omp_schedule))))
+    return 0
+
+
+def _print_prediction(prediction) -> None:
+    """Render a USL analytic sweep with each value's source."""
+    from repro.experiments.report import format_table
+
     fit = prediction.fit
     total = len(prediction.configs)
     print(f"{prediction.workload} — {prediction.primary_metric} "
@@ -130,9 +134,6 @@ def _cmd_sweep(workload_name: str, profile_name: str, predict: bool,
           f"{prediction.max_spot_error:.1%}")
 
 
-_SERVICE_WORKLOADS = ("specjbb", "tpch", "lockstress", "specomp")
-
-
 def _cmd_serve(args) -> int:
     """Run the scenario server until a drain completes."""
     import asyncio
@@ -148,7 +149,6 @@ def _cmd_serve(args) -> int:
         stream=sys.stderr, level=logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s")
     cache_dir = (args.cache_dir
-                 or os.environ.get("REPRO_SERVICE_CACHE_DIR")
                  or tempfile.mkdtemp(prefix="repro-service-cache-"))
     cache = ResultCache(
         cache_dir,
@@ -255,7 +255,6 @@ def _cmd_submit(args) -> int:
     from repro.experiments.report import format_sweep
     from repro.experiments.runner import ConfigSweep
     from repro.service.cache import result_from_payload
-    from repro.service.registry import WORKLOADS
 
     client = _connect_client(args)
     try:
@@ -268,10 +267,7 @@ def _cmd_submit(args) -> int:
                   f"(draining {ack.get('draining', 0)} task(s))")
             return 0
 
-        configs = ([label.strip()
-                    for label in args.configs.split(",")
-                    if label.strip()]
-                   if args.configs else list(STANDARD_CONFIG_LABELS))
+        configs = args.configs or list(STANDARD_CONFIG_LABELS)
         params = json.loads(args.params) if args.params else {}
         options = {"scheduler": args.scheduler}
         if args.trace is not None:
@@ -321,7 +317,7 @@ def _cmd_submit(args) -> int:
     return 0
 
 
-def _cmd_validate() -> int:
+def _cmd_validate(args) -> int:
     """Paper §3: validate the emulated asymmetry with micro-benchmarks."""
     print("duty-cycle validation (spin micro-benchmark per core):")
     for label in STANDARD_CONFIG_LABELS:
@@ -336,51 +332,24 @@ def _cmd_report(args) -> int:
     """Generate a per-workload performance report (md + JSON)."""
     from repro.analysis.perf_report import generate_report_files
 
-    configs = ([label.strip() for label in args.configs.split(",")
-                if label.strip()] if args.configs else None)
     params = json.loads(args.params) if args.params else None
-    md_path, json_path = generate_report_files(
-        args.workload, args.out_dir,
-        configs=configs, runs=args.runs, base_seed=args.seed,
-        jobs=args.jobs, params=params,
-        stock_results=args.stock_results,
-        asym_results=args.asym_results,
-        ledger_path=args.ledger,
-        bench_path=args.bench,
-        bench_baseline_path=args.bench_baseline,
-        golden_dir=args.golden_dir)
+    backend = make_backend(args.jobs)
+    try:
+        md_path, json_path = generate_report_files(
+            args.workload, args.out_dir,
+            configs=args.configs, runs=args.runs, base_seed=args.seed,
+            backend=backend, params=params,
+            stock_results=args.stock_results,
+            asym_results=args.asym_results,
+            ledger_path=args.ledger,
+            bench_path=args.bench,
+            bench_baseline_path=args.bench_baseline,
+            golden_dir=args.golden_dir)
+    finally:
+        backend.shutdown()
     print(f"wrote {md_path}")
     print(f"wrote {json_path}")
     return 0
-
-
-def _default_bench_paths():
-    """Committed BENCH trajectory/pin, when the checkout has them."""
-    from pathlib import Path
-    results = Path(__file__).resolve().parents[2] \
-        / "benchmarks" / "results"
-    engine = results / "BENCH_engine.json"
-    baseline = results / "BENCH_baseline.json"
-    return (str(engine) if engine.is_file() else None,
-            str(baseline) if baseline.is_file() else None)
-
-
-def _bench_comparison(bench_path: str, baseline_path: str):
-    """Per-metric current/pinned/ratio rows for --metrics-out."""
-    from repro.analysis.perf_report import compare_to_baseline
-
-    if not bench_path or not baseline_path:
-        return None
-    try:
-        with open(bench_path, encoding="utf-8") as handle:
-            current = json.load(handle)
-        with open(baseline_path, encoding="utf-8") as handle:
-            pinned = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    return {"current_path": bench_path,
-            "baseline_path": baseline_path,
-            "comparison": compare_to_baseline(current, pinned)}
 
 
 def _run_options(args) -> RunOptions:
@@ -405,14 +374,34 @@ def _run_options(args) -> RunOptions:
         coalesce=False if args.no_coalesce else coalescing_enabled())
 
 
-def _cmd_exhibits(name: str, profile_name: str,
-                  backend: Backend) -> None:
-    profile = get_profile(profile_name)
-    names = list(ALL_EXHIBITS) if name == "all" else [name]
-    for exhibit in names:
-        print(f"== {exhibit} ".ljust(72, "="))
-        ALL_EXHIBITS[exhibit].main(profile, backend=backend)
-        print()
+@contextlib.contextmanager
+def _local_backend(args):
+    """The invocation's one backend (with --jobs N, one warm pool).
+
+    Its options go on every task; when the command succeeds, its
+    result list feeds --metrics-out and --trace-out.
+    """
+    results = []
+    backend = make_backend(args.jobs, options=_run_options(args),
+                           sink=results)
+    try:
+        yield backend
+    finally:
+        backend.shutdown()
+    _write_run_outputs(args, results)
+
+
+def _cmd_exhibits(args) -> int:
+    """Regenerate every exhibit, or the one named (fig01..table1)."""
+    with _local_backend(args) as backend:
+        profile = get_profile(args.profile)
+        names = (list(ALL_EXHIBITS) if args.command == "all"
+                 else [args.command])
+        for exhibit in names:
+            print(f"== {exhibit} ".ljust(72, "="))
+            ALL_EXHIBITS[exhibit].main(profile, backend=backend)
+            print()
+    return 0
 
 
 def _write_run_outputs(args, results) -> None:
@@ -420,18 +409,11 @@ def _write_run_outputs(args, results) -> None:
     if args.metrics_out is not None:
         payload = {"format": 1,
                    "records": [metrics_record(r) for r in results]}
-        default_bench, default_baseline = _default_bench_paths()
-        bench = _bench_comparison(args.bench or default_bench,
-                                  args.bench_baseline
-                                  or default_baseline)
-        if bench is not None:
-            payload["bench"] = bench
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        note = " (with bench baseline comparison)" if bench else ""
         print(f"wrote {len(results)} run metrics "
-              f"records to {args.metrics_out}{note}")
+              f"records to {args.metrics_out}")
     if args.trace_out is not None:
         traced = [r for r in results if r.trace is not None]
         count = _trace_export.write_chrome_trace(args.trace_out, traced)
@@ -440,237 +422,224 @@ def _write_run_outputs(args, results) -> None:
               "(load in https://ui.perfetto.dev)")
 
 
+def _config_labels(text: str) -> list[str]:
+    """``--configs``: comma-separated machine configuration labels."""
+    return [label.strip() for label in text.split(",") if label.strip()]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate exhibits of the ISCA 2005 asymmetry "
-                    "paper reproduction.")
-    parser.add_argument("exhibit",
-                        help="exhibit name (fig01..fig13, table1), "
-                             "'all', 'list', 'validate', 'sweep' "
-                             "(one workload's config sweep; see "
-                             "--workload/--predict), 'serve' (run "
-                             "the scenario server), 'submit' "
-                             "(send a sweep to a running server) or "
-                             "'report' (render a per-workload "
-                             "performance report)")
-    parser.add_argument("--workload", default="specjbb",
-                        choices=sorted(set(_SWEEP_WORKLOADS)
-                                       | set(_SERVICE_WORKLOADS)),
-                        help="workload for the 'sweep' and 'submit' "
-                             "commands (default: specjbb; "
-                             "'lockstress' is submit-only)")
-    parser.add_argument("--omp-schedule", default="all",
-                        choices=("static", "dynamic", "guided",
-                                 "static_weighted", "stealing", "all"),
-                        help="with 'sweep --workload specomp': loop "
-                             "schedule forced onto every parallel "
-                             "loop; 'all' (default) sweeps every "
-                             "policy and renders one column per "
-                             "schedule")
-    parser.add_argument("--predict", action="store_true",
-                        help="with 'sweep': simulate only the USL "
-                             "anchor configurations and interpolate "
-                             "the rest (repro.analysis.usl), "
-                             "spot-checking the model against "
-                             "--spot-checks real simulations")
-    parser.add_argument("--spot-checks", type=int, default=1,
-                        metavar="K",
-                        help="predicted configurations to "
-                             "spot-simulate as a validation gate "
-                             "(default: 1; 0 disables the gate)")
-    parser.add_argument("--tolerance", type=float, default=0.10,
-                        metavar="FRAC",
-                        help="maximum relative error a spot check "
-                             "may show before the prediction gate "
-                             "fails (default: 0.10)")
-    parser.add_argument("--profile", default="quick",
-                        choices=("quick", "paper"),
-                        help="experiment scale (default: quick)")
-    parser.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="worker processes for simulation runs "
-                             "(default: 0). Exhibits, 'sweep' and "
-                             "'report' run serially at 0 or 1; "
-                             "'serve' always starts a pool, one "
-                             "worker per CPU at 0. Results are "
-                             "identical either way")
-    parser.add_argument("--metrics-out", metavar="PATH", default=None,
-                        help="write per-run simulation metrics "
-                             "(RunMetrics JSON) for every run the "
-                             "exhibit or sweep executes to PATH")
-    parser.add_argument("--faults", metavar="SCHEDULE.json",
-                        default=None,
-                        help="inject the fault schedule (throttle/"
-                             "offline/stall events; see repro.faults) "
-                             "into every run of the exhibit or sweep")
-    parser.add_argument("--trace-out", metavar="TRACE.json",
+                    "paper reproduction.",
+        epilog="'python -m repro COMMAND --help' lists the flags "
+               "COMMAND accepts.")
+    # Flags shared by several commands, one parent parser per group.
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=0, metavar="N",
+                      help="worker processes for simulation runs "
+                           "(default: 0); 0 or 1 runs serially. "
+                           "Results are identical either way")
+    local = argparse.ArgumentParser(add_help=False, parents=[jobs])
+    local.add_argument("--profile", default="quick",
+                       choices=("quick", "paper"),
+                       help="experiment scale (default: quick)")
+    local.add_argument("--metrics-out", metavar="PATH", default=None,
+                       help="write per-run simulation metrics "
+                            "(RunMetrics JSON) for every run the "
+                            "command executes to PATH")
+    local.add_argument("--faults", metavar="SCHEDULE.json",
+                       default=None,
+                       help="inject the fault schedule (throttle/"
+                            "offline/stall events; see repro.faults) "
+                            "into every run")
+    traced = argparse.ArgumentParser(add_help=False)
+    traced.add_argument("--trace-out", metavar="TRACE.json",
                         default=None,
                         help="export a Chrome trace-event / Perfetto "
-                             "timeline of every run the exhibit or "
-                             "sweep executes to TRACE.json")
-    parser.add_argument("--trace", metavar="CATEGORIES", default=None,
+                             "timeline of every run to TRACE.json")
+    traced.add_argument("--trace", metavar="CATEGORIES", default=None,
                         help="comma-separated trace categories for "
                              "--trace-out (default: "
                              f"{','.join(_trace.DEFAULT_TRACE_CATEGORIES)})")
-    parser.add_argument("--no-coalesce", action="store_true",
+    traced.add_argument("--no-coalesce", action="store_true",
                         help="disable the kernel's quantum-coalescing "
                              "fast path and simulate every timeslice "
                              "individually (slower; results are "
                              "byte-identical either way)")
-    service = parser.add_argument_group(
-        "service options (the 'serve' and 'submit' commands)")
-    service.add_argument("--host", default="127.0.0.1",
-                         help="bind/connect address "
-                              "(default: 127.0.0.1)")
-    service.add_argument("--port", type=int, default=7070,
-                         help="server port; 0 asks the OS for a free "
-                              "one (default: 7070)")
-    service.add_argument("--port-file", metavar="PATH", default=None,
-                         help="serve: write the bound port to PATH; "
-                              "submit: read the port from PATH, "
-                              "waiting up to --connect-timeout")
-    service.add_argument("--cache-dir", metavar="DIR", default=None,
-                         help="serve: persistent result cache "
-                              "directory (default: "
-                              "$REPRO_SERVICE_CACHE_DIR or a fresh "
-                              "temporary directory)")
-    service.add_argument("--max-inflight", type=int, default=4,
-                         metavar="N",
-                         help="serve: concurrent simulation batches "
-                              "(default: 4)")
-    service.add_argument("--max-pending", type=int, default=256,
-                         metavar="N",
-                         help="serve: admission-control cap on queued "
-                              "tasks; excess requests get a "
-                              "structured 'overloaded' rejection "
-                              "(default: 256)")
-    service.add_argument("--cache-max-entries", type=int,
-                         default=None, metavar="N",
-                         help="serve: bound the disk cache tier to N "
-                              "result files, evicting least-recently "
-                              "used (default: unbounded)")
-    service.add_argument("--cache-max-bytes", type=int,
-                         default=None, metavar="BYTES",
-                         help="serve: bound the disk cache tier's "
-                              "total payload bytes "
-                              "(default: unbounded)")
-    service.add_argument("--ledger", metavar="PATH", default=None,
-                         help="serve: append one JSONL run-ledger "
-                              "record per request to PATH; "
-                              "report: summarize the ledger at PATH "
-                              "into the report's service section")
-    service.add_argument("--configs", metavar="LABELS", default=None,
-                         help="submit: comma-separated config labels "
+    address = argparse.ArgumentParser(add_help=False)
+    address.add_argument("--host", default="127.0.0.1",
+                         help="server address (default: 127.0.0.1)")
+    address.add_argument("--port", type=int, default=7070,
+                         help="server port (default: 7070)")
+    request = argparse.ArgumentParser(add_help=False)
+    request.add_argument("--workload", default="specjbb",
+                         choices=sorted(WORKLOADS),
+                         help="workload to sweep (default: specjbb)")
+    request.add_argument("--configs", metavar="LABELS", default=None,
+                         type=_config_labels,
+                         help="comma-separated config labels "
                               "(default: the standard sweep)")
-    service.add_argument("--runs", type=int, default=2, metavar="N",
-                         help="submit: runs per configuration "
-                              "(default: 2)")
-    service.add_argument("--seed", type=int, default=100,
-                         help="submit: base seed; run i uses "
-                              "seed+i (default: 100)")
-    service.add_argument("--params", metavar="JSON", default=None,
-                         help="submit: workload parameter overrides "
-                              "as a JSON object")
-    service.add_argument("--scheduler", default="stock",
-                         choices=("stock", "asym"),
-                         help="submit: scheduler to simulate "
-                              "(default: stock)")
-    service.add_argument("--json-out", metavar="PATH", default=None,
-                         help="submit: write raw result payloads "
-                              "(canonical JSON) to PATH")
-    service.add_argument("--assert-cached", action="store_true",
-                         help="submit: exit 3 unless the response "
-                              "was served entirely from cache "
-                              "(simulations_run == 0)")
-    service.add_argument("--stats", action="store_true",
-                         help="submit: print server counters instead "
-                              "of running a sweep")
-    service.add_argument("--shutdown", action="store_true",
-                         help="submit: ask the server to drain "
-                              "in-flight work and stop")
-    service.add_argument("--connect-timeout", type=float,
-                         default=30.0, metavar="SECONDS",
-                         help="submit: how long to wait for the "
-                              "server to come up (default: 30)")
-    service.add_argument("--timeout", type=float, default=300.0,
-                         metavar="SECONDS",
-                         help="submit: per-request socket timeout "
-                              "(default: 300)")
-    report = parser.add_argument_group(
-        "report options (the 'report' command; also --metrics-out)")
+    request.add_argument("--runs", type=int, default=2, metavar="N",
+                         help="runs per configuration (default: 2)")
+    request.add_argument("--seed", type=int, default=100,
+                         help="base seed; run i uses seed+i "
+                              "(default: 100)")
+    request.add_argument("--params", metavar="JSON", default=None,
+                         help="workload parameter overrides as a "
+                              "JSON object")
+
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="COMMAND")
+
+    def command(name, handler, *parents, aliases=()):
+        summary = (handler.__doc__ or "").partition("\n")[0]
+        sub = commands.add_parser(name, parents=parents,
+                                  aliases=aliases, help=summary,
+                                  description=summary)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    command("list", _cmd_list)
+    command("validate", _cmd_validate)
+    command("all", _cmd_exhibits, local, traced,
+            aliases=list(ALL_EXHIBITS))
+
+    sweep = command("sweep", _cmd_sweep, local, traced)
+    sweep.add_argument("--workload", default="specjbb",
+                       choices=_SWEEP_WORKLOADS,
+                       help="workload to sweep (default: specjbb)")
+    sweep.add_argument("--omp-schedule", default="all",
+                       choices=(*OMP_SCHEDULES, "all"),
+                       help="with --workload specomp: loop schedule "
+                            "forced onto every parallel loop; 'all' "
+                            "(default) sweeps every policy and "
+                            "renders one column per schedule")
+    sweep.add_argument("--predict", action="store_true",
+                       help="simulate only the USL anchor "
+                            "configurations and interpolate the rest "
+                            "(repro.analysis.usl), spot-checking the "
+                            "model against --spot-checks real "
+                            "simulations")
+    sweep.add_argument("--spot-checks", type=int, default=1,
+                       metavar="K",
+                       help="predicted configurations to "
+                            "spot-simulate as a validation gate "
+                            "(default: 1; 0 disables the gate)")
+    sweep.add_argument("--tolerance", type=float, default=0.10,
+                       metavar="FRAC",
+                       help="maximum relative error a spot check may "
+                            "show before the prediction gate fails "
+                            "(default: 0.10)")
+
+    serve = command("serve", _cmd_serve, address)
+    serve.add_argument("--jobs", type=int, default=0, metavar="N",
+                       help="worker processes in the server's pool, "
+                            "which always starts (default: 0, one "
+                            "per CPU)")
+    serve.add_argument("--port-file", metavar="PATH", default=None,
+                       help="write the bound port to PATH (with "
+                            "--port 0 the OS picks a free one)")
+    serve.add_argument("--cache-dir", metavar="DIR", default=None,
+                       help="persistent result cache directory "
+                            "(default: a fresh temporary directory)")
+    serve.add_argument("--max-inflight", type=int, default=4,
+                       metavar="N",
+                       help="concurrent simulation batches "
+                            "(default: 4)")
+    serve.add_argument("--max-pending", type=int, default=256,
+                       metavar="N",
+                       help="admission-control cap on queued tasks; "
+                            "excess requests get a structured "
+                            "'overloaded' rejection (default: 256)")
+    serve.add_argument("--cache-max-entries", type=int, default=None,
+                       metavar="N",
+                       help="bound the disk cache tier to N result "
+                            "files, evicting least-recently used "
+                            "(default: unbounded)")
+    serve.add_argument("--cache-max-bytes", type=int, default=None,
+                       metavar="BYTES",
+                       help="bound the disk cache tier's total "
+                            "payload bytes (default: unbounded)")
+    serve.add_argument("--ledger", metavar="PATH", default=None,
+                       help="append one JSONL run-ledger record per "
+                            "request to PATH")
+
+    submit = command("submit", _cmd_submit, address, request, traced)
+    submit.add_argument("--port-file", metavar="PATH", default=None,
+                        help="read the port from PATH (as 'serve "
+                             "--port-file' writes it), waiting up to "
+                             "--connect-timeout")
+    submit.add_argument("--scheduler", default="stock",
+                        choices=("stock", "asym"),
+                        help="scheduler to simulate (default: stock)")
+    submit.add_argument("--json-out", metavar="PATH", default=None,
+                        help="write raw result payloads (canonical "
+                             "JSON) to PATH")
+    submit.add_argument("--assert-cached", action="store_true",
+                        help="exit 3 unless the response was served "
+                             "entirely from cache "
+                             "(simulations_run == 0)")
+    submit.add_argument("--stats", action="store_true",
+                        help="print server counters instead of "
+                             "running a sweep")
+    submit.add_argument("--shutdown", action="store_true",
+                        help="ask the server to drain in-flight work "
+                             "and stop")
+    submit.add_argument("--connect-timeout", type=float, default=30.0,
+                        metavar="SECONDS",
+                        help="how long to wait for the server to come "
+                             "up (default: 30)")
+    submit.add_argument("--timeout", type=float, default=300.0,
+                        metavar="SECONDS",
+                        help="per-request socket timeout "
+                             "(default: 300)")
+
+    report = command("report", _cmd_report, request, jobs)
     report.add_argument("--out-dir", metavar="DIR", default="reports",
-                        help="report: directory receiving "
+                        help="directory receiving "
                              "report_<workload>.{md,json} "
                              "(default: reports)")
     report.add_argument("--stock-results", metavar="PATH",
                         default=None,
-                        help="report: stock-scheduler result payloads "
-                             "from 'submit --json-out' instead of "
+                        help="stock-scheduler result payloads from "
+                             "'submit --json-out' instead of "
                              "simulating locally (requires "
                              "--asym-results)")
     report.add_argument("--asym-results", metavar="PATH",
                         default=None,
-                        help="report: asym-scheduler result payloads "
-                             "from 'submit --json-out' (requires "
+                        help="asym-scheduler result payloads from "
+                             "'submit --json-out' (requires "
                              "--stock-results)")
+    report.add_argument("--ledger", metavar="PATH", default=None,
+                        help="summarize the service run ledger at "
+                             "PATH into the report's service section")
     report.add_argument("--bench", metavar="PATH", default=None,
-                        help="report/--metrics-out: current benchmark "
-                             "trajectory JSON (default: the "
-                             "checkout's BENCH_engine.json for "
-                             "--metrics-out)")
+                        help="current benchmark numbers "
+                             "(BENCH_engine.json) for the benchmark "
+                             "trajectory section")
     report.add_argument("--bench-baseline", metavar="PATH",
                         default=None,
-                        help="report/--metrics-out: pinned benchmark "
-                             "baseline JSON (default: the checkout's "
-                             "BENCH_baseline.json for --metrics-out)")
+                        help="committed benchmark pin "
+                             "(BENCH_baseline.json) the --bench "
+                             "numbers are compared with")
     report.add_argument("--golden-dir", metavar="DIR", default=None,
-                        help="report: golden fixture directory whose "
+                        help="golden fixture directory whose "
                              "metadata the report lists "
                              "(e.g. tests/golden)")
-    args = parser.parse_args(argv)
-    if args.trace is not None and args.trace_out is None:
-        parser.error("--trace requires --trace-out")
-    if args.exhibit == "list":
-        return _cmd_list()
-    if args.exhibit == "validate":
-        return _cmd_validate()
-    if args.exhibit == "serve":
-        return _cmd_serve(args)
-    if args.exhibit == "submit":
-        return _cmd_submit(args)
-    if args.exhibit == "report":
-        return _cmd_report(args)
-    if args.exhibit == "sweep":
-        if args.workload not in _SWEEP_WORKLOADS:
-            parser.error(
-                f"--workload {args.workload} is service-only; "
-                f"'sweep' supports {', '.join(_SWEEP_WORKLOADS)}")
-        if args.predict and args.workload == "specomp" \
-                and args.omp_schedule == "all":
-            parser.error("--predict fits one schedule at a time; "
-                         "pick one with --omp-schedule")
-    elif args.exhibit != "all" and args.exhibit not in ALL_EXHIBITS:
-        print(f"unknown exhibit {args.exhibit!r}; try 'list'",
-              file=sys.stderr)
-        return 2
-    # One backend per invocation (with --jobs N, one warm pool): its
-    # options go on every task, and its result list feeds
-    # --metrics-out and --trace-out.
-    results = []
-    backend = make_backend(args.jobs, options=_run_options(args),
-                           sink=results)
-    try:
-        if args.exhibit == "sweep":
-            _cmd_sweep(args.workload, args.profile, args.predict,
-                       backend, spot_checks=args.spot_checks,
-                       tolerance=args.tolerance,
-                       omp_schedule=args.omp_schedule)
-        else:
-            _cmd_exhibits(args.exhibit, args.profile, backend)
-    finally:
-        backend.shutdown()
-    _write_run_outputs(args, results)
-    return 0
+
+    # Unknown flags are reported against the command's own usage line.
+    args, unknown = parser.parse_known_args(argv)
+    chosen = commands.choices[args.command]
+    if unknown:
+        chosen.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if getattr(args, "trace", None) is not None and args.trace_out is None:
+        chosen.error("--trace requires --trace-out")
+    if (args.command == "sweep" and args.predict
+            and args.workload == "specomp" and args.omp_schedule == "all"):
+        chosen.error("--predict fits one schedule at a time; "
+                     "pick one with --omp-schedule")
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -36,16 +36,18 @@ byte-identical — CI's ``perf-report`` job generates twice and
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import Summary, speedup_over
 from repro.analysis.usl import fit_usl, scaling_axis
 from repro.histogram import LatencyHistogram
 from repro.metrics import HISTOGRAM_NAMES
+
+if TYPE_CHECKING:
+    from repro.experiments.parallel import Backend
 
 #: Bump when the report payload schema changes; the schema checker
 #: (tools/check_report_schema.py) tracks this.
@@ -541,7 +543,7 @@ def canonical_report_json(report: Dict[str, Any]) -> str:
 def generate_report_files(workload_name: str, out_dir: str, *,
                           configs: Optional[Sequence[str]] = None,
                           runs: int = 2, base_seed: int = 100,
-                          jobs: int = 0,
+                          backend: Optional[Backend] = None,
                           params: Optional[Dict[str, Any]] = None,
                           stock_results: Optional[str] = None,
                           asym_results: Optional[str] = None,
@@ -555,7 +557,7 @@ def generate_report_files(workload_name: str, out_dir: str, *,
     Sweeps come from ``submit --json-out`` payload files when both
     ``stock_results`` and ``asym_results`` are given (the
     deterministic offline mode CI uses), otherwise from fresh local
-    simulation via :class:`Runner`.
+    simulation via :class:`Runner` on ``backend`` (default: serial).
     """
     from repro.experiments.runner import Runner
     from repro.kernel.asym_scheduler import AsymmetryAwareScheduler
@@ -575,7 +577,7 @@ def generate_report_files(workload_name: str, out_dir: str, *,
         workload = build_workload(workload_name, params or {})
         kwargs: Dict[str, Any] = {"runs": runs,
                                   "base_seed": base_seed,
-                                  "jobs": jobs or None}
+                                  "backend": backend}
         if configs:
             kwargs["configs"] = list(configs)
         stock = Runner(**kwargs).run(workload)
@@ -613,73 +615,3 @@ def generate_report_files(workload_name: str, out_dir: str, *,
                          encoding="utf-8")
     md_path.write_text(render_markdown(report), encoding="utf-8")
     return md_path, json_path
-
-
-# ----------------------------------------------------------------------
-# CLI (tools/perf_report.py and `python -m repro report`)
-# ----------------------------------------------------------------------
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.service.registry import WORKLOADS
-
-    parser = argparse.ArgumentParser(
-        prog="perf_report",
-        description="Render a per-workload performance report "
-                    "(markdown + JSON) from sweeps, the service run "
-                    "ledger and benchmark pins.")
-    parser.add_argument("--workload", required=True,
-                        choices=sorted(WORKLOADS),
-                        help="workload to report on")
-    parser.add_argument("--out-dir", default="reports", metavar="DIR",
-                        help="directory for report_<workload>.{md,json}"
-                             " (default: reports)")
-    parser.add_argument("--configs", default=None, metavar="LABELS",
-                        help="comma-separated config labels for local "
-                             "simulation (default: the standard sweep)")
-    parser.add_argument("--runs", type=int, default=2, metavar="N",
-                        help="runs per configuration for local "
-                             "simulation (default: 2)")
-    parser.add_argument("--base-seed", type=int, default=100,
-                        help="seed of the first run (default: 100)")
-    parser.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="worker processes for local simulation")
-    parser.add_argument("--params", default=None, metavar="JSON",
-                        help="workload parameter overrides as a JSON "
-                             "object (local simulation only)")
-    parser.add_argument("--stock-results", default=None,
-                        metavar="PATH",
-                        help="submit --json-out payloads of the stock "
-                             "sweep (skips local simulation)")
-    parser.add_argument("--asym-results", default=None, metavar="PATH",
-                        help="submit --json-out payloads of the asym "
-                             "sweep (skips local simulation)")
-    parser.add_argument("--ledger", default=None, metavar="PATH",
-                        help="service run-ledger JSONL for the "
-                             "telemetry section")
-    parser.add_argument("--bench", default=None, metavar="PATH",
-                        help="current benchmark numbers "
-                             "(BENCH_engine.json)")
-    parser.add_argument("--bench-baseline", default=None,
-                        metavar="PATH",
-                        help="committed benchmark pin "
-                             "(BENCH_baseline.json)")
-    parser.add_argument("--golden-dir", default=None, metavar="DIR",
-                        help="golden fixture directory for the "
-                             "fixtures section")
-    args = parser.parse_args(argv)
-
-    configs = ([label.strip() for label in args.configs.split(",")
-                if label.strip()] if args.configs else None)
-    params = json.loads(args.params) if args.params else None
-    md_path, json_path = generate_report_files(
-        args.workload, args.out_dir,
-        configs=configs, runs=args.runs, base_seed=args.base_seed,
-        jobs=args.jobs, params=params,
-        stock_results=args.stock_results,
-        asym_results=args.asym_results,
-        ledger_path=args.ledger,
-        bench_path=args.bench,
-        bench_baseline_path=args.bench_baseline,
-        golden_dir=args.golden_dir)
-    print(f"wrote {md_path}")
-    print(f"wrote {json_path}")
-    return 0

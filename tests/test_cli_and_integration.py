@@ -1,5 +1,7 @@
 """CLI entry point and cross-module integration tests."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main as cli_main
@@ -22,7 +24,72 @@ class TestCli:
         assert "8.00" in out  # the 1/8 duty-cycle slowdown
 
     def test_unknown_exhibit(self, capsys):
-        assert cli_main(["fig99"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["fig99"])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["list", "--runs", "5"],
+        ["validate", "--metrics-out", "P"],
+        ["fig01", "--cache-dir", "D"],
+        ["sweep", "--runs", "2"],
+        ["serve", "--faults", "P"],
+        ["submit", "--metrics-out", "P"],
+        ["report", "--no-coalesce"],
+        ["report", "--faults", "P"],
+    ], ids=lambda argv: "".join(argv[:2]))
+    def test_command_rejects_foreign_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
+        assert "error: unrecognized arguments" in capsys.readouterr().err
+
+    def test_every_command_renders_its_help(self, capsys):
+        for command in ([], ["list"], ["validate"], ["all"], ["fig01"],
+                        ["sweep"], ["serve"], ["submit"], ["report"]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main([*command, "--help"])
+            assert exit_info.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: repro")
+
+    def test_metrics_out_holds_only_runs(self, tmp_path, monkeypatch,
+                                         capsys):
+        from repro.experiments.figures import ALL_EXHIBITS
+
+        class StubExhibit:
+            """No-op exhibit: runs nothing."""
+            @staticmethod
+            def main(profile, backend=None):
+                pass
+
+        monkeypatch.setitem(ALL_EXHIBITS, "stub-exhibit", StubExhibit)
+        out = tmp_path / "metrics.json"
+        assert cli_main(["stub-exhibit", "--metrics-out", str(out)]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload == {"format": 1, "records": []}
+
+    def test_report_runs_every_sweep_on_one_pool(self, tmp_path,
+                                                 monkeypatch, capsys):
+        from concurrent.futures import ProcessPoolExecutor
+        from repro.experiments import parallel
+
+        started = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        params = {"parallel_degree": 2, "optimization_degree": 3,
+                  "queries": [3]}
+        assert cli_main(["report", "--workload", "tpch",
+                         "--configs", "4f-0s,2f-2s/8", "--runs", "1",
+                         "--params", json.dumps(params), "--jobs", "2",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "report_tpch.md").is_file()
+        assert (tmp_path / "report_tpch.json").is_file()
+        assert len(started) == 1
 
     def test_single_exhibit_runs(self, capsys):
         assert cli_main(["fig09"]) == 0

@@ -14,12 +14,10 @@ The contracts under test:
   characterization;
 * ``sweep_from_payloads`` rebuilds a sweep losslessly from ``submit
   --json-out`` payloads (the offline mode CI's perf-report job uses);
-* ``compare_to_baseline`` produces the ratio table the
-  ``--metrics-out`` embed and the bench section rely on;
+* ``compare_to_baseline`` produces the ratio table the bench
+  section relies on;
 * ``tools/check_report_schema.py`` accepts the fixture and rejects
-  mutations of it;
-* the ``--metrics-out`` CLI path embeds the bench-baseline
-  comparison when the pin files exist.
+  mutations of it.
 """
 
 import importlib.util
@@ -262,64 +260,3 @@ class TestSchemaChecker:
              str(GOLDEN_DIR / "report_specjbb_quick.md")])
         assert code == 0
         assert "ok" in capsys.readouterr().out
-
-
-class TestMetricsOutEmbed:
-    def _stub(self, monkeypatch):
-        from repro.experiments.figures import ALL_EXHIBITS
-
-        class StubExhibit:
-            """No-op exhibit: exercises only the sink plumbing."""
-            @staticmethod
-            def main(profile, backend=None):
-                pass
-
-        monkeypatch.setitem(ALL_EXHIBITS, "stub-exhibit",
-                            StubExhibit)
-
-    def test_bench_comparison_embedded(self, tmp_path, monkeypatch,
-                                       capsys):
-        from repro.__main__ import main
-        self._stub(monkeypatch)
-        bench = tmp_path / "bench.json"
-        baseline = tmp_path / "baseline.json"
-        bench.write_text(json.dumps(
-            {"sim": {"seconds": 2.0}, "label": "head"}),
-            encoding="utf-8")
-        baseline.write_text(json.dumps({"sim": {"seconds": 1.0}}),
-                            encoding="utf-8")
-        out = tmp_path / "metrics.json"
-        assert main(["stub-exhibit", "--metrics-out", str(out),
-                     "--bench", str(bench),
-                     "--bench-baseline", str(baseline)]) == 0
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["format"] == 1
-        assert payload["records"] == []
-        comparison = payload["bench"]["comparison"]
-        assert comparison["sim.seconds"] == {
-            "current": 2.0, "pinned": 1.0, "ratio": 2.0}
-        assert "bench baseline comparison" in capsys.readouterr().out
-
-    def test_missing_baseline_omits_bench(self, tmp_path,
-                                          monkeypatch):
-        from repro.__main__ import main
-        self._stub(monkeypatch)
-        out = tmp_path / "metrics.json"
-        assert main(["stub-exhibit", "--metrics-out", str(out),
-                     "--bench-baseline",
-                     str(tmp_path / "nope.json")]) == 0
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["format"] == 1
-        assert "bench" not in payload
-
-    def test_checkout_defaults_apply(self, tmp_path, monkeypatch):
-        """With no flags, the committed BENCH pin is compared."""
-        from repro.__main__ import main
-        self._stub(monkeypatch)
-        out = tmp_path / "metrics.json"
-        assert main(["stub-exhibit", "--metrics-out",
-                     str(out)]) == 0
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        assert "bench" in payload
-        assert payload["bench"]["baseline_path"].endswith(
-            "BENCH_baseline.json")
