@@ -32,9 +32,9 @@ every check is hardware-independent:
 
 * **OpenMP scheduling pins** — the per-policy loop-schedule benchmark
   (``omp_scheduling``) is deterministic, so simulated makespans and
-  ``omp.*`` event counts are compared exactly per policy, and the
-  ``stealing`` schedule must stay >= 1.3x faster than ``static`` on
-  the asymmetric reference machine (DESIGN.md §14).
+  chunk counts are compared exactly per policy, and the
+  ``static_weighted`` schedule must stay >= 1.3x faster than
+  ``static`` on the asymmetric reference machine (DESIGN.md §14).
 
 The baseline defaults to the *committed* pin
 ``benchmarks/results/BENCH_baseline.json``, which only
@@ -86,14 +86,14 @@ NOISE_MARGIN = 0.10
 COALESCE_EVENT_REDUCTION_FLOOR = 5.0
 COALESCE_SPEEDUP_FLOOR = 2.0
 
-#: Floor for the work-stealing loop schedule on the asymmetric
-#: reference machine (omp_scheduling, 2f-2s/8): ``stealing`` must
-#: finish the swim makespan at least this much faster than ``static``
-#: in *simulated* time.  Both policies run in the same benchmark, so
-#: the ratio is host-independent; the measured margin is ~4.3x.  The
-#: per-policy makespans and ``omp.*`` event counts are deterministic
+#: Floor for the speed-weighted loop schedule on the asymmetric
+#: reference machine (omp_scheduling, 2f-2s/8): ``static_weighted``
+#: must finish the swim makespan at least this much faster than
+#: ``static`` in *simulated* time.  Both policies run in the same
+#: benchmark, so the ratio is host-independent; the measured margin is
+#: ~4.3x.  The per-policy makespans and chunk counts are deterministic
 #: and pinned exactly against the baseline besides.
-OMP_STEALING_SPEEDUP_FLOOR = 1.3
+OMP_WEIGHTED_SPEEDUP_FLOOR = 1.3
 
 #: Floor for the scenario service's warm/cold ratio
 #: (service_throughput, benchmarks/test_service_throughput.py): a
@@ -226,29 +226,28 @@ def check(baseline: dict, fresh: dict,
     omp = fresh.get("omp_scheduling")
     if omp is not None:
         static = omp["policies"].get("static")
-        stealing = omp["policies"].get("stealing")
-        if static is not None and stealing is not None:
+        weighted = omp["policies"].get("static_weighted")
+        if static is not None and weighted is not None:
             speedup = (static["makespan_seconds"]
-                       / stealing["makespan_seconds"])
-            print(f"omp scheduling ({omp['config']}): stealing "
+                       / weighted["makespan_seconds"])
+            print(f"omp scheduling ({omp['config']}): static_weighted "
                   f"{speedup:.1f}x faster than static "
-                  f"({stealing['makespan_seconds']:.3f}s vs "
+                  f"({weighted['makespan_seconds']:.3f}s vs "
                   f"{static['makespan_seconds']:.3f}s simulated)")
-            if speedup < OMP_STEALING_SPEEDUP_FLOOR:
+            if speedup < OMP_WEIGHTED_SPEEDUP_FLOOR:
                 failures.append(
-                    f"stealing schedule only {speedup:.2f}x faster "
-                    f"than static on {omp['config']} — below the "
-                    f"{OMP_STEALING_SPEEDUP_FLOOR:.1f}x floor")
+                    f"static_weighted schedule only {speedup:.2f}x "
+                    f"faster than static on {omp['config']} — below "
+                    f"the {OMP_WEIGHTED_SPEEDUP_FLOOR:.1f}x floor")
         pinned = baseline.get("omp_scheduling")
         if pinned is not None:
             # The per-policy runs are deterministic: simulated
-            # makespans and omp.* event counts must match exactly.
+            # makespans and chunk counts must match exactly.
             for policy, numbers in sorted(omp["policies"].items()):
                 pin = pinned["policies"].get(policy)
                 if pin is None:
                     continue
-                for key in ("makespan_seconds", "chunks_dispatched",
-                            "steals", "steal_failures"):
+                for key in ("makespan_seconds", "chunks_dispatched"):
                     if pin[key] != numbers[key]:
                         failures.append(
                             f"omp_scheduling/{policy} {key} = "

@@ -296,10 +296,9 @@ class RunMetrics:
                     f"lock.spin_cycles {spin_cycles!r} exceeds total "
                     f"busy cycles {busy_cycles!r}")
         # The OpenMP runtime's scheduling overheads obey the same
-        # bound: dispatch grabs, steal-check bursts and straggler tails
-        # are cycles retired on cores, never bookkeeping inventions.
-        for name in ("omp.dispatch_cycles", "omp.steal_cycles",
-                     "omp.straggler_cycles"):
+        # bound: dispatch grabs and straggler tails are cycles retired
+        # on cores, never bookkeeping inventions.
+        for name in ("omp.dispatch_cycles", "omp.straggler_cycles"):
             omp_cycles = self.counters.get(name)
             if omp_cycles is None:
                 continue

@@ -11,17 +11,14 @@ loops.  OpenMP offers three loop schedules the paper analyzes:
   exponentially; better than static, but slow cores still grab
   fast-core-sized chunks (galgel's behaviour).
 
-Two performance-portable policies extend the paper's menu
+A fourth, performance-portable policy extends the paper's menu
 (arXiv:2402.07664, DESIGN.md §14):
 
 * **static_weighted** — contiguous chunks sized proportionally to each
   team member's *current* core speed, re-read at loop entry so
-  DVFS/throttle faults (:mod:`repro.faults`) shift the split.
-* **stealing** — per-thread deques of chunked iterations; an idle
-  thread pays a steal-check burst of real on-core cycles (like
-  ``SpinMutex`` spin bursts), then steals half the most-loaded
-  victim's deque from the back, preferring to move work from slow
-  threads to fast ones.
+  DVFS/throttle faults (:mod:`repro.faults`) shift the split.  When
+  core speeds change mid-loop the split goes stale; ``dynamic``
+  rebalances that case best.
 
 Loops may carry ``nowait``, dropping the end-of-loop barrier so faster
 threads flow into the next loop (used by galgel's hot regions).
@@ -32,10 +29,9 @@ runtime binds threads.  Serial sections run on the master between
 region barriers.
 
 The runtime books its scheduling overheads into ``omp.*`` counters
-(chunk grabs, dispatch cycles, steal bursts, steal outcomes by speed
-class, straggler tails); :meth:`repro.metrics.RunMetrics.\
-conservation_errors` audits the cycle-valued ones against the cycles
-the cores actually retired.
+(chunk grabs, dispatch cycles, straggler tails);
+:meth:`repro.metrics.RunMetrics.conservation_errors` audits the
+cycle-valued ones against the cycles the cores actually retired.
 """
 
 from __future__ import annotations
@@ -61,15 +57,6 @@ DEFAULT_DISPATCH_OVERHEAD_CYCLES = 25_000.0
 #: Cycles charged to every thread for entering/leaving a parallel loop.
 DEFAULT_FORK_OVERHEAD_CYCLES = 10_000.0
 
-#: Cycles one steal attempt burns on its core before it can touch a
-#: victim's deque — the same order as a SpinMutex re-check burst
-#: (repro.kernel.sync.DEFAULT_SPIN_CHECK_CYCLES).  Like spin bursts,
-#: steal checks keep the thread runnable and are far shorter than a
-#: scheduler quantum, so macro slices (DESIGN.md §9) cannot coalesce
-#: across them — the byte-identity contract holds with no kernel
-#: changes.
-DEFAULT_STEAL_CHECK_CYCLES = 50_000.0
-
 
 class LoopSchedule(enum.Enum):
     """OpenMP loop scheduling kinds (spec §2.4.1 + DESIGN.md §14)."""
@@ -78,7 +65,6 @@ class LoopSchedule(enum.Enum):
     DYNAMIC = "dynamic"
     GUIDED = "guided"
     STATIC_WEIGHTED = "static_weighted"
-    STEALING = "stealing"
 
 
 CyclesPerIteration = Union[float, Callable[[int], float]]
@@ -180,20 +166,19 @@ class OmpProgram:
 class _LoopState:
     """Shared per-execution state of one work-shared loop.
 
-    ``next_iteration`` drives dynamic/guided chunk grabs.  The weighted
-    policies lazily fill ``bounds`` (static_weighted) or ``deques``
-    (stealing) on first arrival, so the split reflects core speeds *at
-    loop entry* — a throttle fault landing between two loops changes
-    the next loop's partition.  ``finish_times`` collects per-member
-    loop-exit times for straggler accounting.
+    ``next_iteration`` drives dynamic/guided chunk grabs.
+    static_weighted lazily fills ``bounds`` on first arrival, so the
+    split reflects core speeds *at loop entry* — a throttle fault
+    landing between two loops changes the next loop's partition.
+    ``finish_times`` collects per-member loop-exit times for straggler
+    accounting.
     """
 
-    __slots__ = ("next_iteration", "bounds", "deques", "finish_times")
+    __slots__ = ("next_iteration", "bounds", "finish_times")
 
     def __init__(self) -> None:
         self.next_iteration = 0
         self.bounds: Optional[List[Tuple[int, int]]] = None
-        self.deques: Optional[List[List[Tuple[int, int]]]] = None
         self.finish_times: List[float] = []
 
 
@@ -217,9 +202,7 @@ class OmpTeam:
                  dispatch_overhead_cycles: float =
                  DEFAULT_DISPATCH_OVERHEAD_CYCLES,
                  fork_overhead_cycles: float =
-                 DEFAULT_FORK_OVERHEAD_CYCLES,
-                 steal_check_cycles: float =
-                 DEFAULT_STEAL_CHECK_CYCLES) -> None:
+                 DEFAULT_FORK_OVERHEAD_CYCLES) -> None:
         self.system = system
         self.n_threads = (system.machine.n_cores if n_threads is None
                           else n_threads)
@@ -228,7 +211,6 @@ class OmpTeam:
         self.pin = pin
         self.dispatch_overhead_cycles = dispatch_overhead_cycles
         self.fork_overhead_cycles = fork_overhead_cycles
-        self.steal_check_cycles = steal_check_cycles
         self.barrier = Barrier(self.n_threads, name="omp-team")
         #: Chunks grabbed per thread id (observability for tests).
         self.chunks_taken: List[int] = [0] * self.n_threads
@@ -281,8 +263,6 @@ class OmpTeam:
                 yield from self._run_static(tid, item)
             elif item.schedule is LoopSchedule.STATIC_WEIGHTED:
                 yield from self._run_static_weighted(tid, item, state)
-            elif item.schedule is LoopSchedule.STEALING:
-                yield from self._run_stealing(tid, item, state)
             elif item.schedule is LoopSchedule.DYNAMIC:
                 yield from self._run_on_demand(tid, item, state,
                                                guided=False)
@@ -340,15 +320,7 @@ class OmpTeam:
                 counters.incr("omp.dispatch_cycles",
                               self.dispatch_overhead_cycles)
 
-    # -- performance-portable policies (DESIGN.md §14) -----------------
-    def _member_core_index(self, tid: int) -> int:
-        return tid % self.system.machine.n_cores
-
-    def _member_is_fast(self, tid: int) -> bool:
-        machine = self.system.machine
-        core = machine.cores[self._member_core_index(tid)]
-        return core.rate >= machine.fastest_rate
-
+    # -- performance-portable policy (DESIGN.md §14) -------------------
     def _weighted_bounds(self, loop: Loop) -> List[Tuple[int, int]]:
         """Contiguous split proportional to *current* core speeds.
 
@@ -357,8 +329,8 @@ class OmpTeam:
         Cumulative rounding keeps the partition exact: every iteration
         lands in exactly one member's range.
         """
-        cores = self.system.machine.cores
-        weights = [cores[self._member_core_index(tid)].rate
+        machine = self.system.machine
+        weights = [machine.cores[tid % machine.n_cores].rate
                    for tid in range(self.n_threads)]
         total = sum(weights)
         if total <= 0:
@@ -391,100 +363,13 @@ class OmpTeam:
                 yield Compute(cycles)
         yield from self._record_finish(state)
 
-    def _stealing_deques(self, loop: Loop) -> List[List[Tuple[int, int]]]:
-        """Per-thread deques: speed-proportional ranges cut into chunks."""
-        if loop.chunk is not None:
-            chunk = loop.chunk
-        else:
-            chunk = max(1, math.ceil(loop.iterations /
-                                     (8 * self.n_threads)))
-        deques: List[List[Tuple[int, int]]] = []
-        for lo, hi in self._weighted_bounds(loop):
-            mine: List[Tuple[int, int]] = []
-            start = lo
-            while start < hi:
-                end = min(hi, start + chunk)
-                mine.append((start, end))
-                start = end
-            deques.append(mine)
-        return deques
-
-    def _pick_victim(self, thief: int,
-                     deques: List[List[Tuple[int, int]]]) -> Optional[int]:
-        """Most-loaded victim; fast thieves prefer slow victims.
-
-        The preference moves work slow→fast: a fast core drains a slow
-        core's backlog before touching a peer's.  Ties break toward the
-        lowest thread id so victim choice is deterministic.
-        """
-        candidates = [tid for tid in range(self.n_threads)
-                      if tid != thief and deques[tid]]
-        if not candidates:
-            return None
-        if self._member_is_fast(thief):
-            slow = [tid for tid in candidates
-                    if not self._member_is_fast(tid)]
-            if slow:
-                candidates = slow
-        return max(candidates, key=lambda tid: (len(deques[tid]), -tid))
-
-    def _run_stealing(self, tid: int, loop: Loop, state: _LoopState):
-        """Chunked deques + cross-class work stealing.
-
-        Deque mutations happen between yields, so each pop/steal is
-        atomic under the cooperative kernel.  A steal attempt first
-        burns ``steal_check_cycles`` on its own core — the thread stays
-        runnable throughout, exactly like a SpinMutex spin burst, so
-        byte-identity to sliced mode holds with no kernel support.  A
-        steal *fails* when every deque drains while the burst is in
-        flight.
-        """
-        if state.deques is None:
-            state.deques = self._stealing_deques(loop)
-        deques = state.deques
-        mine = deques[tid]
-        counters = self.system.counters
-        while True:
-            if mine:
-                lo, hi = mine.pop(0)
-                self.chunks_taken[tid] += 1
-                counters.incr("omp.chunks_dispatched")
-                cycles = loop.range_cycles(lo, hi)
-                if cycles > 0:
-                    yield Compute(cycles)
-                continue
-            if not any(deques):
-                break
-            if self.steal_check_cycles > 0:
-                yield Compute(self.steal_check_cycles)
-                counters.incr("omp.steal_cycles", self.steal_check_cycles)
-            victim = self._pick_victim(tid, deques)
-            if victim is None:
-                counters.incr("omp.steal_failures")
-                continue
-            stolen = deques[victim]
-            take = (len(stolen) + 1) // 2
-            # Steal from the back: the victim keeps the front chunks it
-            # is about to pop, minimizing contention on the same range.
-            mine.extend(stolen[len(stolen) - take:])
-            del stolen[len(stolen) - take:]
-            thief_fast = self._member_is_fast(tid)
-            victim_fast = self._member_is_fast(victim)
-            if thief_fast == victim_fast:
-                counters.incr("omp.steals.same_class")
-            elif thief_fast:
-                counters.incr("omp.steals.fast_from_slow")
-            else:
-                counters.incr("omp.steals.slow_from_fast")
-        yield from self._record_finish(state)
-
     def _record_finish(self, state: _LoopState):
         """Log loop-exit time; last finisher books its straggler tail.
 
         ``omp.straggler_cycles`` is the time the last member computes
         alone (after the second-to-last finished), converted to cycles
-        at its core's current rate — the quantity the portable policies
-        exist to shrink.
+        at its core's current rate — the quantity the portable policy
+        exists to shrink.
         """
         now = yield GetTime()
         core = yield GetCore()

@@ -435,22 +435,23 @@ def _golden_lock_storm() -> Dict[str, Any]:
     }
 
 
-def _golden_specomp_stealing() -> Dict[str, Any]:
-    """Work-stealing OpenMP loops under a throttle storm.
+def _golden_specomp_static_weighted() -> Dict[str, Any]:
+    """Speed-weighted OpenMP loops under a throttle storm.
 
-    Swim with every loop forced onto the stealing schedule
+    Swim with every loop forced onto the static_weighted schedule
     (DESIGN.md §14), on the asymmetric machine with transient
     throttles reprogramming duty cycles mid-loop: the fixture pins the
-    deque partitioning, victim selection, steal-burst cycle books and
-    straggler accounting against the fault machinery, byte-exactly.
+    split read from core rates at each loop's entry and the straggler
+    tail booked when throttles leave one member computing alone,
+    against the fault machinery, byte-exactly.
     """
-    workload = SpecOmpBenchmark("swim",
-                                omp_schedule="stealing").with_faults(
+    workload = SpecOmpBenchmark(
+        "swim", omp_schedule="static_weighted").with_faults(
         FaultSchedule.throttle_storm(
             seed=5, duration=2.0, cores=range(4),
             events_per_second=25.0, recovery_mean=0.02))
-    result = _traced_run_once("specomp_stealing_2f-2s_seed5", workload,
-                              "2f-2s/8", seed=5)
+    result = _traced_run_once("specomp_static_weighted_2f-2s_seed5",
+                              workload, "2f-2s/8", seed=5)
     return {
         "kind": "run",
         "workload": result.workload,
@@ -468,7 +469,8 @@ GOLDEN_RUNS: Dict[str, Callable[[], Dict[str, Any]]] = {
     "sched_trace_1f-3s_asym_seed11": _golden_sched_trace,
     "fault_storm_2f-2s_seed5": _golden_fault_storm,
     "lock_storm_2f-2s_seed5": _golden_lock_storm,
-    "specomp_stealing_2f-2s_seed5": _golden_specomp_stealing,
+    "specomp_static_weighted_2f-2s_seed5":
+        _golden_specomp_static_weighted,
 }
 
 
@@ -742,8 +744,8 @@ EVENT_STREAM_SCENARIOS: Dict[str, Callable[[], Any]] = {
         "1f-3s/8", seed=7, scheduler_factory=AsymmetryAwareScheduler),
     "tpch_q9_par8_3f-1s_stock_seed7": lambda: TpchQuery(
         query=9, parallel_degree=8).run_once("3f-1s/4", seed=7),
-    "specomp_stealing_storm_2f-2s_seed5": lambda: SpecOmpBenchmark(
-        "swim", omp_schedule="stealing",
+    "specomp_weighted_storm_2f-2s_seed5": lambda: SpecOmpBenchmark(
+        "swim", omp_schedule="static_weighted",
     ).with_faults(_storm(1.0)).run_once("2f-2s/8", seed=5),
     "specomp_dynamic_1f-3s_stock_seed5": lambda: SpecOmpBenchmark(
         "art", omp_schedule="dynamic").run_once("1f-3s/4", seed=5),

@@ -22,6 +22,7 @@ from repro.experiments.parallel import (
 from repro.kernel.asym_scheduler import AsymmetryAwareScheduler
 from repro.service import registry
 from repro.workloads.base import RunOptions
+from repro.workloads.specomp import OMP_SCHEDULES
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -106,3 +107,28 @@ def test_enum_free_keys_are_pinned():
         "3ede66e0ec1d77cd9391d7d837755a820ddb29a7ef1853ee6520498123316d5b",
     ]
 
+
+
+def test_specomp_schedule_keys_are_pinned():
+    """A SPEC OMP key depends on its own loop schedule, not on the
+    rest of the `LoopSchedule` menu: adding or removing a member moves
+    no other schedule's key, so a restarted server keeps answering
+    SPEC OMP sweeps from disk."""
+    options = RunOptions(trace=None, coalesce=True)
+    keys = {
+        schedule: task_fingerprint(RunTask(
+            registry.build_workload("specomp",
+                                    {"omp_schedule": schedule}),
+            "2f-2s/8", 7, options=options))
+        for schedule in OMP_SCHEDULES
+    }
+    assert keys == {
+        "static":
+            "ab4fc4ca5c1b7d7938c5ee918344f6cb29f8e98edf39b20a3f30a3e11c4cd296",
+        "dynamic":
+            "3d7c9e5179995cf90a44ee3b79fea234b31206384fcd746a3cddf97283c18913",
+        "guided":
+            "24ebd08e435d77d2a3f9aa5cdc01f374ee2895ec801a613537ac99e30e766598",
+        "static_weighted":
+            "00d7c87cca9fe30a90bfe8d27d0cdc979a7f5bbfe81457ebfbc502b8b40e3618",
+    }

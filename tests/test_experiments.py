@@ -95,10 +95,10 @@ class TestReport:
         sweeps = {
             policy: runner.run(
                 SpecOmpBenchmark("swim", omp_schedule=policy))
-            for policy in ("static", "stealing")
+            for policy in ("static", "static_weighted")
         }
         text = format_sweep(policies=sweeps)
-        assert "static" in text and "stealing" in text
+        assert "static" in text and "static_weighted" in text
         assert "2f-2s/8" in text
         assert "by schedule" in text
 

@@ -6,7 +6,6 @@ from repro import System
 from repro.errors import WorkloadError
 from repro.faults import FaultSchedule, ThrottleEvent
 from repro.runtime.openmp import (
-    DEFAULT_STEAL_CHECK_CYCLES,
     Loop,
     LoopSchedule,
     OmpProgram,
@@ -282,66 +281,6 @@ class TestStaticWeighted:
         assert straggler < ITER_SECOND / 100
 
 
-class TestStealing:
-    def test_beats_static_on_asymmetric(self):
-        program = OmpProgram([Loop(64, ITER_SECOND / 8)])
-        _, static_team = team_for("2f-2s/8", seed=1)
-        static = static_team.execute(program)
-        _, stealing_team = team_for("2f-2s/8", seed=1)
-        stealing = stealing_team.execute(
-            program.with_schedule(LoopSchedule.STEALING))
-        assert stealing < 0.5 * static
-
-    def test_steal_attempts_pay_cycles(self):
-        # Unbalanced callable loop: all the work sits in thread 0's
-        # range, so every other thread must steal to contribute.
-        system, team = team_for("4f-0s", seed=1)
-        program = OmpProgram([
-            Loop(64, lambda i: ITER_SECOND / 8 if i < 16 else 1.0,
-                 schedule=LoopSchedule.STEALING, chunk=2)])
-        team.execute(program)
-        counters = system.counters.as_dict()
-        steals = sum(value for name, value in counters.items()
-                     if name.startswith("omp.steals."))
-        assert steals > 0
-        attempts = steals + counters.get("omp.steal_failures", 0.0)
-        assert counters["omp.steal_cycles"] == pytest.approx(
-            attempts * DEFAULT_STEAL_CHECK_CYCLES)
-
-    def test_fast_thieves_prefer_slow_victims(self):
-        # Under a throttle storm the entry-time split goes stale and
-        # fast cores drain the slowed members' deques.
-        system, team = team_for("2f-2s/8", seed=1)
-        FaultSchedule.throttle_storm(
-            seed=3, duration=2.0, cores=range(4),
-            events_per_second=25.0,
-            recovery_mean=0.02).install(system)
-        program = OmpProgram([
-            Loop(96, ITER_SECOND / 24,
-                 schedule=LoopSchedule.STEALING, chunk=1)])
-        team.execute(program)
-        counters = system.counters.as_dict()
-        fast_from_slow = counters.get("omp.steals.fast_from_slow", 0.0)
-        slow_from_fast = counters.get("omp.steals.slow_from_fast", 0.0)
-        assert fast_from_slow + slow_from_fast + counters.get(
-            "omp.steals.same_class", 0.0) > 0
-        assert fast_from_slow >= slow_from_fast
-
-    def test_explicit_chunk_respected(self):
-        system, team = team_for("4f-0s")
-        program = OmpProgram([
-            Loop(32, ITER_SECOND / 100,
-                 schedule=LoopSchedule.STEALING, chunk=4)])
-        team.execute(program)
-        assert system.counters.get("omp.chunks_dispatched") == 8.0
-
-    def test_zero_iteration_loop_is_instant(self):
-        system, team = team_for("2f-2s/8")
-        elapsed = team.execute(OmpProgram([
-            Loop(0, ITER_SECOND, schedule=LoopSchedule.STEALING)]))
-        assert elapsed == pytest.approx(0.0)
-
-
 class TestDispatchAccounting:
     def test_dispatch_cycles_booked_per_grab(self):
         system = System.build("4f-0s")
@@ -376,19 +315,23 @@ class TestDispatchAccounting:
 
 
 class TestFig13Recovery:
-    def test_stealing_recovers_static_asymmetry_gap(self):
-        # The PR's acceptance bar, on a trimmed fig13 sweep: stealing
-        # wins back >= 70% of the symmetric-vs-asymmetric makespan gap
-        # static leaves on 2f-2s/8 (measured: ~89%).
+    def test_static_weighted_recovers_static_asymmetry_gap(self):
+        # fig13's acceptance bar, on a trimmed sweep: on a clean
+        # machine static_weighted wins back >= 70% of the
+        # symmetric-vs-asymmetric makespan gap static leaves on
+        # 2f-2s/8 (measured: 88.8% on every seed).  Under storms the
+        # entry-time split goes stale and its recovery depends on the
+        # seed, so the storm check is on dynamic, which rebalances on
+        # demand (lowest over seeds 0-24: 71.1%).
         from repro.experiments.figures import fig13_omp_scheduling
 
         data = fig13_omp_scheduling.run(
             configs=("4f-0s", "2f-2s/8"),
-            policies=("static", "stealing"), runs=1)
+            policies=("static", "dynamic", "static_weighted"), runs=1)
         recovery = fig13_omp_scheduling.recovered_fraction(data)
         assert recovery >= fig13_omp_scheduling.RECOVERY_BAR
         assert fig13_omp_scheduling.recovered_fraction(
-            data, mode="storm") > 0.5
+            data, "dynamic", mode="storm") > 0.5
 
 
 class TestTeamConfiguration:

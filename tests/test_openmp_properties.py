@@ -1,19 +1,20 @@
-"""Property-based tests for the performance-portable loop schedules.
+"""Property-based tests for the OpenMP loop schedules.
 
 Hypothesis generates loop shapes, team sizes, chunk sizes and throttle
 storms and runs them across all nine machine configurations and both
-scheduler families.  Whatever the partition and whoever steals what:
+scheduler families.  Whatever the partition:
 
 * every iteration executes exactly once (tracked through the
   ``cycles_per_iteration`` callable, which the runtime evaluates once
   per executed index);
-* the ``omp.*`` counters stay consistent (chunk counts, steal/failure
-  arithmetic against the paid steal-burst cycles) and the cycle-valued
-  ones respect the conservation bound (⊆ busy);
-* the byte-identity contract holds for both new policies: sliced vs
-  coalesced kernels and serial vs process-pool sweeps produce
-  identical :meth:`~repro.metrics.RunMetrics.as_dict` payloads, clean
-  and under throttle storms.
+* the ``omp.*`` counters stay consistent (chunk counts) and the
+  cycle-valued ones respect the conservation bound (⊆ busy);
+* the byte-identity contract holds for ``static_weighted`` (the split
+  read at loop entry) and ``dynamic`` (the schedule that rebalances
+  under storms): sliced vs coalesced kernels and serial vs
+  process-pool sweeps produce identical
+  :meth:`~repro.metrics.RunMetrics.as_dict` payloads, clean and under
+  throttle storms.
 """
 
 from collections import Counter
@@ -26,7 +27,6 @@ from repro.faults import FaultSchedule
 from repro.kernel import AsymmetryAwareScheduler, SymmetricScheduler
 from repro.machine import Machine, STANDARD_CONFIG_LABELS
 from repro.runtime.openmp import (
-    DEFAULT_STEAL_CHECK_CYCLES,
     Loop,
     LoopSchedule,
     OmpProgram,
@@ -40,12 +40,10 @@ from tests.harness import assert_conservation
 CONFIGS = st.sampled_from(list(STANDARD_CONFIG_LABELS))
 SCHEDULERS = st.sampled_from([SymmetricScheduler,
                               AsymmetryAwareScheduler])
-NEW_POLICIES = st.sampled_from([LoopSchedule.STATIC_WEIGHTED,
-                                LoopSchedule.STEALING])
 ALL_POLICIES = st.sampled_from(list(LoopSchedule))
 
-#: Loop shapes: enough iterations that chunking/stealing is exercised,
-#: small enough cycle counts to stay fast.
+#: Loop shapes: enough iterations that chunking is exercised, small
+#: enough cycle counts to stay fast.
 ITERATIONS = st.integers(min_value=0, max_value=96)
 CYCLES_PER_ITER = st.floats(min_value=0.0, max_value=2e7)
 CHUNKS = st.one_of(st.none(), st.integers(min_value=1, max_value=16))
@@ -69,7 +67,7 @@ def _system(config, scheduler=None, seed=0, coalesce=None):
 
 
 class TestExactlyOnce:
-    """Every iteration executes exactly once, whatever gets stolen."""
+    """Every iteration executes exactly once, whatever the split."""
 
     @settings(max_examples=40, deadline=None)
     @given(config=CONFIGS, scheduler=SCHEDULERS, policy=ALL_POLICIES,
@@ -124,25 +122,13 @@ class TestCounterConsistency:
             # with >= 32 iterations over <= 4 threads at least one.
             assert 1.0 <= chunks <= team.n_threads
         else:
-            # Dynamic/guided/stealing dispatch at least one chunk per
+            # Dynamic/guided dispatch at least one chunk per
             # thread that found work; with iterations >= team size
             # there are at least team-size chunks to hand out unless a
             # single chunk covers several threads' shares.
             assert chunks >= 1.0
             if chunk is None and policy is not LoopSchedule.GUIDED:
                 assert chunks >= min(iterations, team.n_threads)
-        steals = sum(value for name, value in counters.items()
-                     if name.startswith("omp.steals."))
-        failures = counters.get("omp.steal_failures", 0.0)
-        burned = counters.get("omp.steal_cycles", 0.0)
-        if policy is not LoopSchedule.STEALING:
-            assert steals == failures == burned == 0.0
-        else:
-            # Every attempt paid exactly one burst and ended as a
-            # steal or a failure.
-            attempts = steals + failures
-            assert burned == pytest.approx(
-                attempts * DEFAULT_STEAL_CHECK_CYCLES)
         assert_conservation(system.run_metrics())
 
 
@@ -163,7 +149,7 @@ def _run_metrics_dict(config, policy, *, coalesce, scheduler,
 
 @pytest.mark.parametrize("config", STANDARD_CONFIG_LABELS)
 @pytest.mark.parametrize("policy", [LoopSchedule.STATIC_WEIGHTED,
-                                    LoopSchedule.STEALING])
+                                    LoopSchedule.DYNAMIC])
 @pytest.mark.parametrize("scheduler", [SymmetricScheduler,
                                        AsymmetryAwareScheduler])
 @pytest.mark.parametrize("storm_seed", [None, 7])
@@ -179,7 +165,7 @@ def test_sliced_vs_coalesced_identity(config, policy, scheduler,
     assert sliced == coalesced
 
 
-@pytest.mark.parametrize("policy", ["static_weighted", "stealing"])
+@pytest.mark.parametrize("policy", ["static_weighted", "dynamic"])
 @pytest.mark.parametrize("storm", [False, True])
 def test_serial_vs_pool_identity(policy, storm):
     """A process-pool sweep is byte-identical to the serial sweep."""

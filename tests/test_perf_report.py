@@ -160,14 +160,14 @@ class TestPolicySection:
         policies = {
             policy: runner.run(
                 SpecOmpBenchmark("swim", omp_schedule=policy))
-            for policy in ("static", "stealing")
+            for policy in ("static", "static_weighted")
         }
         stock, asym = sweeps
         return build_report(stock, asym, policies=policies)
 
     def test_omp_policies_section_present(self, policy_report):
         section = policy_report["omp_policies"]
-        assert set(section) == {"static", "stealing"}
+        assert set(section) == {"static", "static_weighted"}
         for entry in section.values():
             assert "2f-2s/8" in entry["means"]
             assert "usl" in entry
@@ -175,7 +175,7 @@ class TestPolicySection:
     def test_markdown_renders_schedule_comparison(self, policy_report):
         text = render_markdown(policy_report)
         assert "## Loop-schedule comparison" in text
-        assert "stealing" in text
+        assert "static_weighted" in text
 
     def test_absent_without_policies(self, report):
         assert "omp_policies" not in report
