@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
@@ -40,6 +41,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 #: positive double (frexp exponents span [-1073, 1024]).
 BUCKET_OFFSET = 1100
 BUCKET_ARRAY_SIZE = 2200
+
+
+#: Every bucket-array index, prebuilt for ``from_bucket_array``.
+_ARRAY_INDICES = tuple(range(BUCKET_ARRAY_SIZE))
 
 
 def bucket_array() -> List[int]:
@@ -90,10 +95,15 @@ class LatencyHistogram:
     @classmethod
     def from_bucket_array(cls, array: Sequence[int], zeros: int = 0,
                           total: float = 0.0) -> "LatencyHistogram":
-        """Wrap a flat hot-path bucket array (see :func:`bucket_array`)."""
+        """Wrap a flat hot-path bucket array (see :func:`bucket_array`).
+
+        Only the non-zero entries are visited: ``compress`` picks their
+        indices in C, in ascending order, from a prebuilt index tuple
+        (iterating a ``range`` would allocate an int per entry).
+        """
         return cls(
-            buckets={index - BUCKET_OFFSET: count
-                     for index, count in enumerate(array) if count},
+            buckets={index - BUCKET_OFFSET: array[index]
+                     for index in compress(_ARRAY_INDICES, array)},
             zeros=zeros, total=total)
 
     def add(self, value: float) -> None:

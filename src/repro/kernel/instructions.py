@@ -50,7 +50,7 @@ class Compute(Instruction):
     __slots__ = ("cycles",)
 
     def __init__(self, cycles: float) -> None:
-        if cycles < 0:
+        if not cycles >= 0:  # also rejects NaN
             raise ValueError(f"cycles must be non-negative, got {cycles}")
         self.cycles = float(cycles)
 
@@ -68,7 +68,7 @@ class Sleep(Instruction):
     __slots__ = ("seconds",)
 
     def __init__(self, seconds: float) -> None:
-        if seconds < 0:
+        if not seconds >= 0:  # also rejects NaN
             raise ValueError(f"seconds must be non-negative, got {seconds}")
         self.seconds = float(seconds)
 

@@ -35,6 +35,7 @@ from repro.machine.core import Core
 from repro.machine.topology import Machine
 from repro.metrics import MetricsCollector, RunMetrics
 from repro.sim.engine import Simulator
+from repro.sim.events import Event
 
 #: Cycle-accounting slack for floating point (half a cycle).
 _CYCLE_EPSILON = 0.5
@@ -83,17 +84,29 @@ def coalescing_enabled() -> bool:
     return os.environ.get("REPRO_NO_COALESCE", "0") in ("", "0")
 
 
-class _Slice:
-    """Bookkeeping for a compute slice in progress on a core."""
+class _Slice(Event):
+    """A compute slice in progress on a core, and its own end event.
 
-    __slots__ = ("thread", "start", "rate", "event", "span")
+    The slice is queued once, through
+    :meth:`~repro.sim.events.EventQueue.push_event`, and fires
+    ``callback(core)`` (``_on_slice_end`` or ``_on_macro_end``) at
+    ``time``; cancelling the slice cancels its end.  A slice re-armed
+    after a split is a fresh object, because the cancelled one stays
+    buried in the heap.
+    """
 
-    def __init__(self, thread: SimThread, start: float, rate: float,
-                 event, span=None) -> None:
+    __slots__ = ("thread", "start", "rate", "span")
+
+    def __init__(self, time: float, callback: Callable[..., Any],
+                 args: tuple, thread: SimThread, start: float,
+                 rate: float, span=None) -> None:
+        self.time = time
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
         self.thread = thread
         self.start = start
         self.rate = rate
-        self.event = event
         #: Open ``"exec"`` timeline span, or None when tracing is off.
         self.span = span
 
@@ -124,7 +137,15 @@ class Kernel:
         #: enqueue onto a coalesced core splits the macro first.
         self.runqueues: List[Deque[SimThread]] = [
             deque() for _ in machine.cores]
+        #: Compute slices in progress, by core index.  Each is its own
+        #: end event, pushed straight onto the simulator's queue (the
+        #: slice sites make ``Simulator.schedule``'s past-time check
+        #: themselves).
         self._slices: Dict[int, _Slice] = {}
+        self._queue = sim._queue
+        #: ``(core,)`` per core index: the argument tuple shared by
+        #: every slice and dispatch event of that core.
+        self._core_args = [(core,) for core in machine.cores]
         self._dispatch_pending: List[bool] = [False] * len(machine.cores)
         #: Quantum-coalescing fast path (DESIGN.md §9).  None resolves
         #: the environment default; an explicit bool pins this kernel.
@@ -375,7 +396,8 @@ class Kernel:
         # threads dispatches them FIFO even across cores), yet still
         # after their own core's boundary when that boundary requested
         # them — the group only reorders events of different groups.
-        self.sim.schedule_fast(0.0, self._do_dispatch, core)
+        self._queue.push_fast(self.sim._now, self._do_dispatch,
+                              self._core_args[index])
 
     def _do_dispatch(self, core: Core) -> None:
         """Zero-delay dispatch event: run the policy's pick on an idle
@@ -531,9 +553,9 @@ class Kernel:
                 and self.scheduler.preemption_horizon(core, thread) == _INF
                 and self._start_macro(thread, core, length)):
             return
+        if length < 0.0:
+            raise SimulationError(f"cannot schedule in the past: {length}")
         now = self.sim._now
-        event = self.sim.schedule(length, self._on_slice_end, core,
-                                  group=index)
         # Close the idle gap since the last slice retired here (zero
         # when slices abut); idle is accumulated independently of busy
         # so their sum being the run duration is a real invariant.
@@ -541,7 +563,10 @@ class Kernel:
         span = self._tracer.span(now, "exec", thread.name,
                                  core=index, thread=thread.name) \
             if "exec" in self._tracer_active else None
-        self._slices[index] = _Slice(thread, now, rate, event, span)
+        piece = _Slice(now + length, self._on_slice_end,
+                       self._core_args[index], thread, now, rate, span)
+        self._slices[index] = piece
+        self._queue.push_event(piece, index)
 
     # ------------------------------------------------------------------
     # Quantum coalescing (macro slices, DESIGN.md §9)
@@ -624,15 +649,19 @@ class Kernel:
             return False
         if boundaries == 0:  # pragma: no cover - caller guarantees
             return False     # seconds_needed > budget, so >= 1 boundary
-        event = self.sim.schedule_at(end, self._on_macro_end, core,
-                                     group=core.index)
+        if end < now:  # pragma: no cover - the replay only moves forward
+            raise SimulationError(
+                f"cannot schedule at {end}, current time is {now}")
+        index = core.index
         core.idle_seconds += now - core.idle_since
         span = self._tracer.span(now, "exec", thread.name,
-                                 core=core.index, thread=thread.name) \
+                                 core=index, thread=thread.name) \
             if "exec" in self._tracer_active else None
-        self._slices[core.index] = _Slice(thread, now, rate, event,
-                                          span)
-        self._macros[core.index] = core
+        piece = _Slice(end, self._on_macro_end, self._core_args[index],
+                       thread, now, rate, span)
+        self._slices[index] = piece
+        self._queue.push_event(piece, index)
+        self._macros[index] = core
         self.metrics.counters.incr("coalesce.macros_armed")
         return True
 
@@ -660,13 +689,7 @@ class Kernel:
         # the sliced loop have drifted apart).
         self.metrics.counters.incr(
             "coalesce.macro_fallback")  # pragma: no cover
-        needed = thread.remaining_cycles / piece.rate  # pragma: no cover
-        budget = max(self.scheduler.quantum - thread.quantum_used,
-                     _MIN_SLICE)  # pragma: no cover
-        length = needed if needed < budget else budget  # pragma: no cover
-        piece.event = self.sim.schedule(
-            length, self._on_slice_end, core,
-            group=core.index)  # pragma: no cover
+        self._rearm_slice(core, piece)  # pragma: no cover
 
     def _macro_catchup(self, core: Core, limit: float, inclusive: bool,
                        allow_complete: bool) -> bool:
@@ -681,15 +704,33 @@ class Kernel:
         possible for the macro's own end event, which passes
         ``allow_complete``); the slice record is popped in that case
         and the caller completes the instruction.
+
+        The thread's and core's running sums and the slice-length
+        memo live in locals and are stored once after the loop; each
+        sum receives the same float additions, in the same order, as
+        the per-boundary writes of ``_retire_slice``.
         """
-        piece = self._slices[core.index]
+        index = core.index
+        piece = self._slices[index]
         thread = piece.thread
         rate = piece.rate
-        index = core.index
         quantum = self.scheduler.quantum
         t = piece.start
         remaining = thread.remaining_cycles
         used = thread.quantum_used
+        cpu_seconds = thread.cpu_seconds
+        cycles_retired = thread.cycles_retired
+        # .get, not [], on the defaultdicts: an unbooked catch-up must
+        # not create a per-core entry the sliced kernel never wrote.
+        core_seconds = thread.core_seconds.get(index, 0.0)
+        core_cycles = thread.core_cycles.get(index, 0.0)
+        busy_time = core.busy_time
+        busy_cycles = core.busy_cycles
+        hb_slice = self._hb_slice
+        memo_val = self._slice_memo_val
+        memo_key = self._slice_memo_key
+        span = piece.span
+        tracing = "exec" in self._tracer_active
         booked = False
         completed = False
         while True:
@@ -711,19 +752,20 @@ class Kernel:
                 break
             # Book the boundary exactly as _retire_slice would have.
             remaining = after
-            thread.account_execution(index, elapsed, cycles)
+            cpu_seconds += elapsed
+            cycles_retired += cycles
+            core_seconds += elapsed
+            core_cycles += cycles
             used += elapsed
-            core.busy_time += elapsed
-            core.busy_cycles += cycles
-            core.idle_since = t_end
-            if piece.span is not None:
-                piece.span.end(t_end)
+            busy_time += elapsed
+            busy_cycles += cycles
+            if span is not None:
+                span.end(t_end)
             if elapsed > 0.0:
-                if elapsed != self._slice_memo_val:
-                    self._slice_memo_val = elapsed
-                    self._slice_memo_key = (_frexp(elapsed)[1]
-                                            + _HIST_OFFSET)
-                self._hb_slice[self._slice_memo_key] += 1
+                if elapsed != memo_val:
+                    memo_val = elapsed
+                    memo_key = _frexp(elapsed)[1] + _HIST_OFFSET
+                hb_slice[memo_key] += 1
             else:
                 self._slice_zeros += 1
             booked = True
@@ -734,15 +776,24 @@ class Kernel:
             # Quantum expiry with an empty runqueue: the sliced kernel
             # resets the quantum and restarts the slice in place.
             used = 0.0
-            piece.span = self._tracer.span(
+            span = self._tracer.span(
                 t_end, "exec", thread.name, core=index,
-                thread=thread.name) \
-                if "exec" in self._tracer_active else None
+                thread=thread.name) if tracing else None
         if booked:
             thread.remaining_cycles = remaining
             thread.quantum_used = used
             thread.last_ran_at = t
+            thread.cpu_seconds = cpu_seconds
+            thread.cycles_retired = cycles_retired
+            thread.core_seconds[index] = core_seconds
+            thread.core_cycles[index] = core_cycles
+            core.busy_time = busy_time
+            core.busy_cycles = busy_cycles
+            core.idle_since = t
+            self._slice_memo_val = memo_val
+            self._slice_memo_key = memo_key
             piece.start = t
+            piece.span = span
         if completed:
             del self._slices[index]
         return completed
@@ -806,15 +857,27 @@ class Kernel:
         if not self._macro_dissolve(core, "coalesce.macros_split"):
             return
         piece = self._slices[core.index]
-        self.sim.cancel(piece.event)
+        self.sim.cancel(piece)
+        self._rearm_slice(core, piece)
+
+    def _rearm_slice(self, core: Core, piece: _Slice) -> None:
+        """Replace ``piece`` (cancelled or already fired) with a real
+        slice event at the end of its in-flight quantum."""
         thread = piece.thread
         needed = thread.remaining_cycles / piece.rate
         budget = max(self.scheduler.quantum - thread.quantum_used,
                      _MIN_SLICE)
         length = needed if needed < budget else budget
-        piece.event = self.sim.schedule_at(piece.start + length,
-                                           self._on_slice_end, core,
-                                           group=core.index)
+        end = piece.start + length
+        now = self.sim._now
+        if end < now:
+            raise SimulationError(
+                f"cannot schedule at {end}, current time is {now}")
+        index = core.index
+        fresh = _Slice(end, self._on_slice_end, self._core_args[index],
+                       thread, piece.start, piece.rate, piece.span)
+        self._slices[index] = fresh
+        self._queue.push_event(fresh, index)
 
     def _requeue(self, thread: SimThread, core: Core) -> None:
         """Put the running thread at the back of its core's queue."""
@@ -896,7 +959,7 @@ class Kernel:
             self._macro_absorb(core)
         piece = self._slices.get(core.index)
         if piece is not None:
-            self.sim.cancel(piece.event)
+            self.sim.cancel(piece)
             thread = self._retire_slice(core)
         else:
             # Thread is mid-instant-instruction; cannot happen because
@@ -935,7 +998,7 @@ class Kernel:
         piece = self._slices.get(core.index)
         thread = None
         if piece is not None:
-            self.sim.cancel(piece.event)
+            self.sim.cancel(piece)
             thread = self._retire_slice(core)
         core.record_speed_change(self.sim.now)
         snapped = core.set_duty_cycle(duty_cycle)
@@ -978,7 +1041,7 @@ class Kernel:
             if piece is None:  # pragma: no cover - invariant guard
                 raise SchedulingError(
                     f"core {core.index} busy without a compute slice")
-            self.sim.cancel(piece.event)
+            self.sim.cancel(piece)
             thread = self._retire_slice(core)
             thread.preemptions += 1
             core.preemptions += 1
@@ -1025,7 +1088,7 @@ class Kernel:
         if piece is None:  # pragma: no cover - invariant guard
             raise SchedulingError(
                 f"core {core.index} busy without a compute slice")
-        self.sim.cancel(piece.event)
+        self.sim.cancel(piece)
         thread = self._retire_slice(core)
         core.current_thread = None
         self._block(thread, "fault.stall")

@@ -36,7 +36,10 @@ never reach the fourth element):
   cancelled.  No per-event object is allocated at all.
 * ``(time, group, seq, event)`` — the cancellable path used by
   :meth:`EventQueue.push`, which returns a slot-based :class:`Event`
-  handle.
+  handle, and by :meth:`EventQueue.push_event`, which queues an event
+  the caller built itself.  The kernel's compute slices subclass
+  :class:`Event` and carry their own bookkeeping, so a slice and its
+  cancellable end event are one object.
 
 Cancellation is lazy (cancelled events stay buried in the heap and are
 skipped when they surface) but bounded: whenever cancelled entries
@@ -56,10 +59,11 @@ class Event:
     """A cancellable scheduled callback.
 
     Instances are returned by :meth:`EventQueue.push` (and by
-    ``Simulator.schedule``).  The object is a pure data slot — it holds
-    no reference back to its queue; cancel it through
-    :meth:`EventQueue.cancel` (or ``Simulator.cancel``) so the queue
-    can keep its live/cancelled bookkeeping exact.
+    ``Simulator.schedule``); subclasses that carry their own state are
+    queued with :meth:`EventQueue.push_event`.  The object is a pure
+    data slot — it holds no reference back to its queue; cancel it
+    through :meth:`EventQueue.cancel` (or ``Simulator.cancel``) so the
+    queue can keep its live/cancelled bookkeeping exact.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled")
@@ -117,6 +121,26 @@ class EventQueue:
         event = Event(time, self._seq, callback, args)
         heapq.heappush(self._heap, (time, group, self._seq, event))
         self._seq += 1
+        self._live += 1
+        return event
+
+    def push_event(self, event: Event, group: int = -1) -> Event:
+        """Schedule a caller-built ``event`` at ``event.time``.
+
+        Like :meth:`push`, but the caller allocated the event (usually
+        a subclass carrying its own state); the queue stamps its
+        sequence number and returns it.  Push an event once: re-arming
+        a cancelled event needs a fresh object, because the cancelled
+        one stays in the heap until it surfaces or the heap is
+        compacted.
+        """
+        time = event.time
+        if time != time:
+            raise SimulationError("event scheduled at NaN time")
+        seq = self._seq
+        event.seq = seq
+        heapq.heappush(self._heap, (time, group, seq, event))
+        self._seq = seq + 1
         self._live += 1
         return event
 

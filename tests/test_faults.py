@@ -34,8 +34,17 @@ from repro.faults import (
     ThrottleEvent,
     event_from_dict,
 )
-from repro.kernel import AsymmetryAwareScheduler, Compute, SimThread
+from repro.kernel import (
+    AsymmetryAwareScheduler,
+    Compute,
+    Lock,
+    Mutex,
+    SimThread,
+    Sleep,
+    Unlock,
+)
 from repro.machine.duty_cycle import SUPPORTED_DUTY_CYCLES, throttle_steps
+from repro.sim.events import EventQueue
 from repro.workloads.base import RunOptions
 from repro.workloads.specjbb import SpecJBB
 
@@ -336,6 +345,86 @@ class TestStallInjection:
         system = System.build("4f-0s", seed=1)
         with pytest.raises(SimulationError):
             system.kernel.stall_current(system.machine.cores[0], 0.0)
+
+
+def _contended_body(mutex, rounds, cycles, nap):
+    for _ in range(rounds):
+        yield Compute(cycles)
+        yield Lock(mutex)
+        yield Compute(cycles / 4)
+        yield Unlock(mutex)
+        yield Sleep(nap)
+
+
+class TestSliceEventsUnderStorm:
+    """A compute slice is its own end event.
+
+    Every path that retires a partial slice cancels it — pulls,
+    macro splits, reprogramming, stalls — and a split re-arms a fresh
+    slice, so a cancelled slice must never fire and every slice fires
+    at most once.
+    """
+
+    @pytest.mark.parametrize("coalesce", [True, False],
+                             ids=["coalesced", "sliced"])
+    def test_cancelled_slices_never_fire(self, monkeypatch, coalesce):
+        system = System.build("1f-3s/8", seed=3, coalesce=coalesce,
+                              scheduler=AsymmetryAwareScheduler())
+        kernel, queue = system.kernel, system.sim._queue
+        storm = FaultSchedule.throttle_storm(
+            seed=4, duration=0.4, cores=[0, 1, 2, 3],
+            events_per_second=40)
+        stalls = [StallEvent(0.05 + 0.04 * i, i % 4, 0.01)
+                  for i in range(8)]
+        FaultSchedule(list(storm) + stalls).install(system)
+        # Lock handoffs wake threads onto cores running macro slices.
+        mutex = Mutex()
+        for index in range(8):
+            kernel.spawn(SimThread(f"t{index}", _contended_body(
+                mutex, 6, 5e7 * (index + 1), 0.003 * (index + 1))))
+
+        pushed, fired = [], []
+        push_event = EventQueue.push_event
+        pop_before = EventQueue.pop_before
+        slice_ends = (kernel._on_slice_end, kernel._on_macro_end)
+
+        def recording_push(q, event, group=-1):
+            pushed.append(event)
+            return push_event(q, event, group)
+
+        def checked_pop(q, limit):
+            item = pop_before(q, limit)
+            if item is not None:
+                time, callback, args = item
+                if callback in slice_ends:
+                    piece = kernel._slices.get(args[0].index)
+                    assert piece is not None and not piece.cancelled
+                    assert piece.time == time
+                    assert piece.callback == callback
+                    fired.append(piece)
+                assert q.heap_size() - len(q) <= len(q) + 1
+            return item
+
+        monkeypatch.setattr(EventQueue, "push_event", recording_push)
+        monkeypatch.setattr(EventQueue, "pop_before", checked_pop)
+        system.run()
+
+        counters = kernel.metrics.counters
+        assert kernel.preempt_pulls > 0
+        assert counters.get("faults.throttle") > 0
+        assert counters.get("faults.stall") > 0
+        if coalesce:
+            assert counters.get("coalesce.macros_split") > 0
+        # Every slice pushed was cancelled, fired once or is pending.
+        pushed_ids = {id(piece) for piece in pushed}
+        cancelled = {id(piece) for piece in pushed if piece.cancelled}
+        fired_ids = {id(piece) for piece in fired}
+        pending = {id(entry[3]) for entry in queue._heap
+                   if len(entry) == 4 and not entry[3].cancelled}
+        assert cancelled and len(fired_ids) == len(fired)
+        assert not cancelled & fired_ids
+        assert pushed_ids == cancelled | fired_ids | (pending & pushed_ids)
+        assert_conservation(system.run_metrics())
 
 
 class TestDeterminism:

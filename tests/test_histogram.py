@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.histogram import (
+    BUCKET_ARRAY_SIZE,
     BUCKET_OFFSET,
     LatencyHistogram,
     bucket_array,
@@ -85,6 +87,18 @@ class TestLatencyHistogram:
                                                   total=0.03)
         assert hist.buckets == {bucket_index(0.01): 3}
         assert hist.count == 5
+
+    @given(st.dictionaries(
+        st.integers(min_value=0, max_value=BUCKET_ARRAY_SIZE - 1),
+        st.integers(min_value=0, max_value=10**12), max_size=40))
+    def test_from_bucket_array_matches_dense_scan(self, entries):
+        array = bucket_array()
+        for index, count in entries.items():
+            array[index] = count
+        dense = {index - BUCKET_OFFSET: count
+                 for index, count in enumerate(array) if count}
+        buckets = LatencyHistogram.from_bucket_array(array).buckets
+        assert list(buckets.items()) == list(dense.items())
 
     def test_merge_sums_unequal_bucket_sets(self):
         a = LatencyHistogram()

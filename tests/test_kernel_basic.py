@@ -104,6 +104,17 @@ class TestComputeTiming:
         with pytest.raises(SimulationError):
             system.run()
 
+    @pytest.mark.parametrize("cycles", [-1, float("nan")])
+    def test_invalid_cycles_rejected(self, cycles):
+        # Accepted, a NaN compute would run one full quantum, retire
+        # whatever that quantum held and complete, unflagged by the
+        # conservation checks.
+        with pytest.raises(ValueError):
+            Compute(cycles)
+
+    def test_infinite_cycles_accepted(self):
+        assert Compute(float("inf")).cycles == float("inf")
+
 
 class TestSleepAndTime:
     def test_sleep_takes_wall_time_without_cpu(self):
@@ -113,6 +124,12 @@ class TestSleepAndTime:
         thread = system.kernel.start("t", body())
         assert system.run() == pytest.approx(2.5)
         assert thread.cpu_seconds == 0.0
+
+    @pytest.mark.parametrize("seconds", [-0.5, float("nan")])
+    def test_invalid_seconds_rejected(self, seconds):
+        # NaN is caught here, not later as an event at NaN time.
+        with pytest.raises(ValueError):
+            Sleep(seconds)
 
     def test_gettime_and_getcore(self):
         observed = {}

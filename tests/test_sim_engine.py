@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
+from repro.kernel.kernel import _Slice
 from repro.sim import Simulator
 from repro.sim.events import EventQueue
 from repro.sim.rng import RandomStream, StreamRegistry, derive_seed
@@ -111,6 +112,86 @@ class TestEventQueue:
                 break
             popped.append(event.time)
         assert popped == sorted(times)
+
+
+def _slice(time, tag=None):
+    """A kernel compute slice as its own end event."""
+    return _Slice(time, lambda *args: None, (tag,), None, 0.0, 1.0)
+
+
+class TestPushEvent:
+    """``push_event`` queues a caller-built event, as the kernel's
+    compute slices are: the same checks, order and cancellation
+    bookkeeping as ``push``."""
+
+    def test_nan_time_rejected(self):
+        queue = EventQueue()
+        with pytest.raises(SimulationError):
+            queue.push_event(_slice(float("nan")))
+        assert len(queue) == 0 and queue.heap_size() == 0
+
+    def test_returns_the_event_stamped_with_its_sequence(self):
+        queue = EventQueue()
+        queue.push(1.0, lambda: None)
+        piece = _slice(2.0)
+        assert queue.push_event(piece, 3) is piece
+        assert piece.seq == 1 and not piece.cancelled
+        assert queue.pop().seq == 0
+        assert queue.pop() is piece
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                              st.integers(min_value=-1, max_value=3),
+                              st.booleans()),
+                    min_size=1, max_size=40))
+    def test_same_order_as_push(self, entries):
+        # Interleave push, push_event and push_fast on one queue and
+        # mirror every entry with plain push on another: both must
+        # fire in the same (time, group, seq) order.
+        mixed, plain = EventQueue(), EventQueue()
+        for tag, (time, group, as_event) in enumerate(entries):
+            if as_event:
+                mixed.push_event(_slice(time, tag), group)
+            elif tag % 2:
+                mixed.push_fast(time, lambda *args: None, (tag,), group)
+            else:
+                mixed.push(time, lambda *args: None, (tag,), group)
+            plain.push(time, lambda *args: None, (tag,), group)
+        order = []
+        while (item := mixed.pop_before(float("inf"))) is not None:
+            order.append(item[2][0])
+        expected = sorted(range(len(entries)),
+                          key=lambda tag: entries[tag][:2] + (tag,))
+        assert order == expected
+        assert [plain.pop().args[0] for _ in entries] == expected
+
+    def test_cancelled_slices_are_skipped_and_counted(self):
+        queue = EventQueue()
+        pieces = [queue.push_event(_slice(float(i)), i % 4)
+                  for i in range(6)]
+        queue.push_fast(2.5, lambda: None)
+        queue.cancel(pieces[0])
+        queue.cancel(pieces[3])
+        queue.cancel(pieces[3])  # idempotent
+        assert len(queue) == 5
+        assert queue.heap_size() == 7
+        assert queue.peek_time() == 1.0  # the cancelled head surfaced
+        assert queue.heap_size() == 6
+        fired = []
+        while (item := queue.pop_before(float("inf"))) is not None:
+            fired.append(item[0])
+        assert fired == [1.0, 2.0, 2.5, 4.0, 5.0]
+        assert len(queue) == 0 and queue.heap_size() == 0
+
+    def test_compaction_drops_cancelled_slices(self):
+        queue = EventQueue()
+        keeper = queue.push_event(_slice(1e6))
+        pieces = [queue.push_event(_slice(float(i + 1)))
+                  for i in range(100)]
+        for piece in pieces:
+            queue.cancel(piece)
+            assert queue.heap_size() - len(queue) <= len(queue) + 1
+        assert len(queue) == 1
+        assert queue.pop() is keeper
 
 
 class TestSimulator:
