@@ -398,8 +398,9 @@ def _cmd_exhibits(args) -> int:
         names = (list(ALL_EXHIBITS) if args.command == "all"
                  else [args.command])
         for exhibit in names:
+            module = ALL_EXHIBITS[exhibit]
             print(f"== {exhibit} ".ljust(72, "="))
-            ALL_EXHIBITS[exhibit].main(profile, backend=backend)
+            print(module.render(module.run(profile, backend=backend)))
             print()
     return 0
 

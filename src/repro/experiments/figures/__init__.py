@@ -1,8 +1,11 @@
 """One module per paper exhibit.
 
-Each module exposes ``run(profile) -> data``, ``render(data) -> str``
-and ``main(profile)``; see DESIGN.md's per-experiment index for the
-mapping to the paper's figures and tables.
+Each module exposes ``run(profile, backend=...) -> data`` and
+``render(data) -> str``.  ``render(run(...))`` is the only way an
+exhibit becomes text: ``python -m repro <exhibit>`` prints it and
+``tests/golden/exhibit_<exhibit>.txt`` pins it at the quick profile.
+See DESIGN.md's per-experiment index for the mapping to the paper's
+figures and tables.
 """
 
 from repro.experiments.figures import (  # noqa: F401

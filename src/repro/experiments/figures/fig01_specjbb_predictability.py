@@ -85,11 +85,3 @@ def render(data: Dict) -> str:
             f"Figure 1({panel}) SPECjbb throughput (ops/s) envelopes",
             data["warehouses"], series, x_name="warehouses"))
     return "\n\n".join(blocks)
-
-
-def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None,
-         backend: Optional[Backend] = None) -> str:
-    output = render(run(profile, jobs=jobs, backend=backend))
-    print(output)
-    return output

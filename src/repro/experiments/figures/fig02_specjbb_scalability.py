@@ -48,11 +48,3 @@ def render(data: Dict) -> str:
         "Figure 2(b) with asymmetry-aware kernel scheduler\n"
         + format_sweep(fixed, unit=" ops/s"),
     ])
-
-
-def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None,
-         backend: Optional[Backend] = None) -> str:
-    output = render(run(profile, jobs=jobs, backend=backend))
-    print(output)
-    return output

@@ -56,11 +56,3 @@ def render(data: Dict) -> str:
         "Figure 3(b) manufacturing response times (ms)\n"
         + format_table(["rate", "config", "avg", "90%", "max"], rows))
     return "\n\n".join(blocks)
-
-
-def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None,
-         backend: Optional[Backend] = None) -> str:
-    output = render(run(profile, jobs=jobs, backend=backend))
-    print(output)
-    return output

@@ -49,11 +49,3 @@ def render(data: Dict) -> str:
         "Query 3 with intra-query parallelization off (2f-2s/8) — "
         "bimodal:\n" + format_table(["runtime"], rows),
     ])
-
-
-def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None,
-         backend: Optional[Backend] = None) -> str:
-    output = render(run(profile, jobs=jobs, backend=backend))
-    print(output)
-    return output

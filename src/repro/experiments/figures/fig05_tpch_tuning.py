@@ -54,11 +54,3 @@ def render(data: Dict) -> str:
         "Modified (asymmetry-aware) kernel, par=8 (fix ineffective)\n"
         + format_sweep(data["fixed"], unit="s"),
     ])
-
-
-def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None,
-         backend: Optional[Backend] = None) -> str:
-    output = render(run(profile, jobs=jobs, backend=backend))
-    print(output)
-    return output

@@ -60,11 +60,3 @@ def render(data: Dict) -> str:
         "Figure 6(b) fine-grained threading (recycle after 50)\n"
         + format_sweep(data["fine_grained"], unit=" req/s"),
     ])
-
-
-def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None,
-         backend: Optional[Backend] = None) -> str:
-    output = render(run(profile, jobs=jobs, backend=backend))
-    print(output)
-    return output

@@ -49,11 +49,3 @@ def render(data: Dict) -> str:
         "Zeus light load with asymmetry-aware kernel (no effect)\n"
         + format_sweep(data["asym_kernel"], unit=" req/s"),
     ])
-
-
-def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None,
-         backend: Optional[Backend] = None) -> str:
-    output = render(run(profile, jobs=jobs, backend=backend))
-    print(output)
-    return output

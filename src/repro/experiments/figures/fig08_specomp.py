@@ -48,11 +48,3 @@ def render(data: Dict) -> str:
             f"Figure 8({panel}) SPEC OMP runtimes (s), {title}\n"
             + format_table(["benchmark"] + list(configs), rows))
     return "\n\n".join(blocks)
-
-
-def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None,
-         backend: Optional[Backend] = None) -> str:
-    output = render(run(profile, jobs=jobs, backend=backend))
-    print(output)
-    return output

@@ -41,11 +41,3 @@ def render(data: Dict) -> str:
         "Figure 9(b) PMAKE runtime\n"
         + format_sweep(data["pmake"], unit="s"),
     ])
-
-
-def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None,
-         backend: Optional[Backend] = None) -> str:
-    output = render(run(profile, jobs=jobs, backend=backend))
-    print(output)
-    return output

@@ -80,11 +80,3 @@ def render(data: Dict) -> str:
     blocks.append("Run-to-run variability (CoV of primary metric)\n"
                   + format_table(["workload", "config", "CoV"], rows))
     return "\n\n".join(blocks)
-
-
-def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None,
-         backend: Optional[Backend] = None) -> str:
-    output = render(run(profile, jobs=jobs, backend=backend))
-    print(output)
-    return output

@@ -106,11 +106,3 @@ def render(data: Dict) -> str:
                        f"  spread {spread:5.1f}%")
     return table + "\n\nrun-to-run spread (instability):\n" \
         + "\n".join(spreads)
-
-
-def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None,
-         backend: Optional[Backend] = None) -> str:
-    output = render(run(profile, jobs=jobs, backend=backend))
-    print(output)
-    return output

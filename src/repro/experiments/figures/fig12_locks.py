@@ -131,11 +131,3 @@ def render(data: Dict) -> str:
             f"{fixed:8.0f} recovers {rec:5.1f}% of the gap")
     return table + "\n\nslow-holder collapse and recovery:\n" \
         + "\n".join(lines)
-
-
-def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None,
-         backend: Optional[Backend] = None) -> str:
-    output = render(run(profile, jobs=jobs, backend=backend))
-    print(output)
-    return output

@@ -9,7 +9,8 @@ configurations, clean and under throttle storms
 (:meth:`repro.faults.FaultSchedule.throttle_storm` reprogramming duty
 cycles mid-loop).
 
-Acceptance bar (asserted by :func:`run`): on the flagship asymmetric
+Acceptance bar (checked by :func:`run`, which raises
+:class:`~repro.errors.ReproError` below it): on the flagship asymmetric
 machine ``2f-2s/8``, ``static_weighted`` must recover at least 70% of
 the makespan gap stock ``static`` leaves between the symmetric
 ``4f-0s`` machine and the asymmetric one.  Measured recovery is 88.8%
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.errors import ReproError
 from repro.experiments.parallel import Backend, RunTask, make_backend
 from repro.experiments.profiles import Profile, QUICK
 from repro.experiments.report import format_sweep
@@ -68,8 +70,9 @@ def run(profile: Profile = QUICK, base_seed: int = 100,
     """Sweep every schedule over the configs, clean and under storms.
 
     Returns ``{"clean"|"storm": {policy: ConfigSweep}}`` plus run
-    parameters.  Asserts the static_weighted recovery bar whenever the
-    sweep covers the configs and policies it is defined over.
+    parameters.  Raises :class:`ReproError` when static_weighted misses
+    the recovery bar, whenever the sweep covers the configs and policies
+    the bar is defined over.
     """
     configs = list(configs if configs is not None
                    else STANDARD_CONFIG_LABELS)
@@ -104,9 +107,11 @@ def run(profile: Profile = QUICK, base_seed: int = 100,
     if ({SYMMETRIC, CONFIG} <= set(configs)
             and {"static", "static_weighted"} <= set(policies)):
         recovery = recovered_fraction(data)
-        assert recovery >= RECOVERY_BAR, (
-            f"static_weighted recovered only {recovery:.1%} of the "
-            f"static asymmetry gap on {CONFIG} (bar: {RECOVERY_BAR:.0%})")
+        if recovery < RECOVERY_BAR:
+            raise ReproError(
+                f"static_weighted recovered only {recovery:.1%} of the "
+                f"static asymmetry gap on {CONFIG} "
+                f"(bar: {RECOVERY_BAR:.0%})")
     return data
 
 
@@ -147,11 +152,3 @@ def render(data: Dict) -> str:
                     f"static_weighted >= {RECOVERY_BAR:.0%} clean):\n"
                     + "\n".join(lines))
     return "\n\n".join(sections)
-
-
-def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None,
-         backend: Optional[Backend] = None) -> str:
-    output = render(run(profile, jobs=jobs, backend=backend))
-    print(output)
-    return output

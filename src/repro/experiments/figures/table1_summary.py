@@ -95,11 +95,3 @@ def render(data: Dict) -> str:
         ["remedy", "predictable?", "scalable?", "worst CoV"],
         remedy_rows))
     return "\n\n".join(blocks)
-
-
-def main(profile: Profile = QUICK,
-         jobs: Optional[int] = None,
-         backend: Optional[Backend] = None) -> str:
-    output = render(run(profile, jobs=jobs, backend=backend))
-    print(output)
-    return output

@@ -3,8 +3,9 @@
 ``PAPER`` mirrors the paper's protocol (run counts per figure, full
 parameter sweeps); ``QUICK`` shrinks run counts and workload sizes so
 the whole suite regenerates in seconds — the shapes survive, only the
-statistical resolution drops.  Benchmarks default to ``PAPER``; unit
-tests use ``QUICK``.
+statistical resolution drops.  ``python -m repro`` defaults to
+``QUICK`` (``--profile paper`` selects ``PAPER``); the exhibit goldens
+and the unit tests use ``QUICK``.
 """
 
 from __future__ import annotations

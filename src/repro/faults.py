@@ -353,31 +353,11 @@ class FaultInjector:
 
     def install(self) -> None:
         self.schedule.validate(len(self.system.machine.cores))
+        # Every fault is an ordinary simulator event, scheduled here
+        # and never cancelled, so the simulator's event horizon bounds
+        # the kernel's macro slices (DESIGN.md §9) below each one.
         for event in self.schedule.events:
             self.system.sim.schedule_at(event.time, self._apply, event)
-        # Let the kernel's quantum-coalescing fast path ask "when does
-        # the next fault land?" without trawling the event heap.  The
-        # fault events above are ordinary simulator events, so the
-        # generic horizon already bounds macro slices correctly; this
-        # hook keeps the schedule authoritative even if the injector
-        # ever moves off pre-scheduled events.
-        register = getattr(self.system.kernel,
-                           "register_horizon_hook", None)
-        if register is not None:
-            register(self.next_event_horizon)
-
-    def next_event_horizon(self, now: float) -> float:
-        """Time of the first scheduled fault strictly after ``now``.
-
-        Returns +inf when no fault remains.  Recovery callbacks are
-        scheduled only when their triggering throttle applies, so they
-        are always visible to the simulator's own event horizon and
-        need no accounting here.
-        """
-        for event in self.schedule.events:
-            if event.time > now:
-                return event.time
-        return float("inf")
 
     # ------------------------------------------------------------------
     def _trace(self, **payload: Any) -> None:

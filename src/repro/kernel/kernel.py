@@ -155,10 +155,6 @@ class Kernel:
         #: Empty whenever coalescing is off — hot paths guard on the
         #: dict's truthiness alone.
         self._macros: Dict[int, Core] = {}
-        #: ``now -> earliest relevant time`` callables consulted, on
-        #: top of the simulator's event horizon, when sizing a macro
-        #: slice; fault injectors register theirs at install time.
-        self._horizon_hooks: List[Callable[[float], float]] = []
         # Bound once so EventQueue.horizon can recognize this kernel's
         # own slice events by callback equality.
         self._slice_callbacks = (self._on_slice_end, self._on_macro_end)
@@ -232,18 +228,6 @@ class Kernel:
     def coalescing(self) -> bool:
         """Whether the quantum-coalescing fast path is enabled."""
         return self._coalesce
-
-    def register_horizon_hook(
-            self, hook: Callable[[float], float]) -> None:
-        """Register an extra bound on macro-slice length.
-
-        ``hook(now)`` returns the earliest future time at which the
-        caller might disturb a core (+inf for never); macro slices are
-        sized strictly below the minimum over the event queue and all
-        registered hooks, so the disturbance always lands on a core
-        whose books are current.
-        """
-        self._horizon_hooks.append(hook)
 
     def spawn(self, thread: SimThread) -> SimThread:
         """Register and start a thread."""
@@ -605,10 +589,6 @@ class Kernel:
         """
         now = self.sim._now
         cap = self.sim.horizon(self._slice_callbacks)
-        for hook in self._horizon_hooks:
-            bound = hook(now)
-            if bound < cap:
-                cap = bound
         if now + first_length >= cap:
             return False
         # Closed-form replay of the sliced kernel's quantum loop —

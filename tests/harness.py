@@ -33,6 +33,9 @@ audit those books, shared across the test suite:
   always has an empty runqueue, checked between every two events.
 * :func:`observed_surface` — everything a traced run exposes, the
   surface coalesced and sliced runs must agree on byte for byte.
+* ``GOLDEN_FILES`` — text fixtures built by one call each: the
+  SpecJBB report, the event streams, the 14 exhibit texts and the
+  four ablation tables (``tests/golden/ablation_*.txt``).
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro import System
+from repro.analysis.stats import summarize
+from repro.experiments.report import format_table
 from repro.faults import (
     CoreOfflineEvent,
     CoreOnlineEvent,
@@ -63,6 +68,8 @@ from repro.metrics import (
     CONSERVATION_RTOL,
     RunMetrics,
 )
+from repro.runtime.jvm import GCKind, jrockit
+from repro.runtime.openmp import Loop, LoopSchedule, OmpProgram, OmpTeam
 from repro.sim import trace as _trace
 from repro.sim.events import EventQueue
 from repro.sim.trace import FLIGHT_RECORDER_CAPACITY, TraceRecord, Tracer
@@ -76,6 +83,7 @@ from repro.workloads.specjbb import SpecJBB
 from repro.workloads.specomp import SpecOmpBenchmark
 from repro.workloads.tpch.workload import TpchQuery
 from repro.workloads.webserver import ApacheWorkload, ZeusWorkload
+from repro.workloads.webserver.apache import ApacheServer
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -796,6 +804,93 @@ def _golden_exhibit_files() -> Dict[str, str]:
             for name, module in ALL_EXHIBITS.items()}
 
 
+# ----------------------------------------------------------------------
+# Ablations
+# ----------------------------------------------------------------------
+# These sweep knobs the paper holds fixed, to show *why* the modelled
+# mechanisms behave as they do (DESIGN.md §4).
+def _ablation_apache_recycling() -> str:
+    """Recycling threshold between the paper's 50 and 5000: recycling
+    sooner buys stability with throughput."""
+    rows = []
+    for recycle in (50, 200, 1000, 5000):
+        class Tuned(ApacheWorkload):
+            def _build_server(self, system):
+                return ApacheServer(system, recycle_after=recycle)
+        workload = Tuned("light", measurement_seconds=1.5)
+        summary = summarize([workload.run_once("2f-2s/8", seed=s)
+                             .metric("throughput") for s in range(5)])
+        rows.append([str(recycle), f"{summary.mean:.0f}",
+                     f"{summary.cov:.3f}"])
+    return "Apache recycling-threshold ablation (2f-2s/8)\n" + \
+        format_table(["recycle_after", "mean req/s", "CoV"], rows)
+
+
+def _ablation_gc_headroom() -> str:
+    """Concurrent-GC trigger fraction: more headroom means the
+    collector starts earlier and stalls less on slow placements."""
+    rows = []
+    for trigger in (0.5, 0.7, 0.9):
+        class Tuned(SpecJBB):
+            def _build_vm(self, system):
+                return jrockit(system, gc=GCKind.CONCURRENT,
+                               heap_capacity=self.heap_capacity,
+                               live_bytes=self.live_bytes,
+                               trigger_fraction=trigger)
+        tuned = Tuned(warehouses=8, gc=GCKind.CONCURRENT,
+                      measurement_seconds=1.0)
+        summary = summarize([tuned.run_once("2f-2s/8", seed=s)
+                             .metric("throughput") for s in range(5)])
+        rows.append([f"{trigger:.1f}", f"{summary.mean:.0f}",
+                     f"{summary.cov:.3f}"])
+    return "SPECjbb concurrent-GC trigger ablation (2f-2s/8)\n" + \
+        format_table(["trigger", "mean ops/s", "CoV"], rows)
+
+
+def _ablation_omp_chunk() -> str:
+    """Dynamic chunk size on 2f-2s/8: small chunks balance best but
+    pay per-chunk dispatch overhead — the paper's "large chunk size to
+    reduce allocation overhead" advice quantified."""
+    rows = []
+    for chunk in (1, 4, 16, 64):
+        system = System.build("2f-2s/8", seed=3)
+        team = OmpTeam(system)
+        program = OmpProgram([
+            Loop(256, 2.8e6, schedule=LoopSchedule.DYNAMIC,
+                 chunk=chunk)])
+        elapsed = team.execute(program)
+        rows.append([str(chunk), f"{elapsed:.3f}s"])
+    return "OpenMP dynamic chunk-size ablation (2f-2s/8)\n" + \
+        format_table(["chunk", "runtime"], rows)
+
+
+def _ablation_omp_remedies() -> str:
+    """The asymmetry-aware kernel cannot fix statically parallelized
+    OpenMP code (paper: the application must change instead)."""
+    rows = []
+    for label, factory in (("stock", None),
+                           ("asym-aware", AsymmetryAwareScheduler)):
+        bench = SpecOmpBenchmark("swim")
+        runtime = bench.run_once(
+            "2f-2s/8", seed=1,
+            scheduler_factory=factory).metric("runtime")
+        rows.append([label, f"{runtime:.2f}s"])
+    modified = SpecOmpBenchmark("swim", variant="modified")
+    runtime = modified.run_once("2f-2s/8", seed=1).metric("runtime")
+    rows.append(["application change (dynamic)", f"{runtime:.2f}s"])
+    return "Kernel fix vs. application fix on SPEC OMP swim " \
+        "(2f-2s/8)\n" + format_table(["remedy", "runtime"], rows)
+
+
+def _golden_ablation_files() -> Dict[str, str]:
+    """The four ablation tables, about 3 s of simulation."""
+    return {f"ablation_{name}.txt": build() + "\n" for name, build in (
+        ("apache_recycling", _ablation_apache_recycling),
+        ("gc_headroom", _ablation_gc_headroom),
+        ("omp_chunk", _ablation_omp_chunk),
+        ("omp_remedies", _ablation_omp_remedies))}
+
+
 #: group name -> zero-argument callable producing {filename: text}.
 #: Like GOLDEN_RUNS but for fixtures that are not single-run payloads
 #: (one builder may emit several files sharing expensive inputs).
@@ -803,6 +898,7 @@ GOLDEN_FILES: Dict[str, Callable[[], Dict[str, str]]] = {
     "report_specjbb_quick": _golden_report_files,
     "event_streams": _golden_event_stream_files,
     "exhibits": _golden_exhibit_files,
+    "ablations": _golden_ablation_files,
 }
 
 

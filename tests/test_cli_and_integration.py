@@ -10,6 +10,7 @@ from repro.kernel.kernel import Kernel
 from repro.workloads import SpecJBB, TpchPowerRun
 from repro.workloads.webserver.client import ClosedLoopClient, Request
 from repro._system import System
+from tests.harness import GOLDEN_DIR
 
 
 class TestCli:
@@ -59,8 +60,12 @@ class TestCli:
         class StubExhibit:
             """No-op exhibit: runs nothing."""
             @staticmethod
-            def main(profile, backend=None):
-                pass
+            def run(profile, backend=None):
+                return None
+
+            @staticmethod
+            def render(data):
+                return "stub"
 
         monkeypatch.setitem(ALL_EXHIBITS, "stub-exhibit", StubExhibit)
         out = tmp_path / "metrics.json"
@@ -92,9 +97,13 @@ class TestCli:
         assert len(started) == 1
 
     def test_single_exhibit_runs(self, capsys):
+        # The CLI prints exactly the pinned text: banner, the golden,
+        # one blank line.
         assert cli_main(["fig09"]) == 0
-        out = capsys.readouterr().out
-        assert "PMAKE" in out
+        golden = (GOLDEN_DIR / "exhibit_fig09.txt").read_text(
+            encoding="utf-8")
+        banner = "== fig09 ".ljust(72, "=")
+        assert capsys.readouterr().out == f"{banner}\n{golden}\n"
 
     def test_bad_profile_rejected(self):
         with pytest.raises(SystemExit):

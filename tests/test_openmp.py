@@ -3,7 +3,8 @@
 import pytest
 
 from repro import System
-from repro.errors import WorkloadError
+from repro.errors import ReproError, WorkloadError
+from repro.experiments.profiles import QUICK
 from repro.faults import FaultSchedule, ThrottleEvent
 from repro.runtime.openmp import (
     Loop,
@@ -332,6 +333,16 @@ class TestFig13Recovery:
         assert recovery >= fig13_omp_scheduling.RECOVERY_BAR
         assert fig13_omp_scheduling.recovered_fraction(
             data, "dynamic", mode="storm") > 0.5
+
+    def test_missed_recovery_bar_raises_repro_error(self, monkeypatch):
+        # The bar is a raised ReproError, not an assert, so it still
+        # fails the run under `python -O`.  This sweep recovers 88.8%.
+        from repro.experiments.figures import fig13_omp_scheduling as fig13
+
+        monkeypatch.setattr(fig13, "RECOVERY_BAR", 0.95)
+        with pytest.raises(ReproError, match="recovered only 88.8%"):
+            fig13.run(QUICK, configs=[fig13.SYMMETRIC, fig13.CONFIG],
+                      policies=("static", "static_weighted"), runs=1)
 
 
 class TestTeamConfiguration:
