@@ -32,7 +32,7 @@ from repro.service.server import ScenarioServer
 _MEASUREMENTS = {}
 
 #: fig01-sized sweep: every standard configuration, two seeds each —
-#: the same shape the CI service-smoke job submits through the CLI.
+#: the same shape CI's identity job submits through the CLI.
 SWEEP = {
     "workload": "tpch",
     "configs": ["4f-0s", "3f-1s/4", "2f-2s/8", "1f-3s/8", "0f-4s/8"],

@@ -44,6 +44,7 @@ from repro.machine import (
     STANDARD_CONFIG_LABELS,
     run_microbenchmark,
 )
+from repro.service.cache import ResultCache
 from repro.service.registry import WORKLOADS
 from repro.workloads.base import RunOptions
 from repro.workloads.specomp import OMP_SCHEDULES
@@ -79,27 +80,38 @@ def _sweep_workload(name: str, profile, omp_schedule: str = "all"):
 def _cmd_sweep(args) -> int:
     """Run (or analytically predict) one workload's config sweep."""
     from repro.experiments.report import format_sweep
-    from repro.experiments.runner import Runner
+    from repro.experiments.runner import PredictionGateError, Runner
 
     profile = get_profile(args.profile)
-    with _local_backend(args) as backend:
-        runner = Runner(runs=profile.runs, backend=backend)
-        if args.predict:
-            _print_prediction(runner.predict_sweep(
-                _sweep_workload(args.workload, profile, args.omp_schedule),
-                spot_checks=args.spot_checks, tolerance=args.tolerance))
-        elif args.workload == "specomp" and args.omp_schedule == "all":
-            # Per-policy comparison: one sweep per LoopSchedule, rendered
-            # as one mean column per policy (the fig13 layout).
-            from repro.workloads.specomp import SpecOmpBenchmark
-            print(format_sweep(policies={
-                policy: runner.run(
-                    SpecOmpBenchmark("swim", omp_schedule=policy))
-                for policy in OMP_SCHEDULES
-            }))
-        else:
-            print(format_sweep(runner.run(_sweep_workload(
-                args.workload, profile, args.omp_schedule))))
+    try:
+        with _local_backend(args) as backend:
+            runner = Runner(runs=profile.runs, backend=backend)
+            if args.predict:
+                _print_prediction(runner.predict_sweep(
+                    _sweep_workload(args.workload, profile,
+                                    args.omp_schedule),
+                    spot_checks=args.spot_checks,
+                    tolerance=args.tolerance))
+            elif args.workload == "specomp" and args.omp_schedule == "all":
+                # Per-policy comparison: one sweep per LoopSchedule,
+                # rendered as one mean column per policy (the fig13
+                # layout).
+                from repro.workloads.specomp import SpecOmpBenchmark
+                print(format_sweep(policies={
+                    policy: runner.run(
+                        SpecOmpBenchmark("swim", omp_schedule=policy))
+                    for policy in OMP_SCHEDULES
+                }))
+            else:
+                print(format_sweep(runner.run(_sweep_workload(
+                    args.workload, profile, args.omp_schedule))))
+    except PredictionGateError as exc:
+        # Show the rejected sweep: its spot-check rows say which
+        # configuration missed the gate, and by how much.  The failed
+        # command writes no --metrics-out or --trace-out.
+        _print_prediction(exc.prediction)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -142,7 +154,6 @@ def _cmd_serve(args) -> int:
     import tempfile
 
     from repro.experiments.parallel import ProcessPoolBackend
-    from repro.service.cache import ResultCache
     from repro.service.server import ScenarioServer
 
     logging.basicConfig(
@@ -379,10 +390,18 @@ def _local_backend(args):
     """The invocation's one backend (with --jobs N, one warm pool).
 
     Its options go on every task; when the command succeeds, its
-    result list feeds --metrics-out and --trace-out.
+    result list feeds --metrics-out and --trace-out.  For ``all``, the
+    one command that repeats tasks (table1 re-runs fig10's sweeps,
+    fig10 those of fig02-fig09), an unbounded memory cache serves a
+    task the invocation already ran, unless the runs are traced: a
+    traced result's cached text would hold its whole timeline twice.
     """
+    options = _run_options(args)
+    cache = (ResultCache(max_memory_entries=None)
+             if args.command == "all" and options.trace is None
+             else None)
     results = []
-    backend = make_backend(args.jobs, options=_run_options(args),
+    backend = make_backend(args.jobs, cache=cache, options=options,
                            sink=results)
     try:
         yield backend

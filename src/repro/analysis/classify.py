@@ -23,10 +23,12 @@ from repro.machine.topology import (
 )
 
 #: A workload is unpredictable when any asymmetric configuration's
-#: run-to-run CoV exceeds this.  Symmetric CoV in all experiments is
-#: below 0.02 and the stable workloads stay below ~0.05 (H.264's
-#: wavefront-tail noise peaks there), while the unstable ones sit at
-#: 0.08-0.7 — 0.06 separates the two populations.
+#: run-to-run CoV exceeds this.  Symmetric controls mostly read below
+#: 0.01, but not all: H.264 on 4f-0s reads 0.028 (fig10) and TPC-H at
+#: parallelization degree 8 reads 0.042-0.045 (fig05; EXPERIMENTS.md,
+#: "Known deviations" 5 and 6).  The stable workloads stay below ~0.05
+#: (H.264's wavefront-tail noise peaks there) and the unstable ones
+#: mostly sit at 0.08-0.7.
 PREDICTABILITY_COV_THRESHOLD = 0.06
 
 #: Speed-vs-power fits with R^2 below this mean "does not scale

@@ -30,7 +30,7 @@ Determinism is a contract: :func:`build_report` and
 :func:`render_markdown` are pure functions of their inputs (no
 timestamps, hosts or absolute paths in the output), so two
 generations from the same sweeps, ledger file and bench files are
-byte-identical — CI's ``perf-report`` job generates twice and
+byte-identical — CI's ``identity`` job generates twice and
 ``cmp``-s, and ``tests/golden/`` pins a small fixture report.
 """
 
@@ -50,7 +50,7 @@ if TYPE_CHECKING:
     from repro.experiments.parallel import Backend
 
 #: Bump when the report payload schema changes; the schema checker
-#: (tools/check_report_schema.py) tracks this.
+#: (tools/check_schema.py) tracks this.
 REPORT_FORMAT = 1
 
 #: Scheduler keys a report always carries, in rendering order.

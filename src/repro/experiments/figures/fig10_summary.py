@@ -2,7 +2,8 @@
 
 For every workload and all nine configurations: mean speedup over the
 0f-4s/8 baseline, with error bars from repeated runs.  The symmetric
-configurations show no variability; SPECjbb, Apache (light), Zeus
+configurations show little variability (H.264 on 4f-0s reads CoV
+0.028, the most); SPECjbb, Apache (light), Zeus
 (light) and TPC-H show significant variance on the asymmetric ones;
 SPEC OMP and H.264 are limited by the slowest core.
 

@@ -15,7 +15,7 @@ from repro.experiments.figures import fig10_summary
 from repro.experiments.parallel import Backend, make_backend
 from repro.experiments.profiles import Profile, QUICK
 from repro.experiments.report import format_table
-from repro.experiments.runner import ConfigSweep, Runner
+from repro.experiments.runner import Runner
 from repro.kernel.asym_scheduler import AsymmetryAwareScheduler
 from repro.runtime.jvm import GCKind
 from repro.workloads import ApacheWorkload, SpecJBB
@@ -36,13 +36,10 @@ PAPER_TABLE1 = {
 
 
 def run(profile: Profile = QUICK, base_seed: int = 100,
-        sweeps: Optional[Dict[str, ConfigSweep]] = None,
         jobs: Optional[int] = None,
         backend: Optional[Backend] = None) -> Dict:
     backend = backend if backend is not None else make_backend(jobs)
-    if sweeps is None:
-        sweeps = fig10_summary.collect(profile, base_seed,
-                                       backend=backend)
+    sweeps = fig10_summary.collect(profile, base_seed, backend=backend)
     classifications = {name: sweep.classification()
                        for name, sweep in sweeps.items()}
 

@@ -134,7 +134,8 @@ class ResultCache:
     """Fingerprint-keyed result store: LRU memory tier, optional disk tier.
 
     With ``directory=None`` the cache lives in memory only, bounded at
-    ``max_memory_entries`` texts: an evicted entry is a plain miss.
+    ``max_memory_entries`` texts (``None``: unbounded, as for the
+    CLI's one-invocation cache): an evicted entry is a plain miss.
     With a directory every store also lands in an entry file, and the
     memory tier is a front over the disk tier.  The backends use the
     object API (:meth:`lookup` / :meth:`store`; a hit is parsed into a
@@ -162,10 +163,10 @@ class ResultCache:
     """
 
     def __init__(self, directory: Optional[str] = None,
-                 max_memory_entries: int = 256,
+                 max_memory_entries: Optional[int] = 256,
                  max_disk_entries: Optional[int] = None,
                  max_disk_bytes: Optional[int] = None) -> None:
-        if max_memory_entries < 0:
+        if max_memory_entries is not None and max_memory_entries < 0:
             raise ValueError("max_memory_entries must be >= 0")
         if max_disk_entries is not None and max_disk_entries < 1:
             raise ValueError("max_disk_entries must be >= 1")
@@ -308,6 +309,8 @@ class ResultCache:
             if self.max_memory_entries == 0:
                 return
             self._memory[key] = text
+            if self.max_memory_entries is None:
+                return
             while len(self._memory) > self.max_memory_entries:
                 self._memory.popitem(last=False)
                 self.counters.incr("service.cache.evictions")

@@ -14,7 +14,8 @@ simulation results the service returns do not.  Consumers that need
 determinism (the perf report, CI gates) treat a ledger *file* as the
 input — same file, same output.
 
-Record schema (``format`` = :data:`LEDGER_FORMAT`)::
+Record schema (``format`` = :data:`LEDGER_FORMAT`; ``python
+tools/check_schema.py LEDGER.jsonl`` validates a file against it)::
 
     every record:   format, index, request ("ping" | "stats" |
                     "shutdown" | "subscribe" | "run" | "sweep" |
@@ -156,42 +157,6 @@ def summarize_ledger(
             for name, histogram in latency.items()
         },
     }
-
-
-def ledger_schema_errors(record: Any, index: int = 0) -> List[str]:
-    """Schema violations of one ledger record (shared by tests and
-    :mod:`tools.check_report_schema`-style validators)."""
-    where = f"record[{index}]"
-    if not isinstance(record, dict):
-        return [f"{where}: not an object"]
-    errors: List[str] = []
-    if record.get("format") != LEDGER_FORMAT:
-        errors.append(f"{where}: format must be {LEDGER_FORMAT}")
-    if not isinstance(record.get("index"), int):
-        errors.append(f"{where}: index must be an integer")
-    if record.get("request") not in REQUEST_KINDS:
-        errors.append(f"{where}: unknown request kind "
-                      f"{record.get('request')!r}")
-    if record.get("outcome") not in OUTCOMES:
-        errors.append(f"{where}: unknown outcome "
-                      f"{record.get('outcome')!r}")
-    if record.get("request") in ("run", "sweep") \
-            and record.get("outcome") in ("ok", "worker_crashed",
-                                          "internal"):
-        for name in ("tasks", "cache_hits", "coalesced", "fresh"):
-            value = record.get(name)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 0:
-                errors.append(f"{where}: {name} must be a "
-                              "non-negative integer")
-    for name in LATENCY_FIELDS:
-        if name in record:
-            value = record[name]
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool) or value < 0:
-                errors.append(f"{where}: {name} must be a "
-                              "non-negative number")
-    return errors
 
 
 def open_ledger(path: Optional[str]) -> Optional[RunLedger]:

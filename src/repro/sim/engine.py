@@ -106,10 +106,6 @@ class Simulator:
         """Cancel a pending event returned by :meth:`schedule`."""
         self._queue.cancel(event)
 
-    def pending_events(self) -> int:
-        """Number of live events currently scheduled."""
-        return len(self._queue)
-
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None if the queue is empty."""
         return self._queue.peek_time()
@@ -141,18 +137,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next event.  Returns False if the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self._now:
-            raise SimulationError("event queue time went backwards")
-        self._now = event.time
-        self._events_fired += 1
-        event.callback(*event.args)
-        return True
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or

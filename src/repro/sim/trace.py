@@ -219,9 +219,6 @@ class Tracer:
         for category in categories:
             self.active.discard(category)
 
-    def enabled(self, category: str) -> bool:
-        return category in self.active
-
     def add_sink(self, sink: Callable[[TraceItem], None]) -> None:
         """Forward retained items to ``sink`` (see the class docstring
         for the exact guarantee)."""

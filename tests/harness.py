@@ -485,8 +485,8 @@ GOLDEN_RUNS: Dict[str, Callable[[], Dict[str, Any]]] = {
 #: A fixed, hand-written run-ledger slice feeding the report
 #: fixture's service section.  Synthetic on purpose: a live server's
 #: ledger carries wall-clock latencies, so a pinned fixture needs a
-#: frozen one.  Every record must satisfy
-#: :func:`repro.service.ledger.ledger_schema_errors`.
+#: frozen one.  Every record must satisfy ``ledger_schema_errors``
+#: in ``tools/check_schema.py``.
 GOLDEN_LEDGER_RECORDS: List[Dict[str, Any]] = [
     {"format": 1, "index": 0, "request": "ping", "outcome": "ok"},
     {"format": 1, "index": 1, "request": "sweep", "outcome": "ok",
@@ -793,14 +793,20 @@ def _golden_exhibit_files() -> Dict[str, str]:
     """Every exhibit's rendered text at the quick profile.
 
     The repository exists to reproduce these 14 texts, so any change
-    that moves one shows up as a diff here.  About a minute of
-    simulation, so only ``regenerate.py --check`` (CI's golden-drift
-    job) rebuilds them, not tier-1.
+    that moves one shows up as a diff here.  Every exhibit runs on one
+    backend whose unbounded cache serves the sweeps fig10 and table1
+    repeat, as ``python -m repro all`` does.  Still most of a minute
+    of simulation, so only ``regenerate.py --check`` (the drift step
+    of CI's ``identity`` job) rebuilds them, not tier-1.
     """
     from repro.experiments.figures import ALL_EXHIBITS
+    from repro.experiments.parallel import SerialBackend
     from repro.experiments.profiles import QUICK
+    from repro.service.cache import ResultCache
 
-    return {f"exhibit_{name}.txt": module.render(module.run(QUICK)) + "\n"
+    backend = SerialBackend(cache=ResultCache(max_memory_entries=None))
+    return {f"exhibit_{name}.txt":
+            module.render(module.run(QUICK, backend=backend)) + "\n"
             for name, module in ALL_EXHIBITS.items()}
 
 

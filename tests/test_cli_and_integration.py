@@ -73,6 +73,60 @@ class TestCli:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload == {"format": 1, "records": []}
 
+    def test_all_simulates_a_repeated_task_once(self, tmp_path,
+                                                 monkeypatch, capsys):
+        import repro.__main__ as cli
+
+        backends = []
+
+        class SweepExhibit:
+            """One single-task sweep; listed twice, it repeats the
+            task as table1 re-runs fig10's sweeps."""
+            @staticmethod
+            def run(profile, backend=None):
+                backends.append(backend)
+                runner = Runner(configs=["2f-2s/8"], runs=1,
+                                backend=backend)
+                return runner.run(SpecJBB(warehouses=1,
+                                          measurement_seconds=0.1,
+                                          warmup_seconds=0.05))
+
+            @staticmethod
+            def render(data):
+                return "stub"
+
+        monkeypatch.setattr(cli, "ALL_EXHIBITS",
+                            {"first": SweepExhibit,
+                             "second": SweepExhibit})
+        out = tmp_path / "metrics.json"
+        assert cli_main(["all", "--metrics-out", str(out)]) == 0
+        assert backends[0] is backends[1]
+        assert backends[0].simulations_run == 1
+        records = json.loads(out.read_text(encoding="utf-8"))["records"]
+        assert len(records) == 2 and records[0] == records[1]
+        # One exhibit repeats nothing, and a traced result's text
+        # would carry its timeline: neither gets a cache.
+        for argv in (["second"],
+                     ["all", "--trace-out", str(tmp_path / "t.json")]):
+            backends.clear()
+            assert cli_main(argv) == 0
+            assert backends[0].cache is None
+
+    def test_sweep_predict_gate_miss_shows_the_rejected_sweep(self,
+                                                             tmp_path,
+                                                             capsys):
+        # SPECjbb at the quick profile misses the 10% gate on 2f-2s/4.
+        out = tmp_path / "metrics.json"
+        assert cli_main(["sweep", "--predict",
+                         "--metrics-out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "predicted (spot-check: 17.9% error)" in captured.out
+        assert "USL prediction gate failed for SPECjbb" in captured.err
+        assert "2f-2s/4: predicted 1077 vs simulated 1312" in captured.err
+        assert "Traceback" not in captured.err
+        # A failed command writes no run outputs.
+        assert not out.exists() and "wrote" not in captured.out
+
     def test_report_runs_every_sweep_on_one_pool(self, tmp_path,
                                                  monkeypatch, capsys):
         from concurrent.futures import ProcessPoolExecutor

@@ -5,7 +5,7 @@ The contracts under test:
 * **exactly one** JSONL record per request the server dispatches —
   scenario runs, control requests and malformed lines alike;
 * every record satisfies the schema census
-  (:func:`repro.service.ledger.ledger_schema_errors`);
+  (``ledger_schema_errors`` in ``tools/check_schema.py``);
 * scenario records classify the batch (tasks / cache hits /
   coalesced / fresh) consistently with the response, and carry
   queue-wait and execute latencies for fresh batches;
@@ -19,13 +19,15 @@ The contracts under test:
 
 import asyncio
 import json
+import sys
+from pathlib import Path
 
 from repro.service.ledger import (
+    LATENCY_FIELDS,
     LEDGER_FORMAT,
     OUTCOMES,
     REQUEST_KINDS,
     RunLedger,
-    ledger_schema_errors,
     read_ledger,
     request_digest,
     summarize_ledger,
@@ -42,6 +44,11 @@ from tests.test_service_server import (
     one_rpc,
     running_server,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import check_schema  # noqa: E402
+
+ledger_schema_errors = check_schema.ledger_schema_errors
 
 
 def _schema_clean(records):
@@ -251,9 +258,32 @@ class TestSchemaAndSummary:
              "coalesced": 0, "fresh": 4,
              "queue_wait_seconds": -1.0})  # negative latency
 
+    def test_checker_reads_a_ledger_file(self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        ledger = RunLedger(str(path))
+        for record in GOLDEN_LEDGER_RECORDS:
+            ledger.record({name: value for name, value in record.items()
+                           if name not in ("format", "index")})
+        ledger.close()
+        assert check_schema.check_file(str(path))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"format": LEDGER_FORMAT, "index": 6,
+                                     "request": "teapot",
+                                     "outcome": "ok"}) + "\n")
+        assert not check_schema.check_file(str(path))
+        out = capsys.readouterr().out
+        assert "ledger, 6 records" in out
+        assert "record[6]: unknown request kind 'teapot'" in out
+
     def test_outcome_and_request_vocabularies(self):
         assert "ok" in OUTCOMES and "worker_crashed" in OUTCOMES
         assert "sweep" in REQUEST_KINDS and "invalid" in REQUEST_KINDS
+        # The stdlib-only checker restates the vocabulary; it must
+        # stay the package's, word for word.
+        assert check_schema.LEDGER_FORMAT == LEDGER_FORMAT
+        assert check_schema.OUTCOMES == OUTCOMES
+        assert check_schema.REQUEST_KINDS == REQUEST_KINDS
+        assert check_schema.LATENCY_FIELDS == LATENCY_FIELDS
 
     def test_summarize_ledger_censuses_and_latency(self):
         summary = summarize_ledger(GOLDEN_LEDGER_RECORDS)

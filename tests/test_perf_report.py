@@ -13,10 +13,10 @@ The contracts under test:
   residuals are self-consistent, and the seed-panel variability
   characterization;
 * ``sweep_from_payloads`` rebuilds a sweep losslessly from ``submit
-  --json-out`` payloads (the offline mode CI's perf-report job uses);
+  --json-out`` payloads (the offline mode CI's report steps use);
 * ``compare_to_baseline`` produces the ratio table the bench
   section relies on;
-* ``tools/check_report_schema.py`` accepts the fixture and rejects
+* ``tools/check_schema.py`` accepts the fixture and rejects
   mutations of it.
 """
 
@@ -224,8 +224,7 @@ class TestSchemaChecker:
     @pytest.fixture(scope="class")
     def checker(self):
         spec = importlib.util.spec_from_file_location(
-            "check_report_schema",
-            ROOT / "tools" / "check_report_schema.py")
+            "check_schema", ROOT / "tools" / "check_schema.py")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         return module

@@ -230,6 +230,19 @@ class TestMemoryOnlyCache:
         assert cache.stats()["disk_entries"] == 0
         assert list(tmp_path.iterdir()) == []
 
+    def test_unbounded_memory_tier_keeps_every_entry(self):
+        # The CLI sizes its cache to the invocation: more distinct
+        # tasks than the default 256 entries, and none may be evicted.
+        cache = ResultCache(max_memory_entries=None)
+        texts = {f"key-{index}": f"text-{index}" for index in range(300)}
+        for key, text in texts.items():
+            cache.store_text(key, text)
+        assert cache.evictions == 0
+        assert len(cache) == 300
+        assert {key: cache.lookup_text(key) for key in texts} == texts
+        assert cache.counters.get("service.cache.memory_hits") == 300
+        assert (cache.hits, cache.misses) == (300, 0)
+
 
 class TestBoundedDiskTier:
     """The disk tier's LRU bound (mirrors the memory front).

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-import check_trace_schema  # noqa: E402
+import check_schema  # noqa: E402
 import trace_diff  # noqa: E402
 
 from tests.harness import TRACED  # noqa: E402
@@ -66,7 +66,7 @@ class TestChromeTrace:
     def test_schema_valid_and_tracks_named(self):
         result = _traced_run()
         trace = trace_export.chrome_trace([result])
-        errors, census = check_trace_schema.check_trace(trace)
+        errors, census = check_schema.check_trace(trace)
         assert errors == []
         assert census["X"] > 0 and census["M"] > 0
         names = [event["args"]["name"]
@@ -178,7 +178,7 @@ class TestWriteTrace:
         path = tmp_path / "run.trace.json"
         count = trace_export.write_chrome_trace(str(path), [result])
         assert count > 0
-        assert check_trace_schema.check_file(str(path))
+        assert check_schema.check_file(str(path))
         trace = json.loads(path.read_text(encoding="utf-8"))
         assert len(trace["traceEvents"]) == count
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Detect unused imports (pyflakes F401) with only the stdlib.
 
-The CI lint job runs ruff, which is not available in every dev
+CI's lint steps run ruff, which is not available in every dev
 container; this tool re-implements the highest-value check so it can
 run anywhere the test suite runs::
 
