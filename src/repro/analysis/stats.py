@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.machine.topology import MachineConfig
 
@@ -36,11 +36,6 @@ class Summary:
     def spread(self) -> float:
         """Max - min: the height of the paper's error bars."""
         return self.maximum - self.minimum
-
-    @property
-    def error_bar(self) -> Tuple[float, float]:
-        """(low, high) endpoints for plotting."""
-        return (self.minimum, self.maximum)
 
 
 def summarize(values: Sequence[float]) -> Summary:
@@ -124,11 +119,3 @@ class ScalingFit:
     @property
     def r_squared(self) -> float:
         return self.correlation ** 2
-
-
-def merge_samples(groups: Iterable[Sequence[float]]) -> List[float]:
-    """Flatten per-config samples (utility for suite-level stats)."""
-    merged: List[float] = []
-    for group in groups:
-        merged.extend(group)
-    return merged

@@ -52,7 +52,6 @@ in Gunther's :math:`\\sigma, \\kappa \\ge 0` region.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -122,14 +121,6 @@ class UslFit:
                 f"USL model predicts non-positive speed on {label!r}; "
                 "anchor configurations do not bracket this regime")
         return speed if self.higher_is_better else 1.0 / speed
-
-    def peak_concurrency(self) -> float:
-        """Concurrency at which the modelled speed peaks (+inf when
-        the model never rolls over)."""
-        if self.kappa <= 0.0:
-            return float("inf")
-        return math.sqrt((1.0 - self.sigma) / self.kappa) \
-            if self.sigma < 1.0 else 1.0
 
 
 def _solve3(matrix: List[List[float]],

@@ -288,9 +288,6 @@ class Kernel:
             item[1](*item[2])
         return sim._now
 
-    def _workload_finished(self) -> bool:
-        return self._nondaemon_spawned > 0 and self._nondaemon_live == 0
-
     # ------------------------------------------------------------------
     # Metrics helpers
     # ------------------------------------------------------------------
@@ -324,9 +321,6 @@ class Kernel:
             self._macro_catchup_all()
         return {core.index: core.busy_time / self.sim.now
                 for core in self.machine.cores}
-
-    def live_threads(self) -> List[SimThread]:
-        return [t for t in self.threads if not t.terminated]
 
     # ------------------------------------------------------------------
     # Ready / dispatch machinery

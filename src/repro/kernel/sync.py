@@ -90,10 +90,6 @@ class Mutex:
         self.max_queue_depth = 0
 
     @property
-    def locked(self) -> bool:
-        return self.owner is not None
-
-    @property
     def wait_label(self) -> str:
         """Block reason / timeline span name for waiters."""
         return f"lock {self.name}"

@@ -79,10 +79,6 @@ class ManagedHeap:
         """Occupancy at which a concurrent collection should start."""
         return self.capacity_bytes * self.trigger_fraction
 
-    @property
-    def free_bytes(self) -> float:
-        return self.capacity_bytes - self.occupancy
-
     def has_room(self, nbytes: float) -> bool:
         return self.occupancy + nbytes <= self.capacity_bytes
 

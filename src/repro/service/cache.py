@@ -46,9 +46,11 @@ from repro.metrics import CounterBag, RunMetrics
 from repro.sim.trace_export import TraceData
 from repro.workloads.base import RunResult
 
-#: Bump when the on-disk entry schema changes; mismatched entries are
-#: treated as misses (and overwritten on the next store).
-CACHE_FORMAT = 2
+#: Bump when the on-disk entry schema changes, or when entries stored
+#: before a change lack what a fresh run now carries (format 2 entries
+#: of traced runs of six workloads had no timeline); mismatched entries
+#: are treated as misses (and overwritten on the next store).
+CACHE_FORMAT = 3
 
 
 # ----------------------------------------------------------------------

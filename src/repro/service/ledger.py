@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Sequence
+import os
+from typing import Any, Dict, List, Sequence
 
 from repro.histogram import LatencyHistogram
 
@@ -68,11 +69,16 @@ def request_digest(fingerprints: Sequence[str]) -> str:
 
 
 class RunLedger:
-    """Append-only JSONL sink, one flushed line per service request."""
+    """Append-only JSONL sink, one flushed line per service request.
+
+    Reopening an existing file continues its ``index`` sequence, so a
+    restarted server never writes an index the file already holds.
+    """
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self.records_written = 0
+        self.records_written = (len(read_ledger(path))
+                                if os.path.exists(path) else 0)
         self._handle = open(path, "a", encoding="utf-8")
 
     def record(self, entry: Dict[str, Any]) -> None:
@@ -157,8 +163,3 @@ def summarize_ledger(
             for name, histogram in latency.items()
         },
     }
-
-
-def open_ledger(path: Optional[str]) -> Optional[RunLedger]:
-    """A ledger for ``path``, or None when ledgering is disabled."""
-    return RunLedger(path) if path else None

@@ -215,10 +215,6 @@ class Tracer:
         """Start recording the given categories (e.g. ``"sched"``)."""
         self.active.update(categories)
 
-    def disable(self, *categories: str) -> None:
-        for category in categories:
-            self.active.discard(category)
-
     def add_sink(self, sink: Callable[[TraceItem], None]) -> None:
         """Forward retained items to ``sink`` (see the class docstring
         for the exact guarantee)."""

@@ -52,7 +52,7 @@ class RunResult:
     ``metrics`` holds the workload-level numbers the figures plot;
     ``run_metrics`` is the simulation's always-on observability
     snapshot (per-core accounting, migrations, workload counters — see
-    :mod:`repro.metrics`), attached by every workload's ``run_once``.
+    :mod:`repro.metrics`), attached by :meth:`Workload.run_once`.
     ``trace`` is the run's exportable timeline, attached only when the
     run's :class:`RunOptions` enable trace categories; see
     :mod:`repro.sim.trace_export`.
@@ -102,15 +102,19 @@ class Workload(abc.ABC):
         self.faults = schedule
         return self
 
-    def build_system(self, config: str, seed: int,
-                     scheduler_factory: Optional[SchedulerFactory] = None,
-                     options: Optional[RunOptions] = None) -> System:
-        """Fresh simulated platform for one run.
+    def run_once(self, config: str, seed: int = 0,
+                 scheduler_factory: Optional[SchedulerFactory] = None,
+                 options: Optional[RunOptions] = None) -> RunResult:
+        """Run the workload once under ``options``; return its result.
 
-        Applies the run's ``options`` (default: ``RunOptions()``) and
-        installs the workload's fault schedule, else the options' one,
-        before any thread is spawned, so fault events interleave
-        deterministically with the run.
+        The one run skeleton: builds a fresh platform with the run's
+        ``options`` (default: ``RunOptions()``), installs the
+        workload's fault schedule, else the options' one, before any
+        thread is spawned (so fault events interleave
+        deterministically with the run), lets :meth:`simulate` drive
+        it, and attaches the run's timeline (when trace categories
+        are recorded) and its :class:`~repro.metrics.RunMetrics`
+        snapshot.
         """
         if options is None:
             options = RunOptions()
@@ -122,30 +126,14 @@ class Workload(abc.ABC):
             else options.faults
         if schedule is not None:
             schedule.install(system)
-        return system
+        metrics = self.simulate(system)
+        trace = None
+        if system.sim.tracer.active:
+            trace = TraceData.from_system(system)
+        return RunResult(self.name, config, seed, dict(metrics),
+                         run_metrics=system.run_metrics(), trace=trace)
 
     @abc.abstractmethod
-    def run_once(self, config: str, seed: int = 0,
-                 scheduler_factory: Optional[SchedulerFactory] = None,
-                 options: Optional[RunOptions] = None) -> RunResult:
-        """Run the workload once under ``options``; return its
-        metrics."""
-
-    def result(self, config: str, seed: int,
-               system: Optional[System] = None,
-               **metrics: float) -> RunResult:
-        """Convenience constructor for :class:`RunResult`.
-
-        Passing the run's ``system`` attaches its
-        :class:`~repro.metrics.RunMetrics` snapshot — and, when the run
-        records trace categories, its timeline as a
-        :class:`~repro.sim.trace_export.TraceData`.
-        """
-        trace = None
-        if system is not None and system.sim.tracer.active:
-            trace = TraceData.from_system(system)
-        return RunResult(
-            self.name, config, seed, dict(metrics),
-            run_metrics=system.run_metrics()
-            if system is not None else None,
-            trace=trace)
+    def simulate(self, system: System) -> Dict[str, float]:
+        """Drive one run on the freshly built ``system``; return the
+        workload-level metrics."""

@@ -23,16 +23,12 @@ the other encoders.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Tuple
 
+from repro._system import System
 from repro.kernel.instructions import Acquire, Compute
 from repro.kernel.sync import Semaphore
-from repro.workloads.base import (
-    RunOptions,
-    RunResult,
-    SchedulerFactory,
-    Workload,
-)
+from repro.workloads.base import Workload
 
 
 class _FrameWavefront:
@@ -129,11 +125,7 @@ class H264Encoder(Workload):
         self.encoder_threads = encoder_threads
 
     # ------------------------------------------------------------------
-    def run_once(self, config: str, seed: int = 0,
-                 scheduler_factory: Optional[SchedulerFactory] = None,
-                 options: Optional[RunOptions] = None) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory,
-                                   options)
+    def simulate(self, system: System) -> Dict[str, float]:
         rng = system.sim.stream("h264.encode")
         frame_work = self.mb_rows * self.mb_cols * self.mb_cycles
         pre_cycles = frame_work * self.pre_fraction
@@ -185,7 +177,7 @@ class H264Encoder(Workload):
                                 daemon=True)
         system.kernel.start("h264-main", main_body())
         system.run()
-        return RunResult(self.name, config, seed, {
+        return {
             "runtime": system.now,
             "frames_per_second": self.frames / system.now,
-        }, run_metrics=system.run_metrics())
+        }

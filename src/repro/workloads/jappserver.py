@@ -27,15 +27,11 @@ build up.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
+from repro._system import System
 from repro.runtime.threadpool import Task, ThreadPool
-from repro.workloads.base import (
-    RunOptions,
-    RunResult,
-    SchedulerFactory,
-    Workload,
-)
+from repro.workloads.base import Workload
 
 #: Injection rates exercised by Figure 3(b).
 INJECTION_RATES = (250, 290, 320)
@@ -84,11 +80,7 @@ class SpecJAppServer(Workload):
         self.warmup_seconds = warmup_seconds
 
     # ------------------------------------------------------------------
-    def run_once(self, config: str, seed: int = 0,
-                 scheduler_factory: Optional[SchedulerFactory] = None,
-                 options: Optional[RunOptions] = None) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory,
-                                   options)
+    def simulate(self, system: System) -> Dict[str, float]:
         pool = ThreadPool(system, self.pool_threads, name="jas")
         rng = system.sim.stream("jas.driver")
         state = _DriverState(self.injection_rate, self.response_limit)
@@ -153,8 +145,7 @@ class SpecJAppServer(Workload):
             metrics["p90_response"] = \
                 manufacturing[int(0.9 * (len(manufacturing) - 1))]
             metrics["max_response"] = manufacturing[-1]
-        return RunResult(self.name, config, seed, metrics,
-                         run_metrics=system.run_metrics())
+        return metrics
 
 
 class _DriverState:

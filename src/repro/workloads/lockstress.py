@@ -15,17 +15,13 @@ smallest lock-heavy simulation that exercises every handoff path.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
+from repro._system import System
 from repro.kernel.instructions import Compute, Lock, Unlock
 from repro.kernel.sync import LOCK_KINDS, make_lock
 from repro.kernel.thread import SimThread
-from repro.workloads.base import (
-    RunOptions,
-    RunResult,
-    SchedulerFactory,
-    Workload,
-)
+from repro.workloads.base import Workload
 
 
 class _Counter:
@@ -100,11 +96,7 @@ class LockStress(Workload):
             counter.sections += 1
 
     # ------------------------------------------------------------------
-    def run_once(self, config: str, seed: int = 0,
-                 scheduler_factory: Optional[SchedulerFactory] = None,
-                 options: Optional[RunOptions] = None) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory,
-                                   options)
+    def simulate(self, system: System) -> Dict[str, float]:
         lock = make_lock(self.lock_kind, "stress", **self.lock_kwargs)
         counter = _Counter()
         rng = system.sim.stream("lockstress.work")
@@ -117,10 +109,9 @@ class LockStress(Workload):
 
         throughput = counter.sections / self.duration
         system.counters.incr("lockstress.sections", float(counter.sections))
-        return self.result(
-            config, seed, system=system,
-            throughput=throughput,
-            sections=float(counter.sections),
-            contended_acquires=float(lock.contention_count),
-            max_queue_depth=float(lock.max_queue_depth),
-        )
+        return {
+            "throughput": throughput,
+            "sections": float(counter.sections),
+            "contended_acquires": float(lock.contention_count),
+            "max_queue_depth": float(lock.max_queue_depth),
+        }

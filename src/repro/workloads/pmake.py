@@ -18,18 +18,14 @@ helps).  The file count is scaled 1:10 for simulation cost.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict
 
+from repro._system import System
 from repro.kernel.instructions import Acquire, Compute, Release, Spawn
 from repro.kernel.sync import Semaphore
 from repro.kernel.thread import SimThread
 from repro.sim.rng import RandomStream, derive_seed
-from repro.workloads.base import (
-    RunOptions,
-    RunResult,
-    SchedulerFactory,
-    Workload,
-)
+from repro.workloads.base import Workload
 
 
 def compile_cost_cycles(file_index: int,
@@ -72,11 +68,7 @@ class Pmake(Workload):
         self.prologue_fraction = prologue_fraction
 
     # ------------------------------------------------------------------
-    def run_once(self, config: str, seed: int = 0,
-                 scheduler_factory: Optional[SchedulerFactory] = None,
-                 options: Optional[RunOptions] = None) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory,
-                                   options)
+    def simulate(self, system: System) -> Dict[str, float]:
         costs = [compile_cost_cycles(i, self.mean_compile_cycles)
                  for i in range(self.n_files)]
         total_compile = sum(costs)
@@ -102,7 +94,7 @@ class Pmake(Workload):
 
         system.kernel.start("make", make_body())
         system.run()
-        return RunResult(self.name, config, seed, {
+        return {
             "runtime": system.now,
             "files_per_second": self.n_files / system.now,
-        }, run_metrics=system.run_metrics())
+        }

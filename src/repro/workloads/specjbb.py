@@ -24,18 +24,14 @@ the stock scheduler, fixed by the asymmetry-aware kernel.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
+from repro._system import System
 from repro.kernel.instructions import Compute, Lock, Unlock
 from repro.kernel.sync import Mutex, make_lock
 from repro.kernel.thread import SimThread
 from repro.runtime.jvm import GCKind, ManagedRuntime, hotspot, jrockit
-from repro.workloads.base import (
-    RunOptions,
-    RunResult,
-    SchedulerFactory,
-    Workload,
-)
+from repro.workloads.base import Workload
 
 MB = 1e6
 
@@ -146,11 +142,7 @@ class SpecJBB(Workload):
             counter.transactions += 1
 
     # ------------------------------------------------------------------
-    def run_once(self, config: str, seed: int = 0,
-                 scheduler_factory: Optional[SchedulerFactory] = None,
-                 options: Optional[RunOptions] = None) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory,
-                                   options)
+    def simulate(self, system: System) -> Dict[str, float]:
         vm = self._build_vm(system)
         counter = _Counter()
         rng = system.sim.stream("specjbb.tx")
@@ -172,11 +164,10 @@ class SpecJBB(Workload):
         measured = counter.transactions - counter.at_warmup_end
         throughput = measured / self.measurement_seconds
         system.counters.incr("specjbb.transactions", float(measured))
-        return self.result(
-            config, seed, system=system,
-            throughput=throughput,
-            transactions=float(measured),
-            gc_stall_time=vm.stall_time,
-            gc_stalls=float(vm.stall_count),
-            gc_collections=float(vm.collections),
-        )
+        return {
+            "throughput": throughput,
+            "transactions": float(measured),
+            "gc_stall_time": vm.stall_time,
+            "gc_stalls": float(vm.stall_count),
+            "gc_collections": float(vm.collections),
+        }

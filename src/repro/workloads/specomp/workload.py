@@ -4,14 +4,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Union
 
+from repro._system import System
 from repro.errors import WorkloadError
 from repro.runtime.openmp import LoopSchedule, OmpTeam
-from repro.workloads.base import (
-    RunOptions,
-    RunResult,
-    SchedulerFactory,
-    Workload,
-)
+from repro.workloads.base import Workload
 from repro.workloads.specomp.specs import (
     BENCHMARK_NAMES,
     build_modified_program,
@@ -63,11 +59,7 @@ class SpecOmpBenchmark(Workload):
         self.omp_chunk = omp_chunk
         self.name = f"OMP-{benchmark}"
 
-    def run_once(self, config: str, seed: int = 0,
-                 scheduler_factory: Optional[SchedulerFactory] = None,
-                 options: Optional[RunOptions] = None) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory,
-                                   options)
+    def simulate(self, system: System) -> Dict[str, float]:
         frequency = system.machine.frequency_hz
         if self.variant == "reference":
             program = build_program(self.spec, frequency)
@@ -78,11 +70,11 @@ class SpecOmpBenchmark(Workload):
                                             self.omp_chunk)
         team = OmpTeam(system, pin=self.pin)
         elapsed = team.execute(program)
-        return RunResult(self.name, config, seed, {
+        return {
             "runtime": elapsed,
             "serial_fraction": program.serial_fraction(),
             "chunks": float(sum(team.chunks_taken)),
-        }, run_metrics=system.run_metrics())
+        }
 
 
 def suite(variant: str = "reference") -> Dict[str, SpecOmpBenchmark]:

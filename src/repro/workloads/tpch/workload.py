@@ -4,13 +4,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro._system import System
 from repro.kernel.thread import SimThread
-from repro.workloads.base import (
-    RunOptions,
-    RunResult,
-    SchedulerFactory,
-    Workload,
-)
+from repro.workloads.base import Workload
 from repro.workloads.tpch.engine import DatabaseServer
 from repro.workloads.tpch.queries import (
     MAX_OPT_DEGREE,
@@ -43,11 +39,7 @@ class TpchPowerRun(Workload):
         self.latch_cycles = latch_cycles
 
     # ------------------------------------------------------------------
-    def run_once(self, config: str, seed: int = 0,
-                 scheduler_factory: Optional[SchedulerFactory] = None,
-                 options: Optional[RunOptions] = None) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory,
-                                   options)
+    def simulate(self, system: System) -> Dict[str, float]:
         server = DatabaseServer(system, lock_kind=self.lock_kind,
                                 latch_cycles=self.latch_cycles)
         query_times: Dict[int, float] = {}
@@ -67,7 +59,7 @@ class TpchPowerRun(Workload):
         metrics = {"runtime": system.now}
         for query, elapsed in query_times.items():
             metrics[f"q{query}_runtime"] = elapsed
-        return self.result(config, seed, system=system, **metrics)
+        return metrics
 
 
 class TpchQuery(Workload):
@@ -86,12 +78,5 @@ class TpchQuery(Workload):
                                    latch_cycles=latch_cycles)
         self.query = query
 
-    def run_once(self, config: str, seed: int = 0,
-                 scheduler_factory: Optional[SchedulerFactory] = None,
-                 options: Optional[RunOptions] = None) -> RunResult:
-        result = self._power.run_once(config, seed, scheduler_factory,
-                                      options)
-        return RunResult(self.name, config, seed,
-                         {"runtime": result.metric("runtime")},
-                         run_metrics=result.run_metrics,
-                         trace=result.trace)
+    def simulate(self, system: System) -> Dict[str, float]:
+        return {"runtime": self._power.simulate(system)["runtime"]}

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict
 
-from repro.workloads.base import (
-    RunOptions,
-    RunResult,
-    SchedulerFactory,
-    Workload,
-)
+from repro._system import System
+from repro.workloads.base import Workload
 from repro.workloads.webserver.apache import (
     DEFAULT_RECYCLE_AFTER,
     FINE_GRAINED_RECYCLE_AFTER,
@@ -49,11 +45,7 @@ class _WebWorkload(Workload):
     def _build_server(self, system):
         raise NotImplementedError
 
-    def run_once(self, config: str, seed: int = 0,
-                 scheduler_factory: Optional[SchedulerFactory] = None,
-                 options: Optional[RunOptions] = None) -> RunResult:
-        system = self.build_system(config, seed, scheduler_factory,
-                                   options)
+    def simulate(self, system: System) -> Dict[str, float]:
         server = self._build_server(system)
         client = ClosedLoopClient(system, server, self.concurrency,
                                   network_delay=self.network_delay)
@@ -70,8 +62,7 @@ class _WebWorkload(Workload):
             metrics["p90_response"] = times[int(0.9 * (len(times) - 1))]
             metrics["max_response"] = times[-1]
         self._extra_metrics(server, metrics)
-        return RunResult(self.name, config, seed, metrics,
-                         run_metrics=system.run_metrics())
+        return metrics
 
     def _extra_metrics(self, server, metrics) -> None:
         """Subclass hook for server-specific metrics."""

@@ -9,7 +9,10 @@ Run from the repository root::
 
 ``--check`` rebuilds every fixture in memory and exits non-zero if any
 differs from the committed file — the CI drift gate runs this so a
-simulator change can never silently invalidate the fixtures.  Only
+simulator change can never silently invalidate the fixtures.  A
+drifted run fixture also writes its rebuild's flight-recorder ring
+(the last spans and records of the run) to ``$REPRO_FLIGHT_DIR`` and
+prints the path; the text fixtures run untraced and have none.  Only
 commit regenerated fixtures when a change is *meant* to alter
 behaviour; the accompanying diff is the review artifact — an
 unexplained diff in a golden file is a regression, not an update.
@@ -46,6 +49,17 @@ def regenerate(out_dir: Path) -> int:
     return 0
 
 
+def _dump_flight(label: str) -> None:
+    """Write a drifted fixture's flight-recorder ring, if it has one."""
+    entries = harness.GOLDEN_FLIGHT.get(label)
+    if entries is None:
+        print(f"           untraced ({label}): no flight dump")
+        return
+    path = harness.write_flight_dump(label, entries)
+    print(f"           flight recorder ({len(entries)} entries) "
+          f"dumped to {path}")
+
+
 def check() -> int:
     """Rebuild in memory and diff against the committed fixtures."""
     drifted = []
@@ -57,6 +71,7 @@ def check() -> int:
         elif path.read_text(encoding="utf-8") != fresh:
             print(f"DRIFTED    {path}")
             drifted.append(label)
+            _dump_flight(label)
         else:
             print(f"unchanged  {path}")
     if drifted:

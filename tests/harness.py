@@ -13,6 +13,8 @@ audit those books, shared across the test suite:
 * :class:`FastCoreIdleWatcher` — the paper's §3.1.1 invariant as a
   live trace sink: under the asymmetry-aware policy no core goes idle
   while a strictly slower core still runs a thread.
+* ``WORKLOAD_TABLE`` — every concrete workload class at a tiny size,
+  for the contracts every run keeps (timeline, own fault schedule).
 * ``GOLDEN_RUNS`` — the registry of small fixed-seed simulations whose
   canonical JSON lives in ``tests/golden/`` (regenerate with
   ``python tests/golden/regenerate.py``).
@@ -74,14 +76,14 @@ from repro.sim import trace as _trace
 from repro.sim.events import EventQueue
 from repro.sim.trace import FLIGHT_RECORDER_CAPACITY, TraceRecord, Tracer
 from repro.sim.trace_export import TraceData, chrome_trace, trace_to_json
-from repro.workloads.base import RunOptions
+from repro.workloads.base import RunOptions, Workload
 from repro.workloads.h264 import H264Encoder
 from repro.workloads.jappserver import SpecJAppServer
 from repro.workloads.lockstress import LockStress
 from repro.workloads.pmake import Pmake
 from repro.workloads.specjbb import SpecJBB
 from repro.workloads.specomp import SpecOmpBenchmark
-from repro.workloads.tpch.workload import TpchQuery
+from repro.workloads.tpch.workload import TpchPowerRun, TpchQuery
 from repro.workloads.webserver import ApacheWorkload, ZeusWorkload
 from repro.workloads.webserver.apache import ApacheServer
 
@@ -251,6 +253,32 @@ def watch_fast_cores(system: System) -> FastCoreIdleWatcher:
     system.sim.tracer.enable("sched")
     system.sim.tracer.add_sink(watcher)
     return watcher
+
+
+# ----------------------------------------------------------------------
+# Every workload, tiny
+# ----------------------------------------------------------------------
+#: Class name -> a fresh instance small enough to run in well under a
+#: second on ``WORKLOAD_TABLE_CONFIG``: one entry per concrete workload
+#: class (a guard test in ``test_trace_export`` keeps it complete), so
+#: a contract every run must keep (its timeline, its own fault
+#: schedule) is checked on all of them.
+WORKLOAD_TABLE: Dict[str, Callable[[], Workload]] = {
+    "SpecJBB": lambda: SpecJBB(warehouses=2, measurement_seconds=0.1,
+                               warmup_seconds=0.05),
+    "SpecJAppServer": lambda: SpecJAppServer(injection_rate=250),
+    "TpchPowerRun": lambda: TpchPowerRun(queries=[3]),
+    "TpchQuery": lambda: TpchQuery(3),
+    "ApacheWorkload": lambda: ApacheWorkload(
+        "light", measurement_seconds=0.05),
+    "ZeusWorkload": lambda: ZeusWorkload(
+        "light", measurement_seconds=0.05),
+    "SpecOmpBenchmark": lambda: SpecOmpBenchmark("swim"),
+    "H264Encoder": lambda: H264Encoder(frames=1),
+    "Pmake": lambda: Pmake(n_files=10),
+    "LockStress": lambda: LockStress(duration=0.1),
+}
+WORKLOAD_TABLE_CONFIG = "2f-2s/8"
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,12 @@ from repro.sim.events import EventQueue
 from repro.workloads.base import RunOptions
 from repro.workloads.specjbb import SpecJBB
 
-from tests.harness import assert_conservation, golden_fault_schedule
+from tests.harness import (
+    WORKLOAD_TABLE,
+    WORKLOAD_TABLE_CONFIG,
+    assert_conservation,
+    golden_fault_schedule,
+)
 
 
 def _compute_body(cycles):
@@ -451,6 +456,18 @@ class TestDeterminism:
         stormy, _, _ = _faulted_run(golden_fault_schedule())
         assert clean.run_metrics().to_json() != \
             stormy.run_metrics().to_json()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_TABLE))
+def test_every_workload_installs_its_own_schedule(name):
+    """``with_faults`` reaches the system the workload runs on,
+    including one it delegates to (``TpchQuery``'s power run)."""
+    storm = FaultSchedule.throttle_storm(
+        seed=5, duration=2.0, cores=range(4), events_per_second=25.0,
+        recovery_mean=0.02)
+    result = WORKLOAD_TABLE[name]().with_faults(storm).run_once(
+        WORKLOAD_TABLE_CONFIG, seed=7)
+    assert result.run_metrics.counters.get("faults.throttle", 0.0) > 0
 
 
 class TestParallelByteIdentity:

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from tests import harness
+from tests.golden import regenerate
 
 
 @pytest.mark.parametrize("name", sorted(harness.GOLDEN_RUNS))
@@ -73,3 +74,27 @@ def test_golden_sched_trace_consistent_with_counters():
     errors = harness.trace_consistency_errors(metrics, records)
     assert errors == []
     watcher.assert_clean()
+
+
+def test_drift_check_writes_the_flight_dump(tmp_path, monkeypatch,
+                                            capsys):
+    """``regenerate.py --check`` (CI's drift step) ships a drifted run
+    fixture's flight-recorder ring itself."""
+    name = "sched_trace_1f-3s_asym_seed11"
+    text = harness.golden_path(name).read_text(encoding="utf-8")
+    edited = text.replace('"seed": 11', '"seed": 12', 1)
+    assert edited != text
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    (golden / f"{name}.json").write_text(edited, encoding="utf-8")
+    monkeypatch.setattr(harness, "GOLDEN_DIR", golden)
+    monkeypatch.setattr(harness, "GOLDEN_RUNS",
+                        {name: harness.GOLDEN_RUNS[name]})
+    monkeypatch.setattr(harness, "GOLDEN_FILES", {})
+    monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path / "dumps"))
+    assert regenerate.check() == 1
+    dump = tmp_path / "dumps" / f"{name}.flight.json"
+    payload = json.loads(dump.read_text(encoding="utf-8"))
+    assert payload["label"] == name
+    assert len(payload["entries"]) == 98
+    assert f"(98 entries) dumped to {dump}" in capsys.readouterr().out

@@ -219,6 +219,21 @@ class TestLedgerFile:
             assert record["format"] == LEDGER_FORMAT
             assert record["index"] == index
 
+    def test_reopened_ledger_continues_the_index(self, tmp_path, capsys):
+        """A server restarted on the same ``--ledger`` file appends
+        after the records already there, never reusing an index."""
+        path = tmp_path / "ledger.jsonl"
+        for request in ("ping", "stats"):
+            ledger = RunLedger(str(path))
+            ledger.record({"request": request, "outcome": "ok"})
+            ledger.close()
+        records = read_ledger(str(path))
+        assert [record["index"] for record in records] == [0, 1]
+        assert [record["request"] for record in records] == \
+            ["ping", "stats"]
+        assert check_schema.check_file(str(path))
+        assert "ledger, 2 records" in capsys.readouterr().out
+
     def test_read_ledger_skips_unknown_formats(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         path.write_text(

@@ -14,7 +14,7 @@ from repro.experiments.parallel import (
 from repro.sim import trace as _trace
 from repro.sim import trace_export
 from repro.sim.trace_export import TraceData
-from repro.workloads.base import RunOptions
+from repro.workloads.base import RunOptions, Workload
 from repro.workloads.specjbb import SpecJBB
 
 import sys
@@ -24,7 +24,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import check_schema  # noqa: E402
 import trace_diff  # noqa: E402
 
-from tests.harness import TRACED  # noqa: E402
+from tests.harness import (  # noqa: E402
+    TRACED,
+    WORKLOAD_TABLE,
+    WORKLOAD_TABLE_CONFIG,
+)
 
 
 def _workload():
@@ -60,6 +64,37 @@ class TestTraceData:
         assert back.core_labels == data.core_labels
         assert back.spans == data.spans
         assert back.records == data.records
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_TABLE))
+def test_every_workload_attaches_its_timeline(name):
+    """``Workload.run_once`` attaches the timeline of a traced run,
+    whichever workload it runs, and only of a traced one."""
+    make = WORKLOAD_TABLE[name]
+    assert make().run_once(WORKLOAD_TABLE_CONFIG, seed=1).trace is None
+    result = make().run_once(WORKLOAD_TABLE_CONFIG, seed=1,
+                             options=TRACED)
+    assert result.trace is not None
+    assert any(span.category == "exec" for span in result.trace.spans)
+    assert trace_export.chrome_trace([result])["traceEvents"]
+
+
+def _concrete_workload_classes(cls=Workload):
+    for sub in cls.__subclasses__():
+        if (sub.__module__.startswith("repro.")
+                and not sub.__name__.startswith("_")):
+            yield sub
+        yield from _concrete_workload_classes(sub)
+
+
+def test_workload_table_names_every_workload():
+    """A new workload class joins ``WORKLOAD_TABLE``, so the per-run
+    contracts above (and the fault-schedule one in ``test_faults``)
+    cover it too."""
+    tabled = {type(make()) for make in WORKLOAD_TABLE.values()}
+    assert set(_concrete_workload_classes()) == tabled
+    assert sorted(WORKLOAD_TABLE) == sorted(cls.__name__
+                                           for cls in tabled)
 
 
 class TestChromeTrace:
