@@ -92,6 +92,8 @@ class AsymmetryAwareScheduler(SymmetricScheduler):
 
     def _steal(self, core: Core) -> Optional["SimThread"]:
         queues = self.kernel.runqueues
+        if not any(queues):
+            return None
         for victim in self._steal_victims(core):
             queue = queues[victim.index]
             for position in range(len(queue) - 1, -1, -1):

@@ -50,16 +50,9 @@ _MIN_SLICE = 1e-6
 
 _INF = float("inf")
 
-# The dispatch loop tests instruction types millions of times per run;
-# module-level aliases avoid re-resolving the attribute each check.
-_Instruction = ins.Instruction
-_Compute = ins.Compute
-_Sleep = ins.Sleep
-_Lock = ins.Lock
-_Unlock = ins.Unlock
-
-# Thread states, aliased for the same reason: an Enum member read goes
-# through the enum class's attribute machinery on every access.
+# Thread states, aliased because the dispatch loop reads them millions
+# of times per run, and an Enum member read goes through the enum
+# class's attribute machinery on every access.
 _NEW = ThreadState.NEW
 _READY = ThreadState.READY
 _RUNNING = ThreadState.RUNNING
@@ -174,6 +167,19 @@ class Kernel:
         #: reports and golden fixtures — independent of how many sync
         #: objects other kernels in the process created first.
         self._sync_names: Dict[str, int] = {}
+        #: What ``_process`` does with each instruction type: the
+        #: zero-time handler, or None for ``Compute``.  Keyed by exact
+        #: type; ``_resolve`` adds a subclass on first sight.
+        self._handlers: Dict[type, Optional[Callable[..., bool]]] = {
+            ins.Compute: None, ins.Sleep: self._do_sleep,
+            ins.Lock: self._do_lock, ins.Unlock: self._do_unlock,
+            ins.BarrierWait: self._do_barrier, ins.Wait: self._do_cond_wait,
+            ins.Notify: self._do_notify, ins.Acquire: self._do_acquire,
+            ins.Release: self._do_release, ins.Spawn: self._do_spawn,
+            ins.Join: self._do_join, ins.YieldCPU: self._do_yield,
+            ins.SetAffinity: self._do_set_affinity,
+            ins.GetTime: self._do_get_time, ins.GetCore: self._do_get_core,
+        }
         self.threads: List[SimThread] = []
         # Live bookkeeping so the run loop never scans self.threads:
         # counts of non-daemon threads ever spawned / not yet terminated.
@@ -444,6 +450,7 @@ class Kernel:
         """Drive ``thread`` on ``core`` until it computes, blocks,
         deschedules or terminates."""
         body_send = thread.body.send
+        handlers = self._handlers
         scheduler = self.scheduler
         quantum = scheduler.quantum
         for _ in range(_INSTANT_GUARD):
@@ -467,18 +474,17 @@ class Kernel:
                         self._terminate(thread, core, stop.value)
                         return
                     thread.send_value = None
-                    if not isinstance(instruction, _Instruction):
-                        raise SimulationError(
-                            f"thread {thread.name!r} yielded "
-                            f"{instruction!r}, not an Instruction")
+                    try:
+                        execute = handlers[type(instruction)]
+                    except KeyError:
+                        execute = self._resolve(thread, instruction)
                     thread.current_instruction = instruction
-                    compute = isinstance(instruction, _Compute)
-                    if compute:
+                    if execute is None:
                         thread.remaining_cycles = instruction.cycles
                 else:
-                    compute = isinstance(instruction, _Compute)
-                if not compute:
-                    if self._execute_instant(thread, core, instruction):
+                    execute = handlers[type(instruction)]
+                if execute is not None:
+                    if execute(thread, core, instruction):
                         # The thread left the core (blocked, slept,
                         # yielded or moved elsewhere).
                         core.current_thread = None
@@ -502,6 +508,23 @@ class Kernel:
         raise SimulationError(
             f"thread {thread.name!r} executed {_INSTANT_GUARD} "
             "consecutive zero-time instructions (livelock?)")
+
+    def _resolve(self, thread: SimThread,
+                 instruction: Any) -> Optional[Callable[..., bool]]:
+        """Table entry for a type not yet in it: the entry of its
+        nearest base in the table, stored under the type itself."""
+        for base in type(instruction).__mro__:
+            if base in self._handlers:
+                execute = self._handlers[base]
+                self._handlers[type(instruction)] = execute
+                return execute
+        if isinstance(instruction, ins.Instruction):
+            raise SimulationError(
+                f"unknown instruction {instruction!r} from "
+                f"{thread.name!r}")
+        raise SimulationError(
+            f"thread {thread.name!r} yielded {instruction!r}, "
+            "not an Instruction")
 
     def _complete_instruction(self, thread: SimThread,
                               result: Any) -> None:
@@ -692,8 +715,6 @@ class Kernel:
         t = piece.start
         remaining = thread.remaining_cycles
         used = thread.quantum_used
-        cpu_seconds = thread.cpu_seconds
-        cycles_retired = thread.cycles_retired
         # .get, not [], on the defaultdicts: an unbooked catch-up must
         # not create a per-core entry the sliced kernel never wrote.
         core_seconds = thread.core_seconds.get(index, 0.0)
@@ -726,8 +747,6 @@ class Kernel:
                 break
             # Book the boundary exactly as _retire_slice would have.
             remaining = after
-            cpu_seconds += elapsed
-            cycles_retired += cycles
             core_seconds += elapsed
             core_cycles += cycles
             used += elapsed
@@ -757,8 +776,6 @@ class Kernel:
             thread.remaining_cycles = remaining
             thread.quantum_used = used
             thread.last_ran_at = t
-            thread.cpu_seconds = cpu_seconds
-            thread.cycles_retired = cycles_retired
             thread.core_seconds[index] = core_seconds
             thread.core_cycles[index] = core_cycles
             core.busy_time = busy_time
@@ -878,7 +895,8 @@ class Kernel:
         thread = piece.thread
         remaining = thread.remaining_cycles - cycles
         thread.remaining_cycles = remaining if remaining > 0.0 else 0.0
-        thread.account_execution(index, elapsed, cycles)
+        thread.core_seconds[index] += elapsed
+        thread.core_cycles[index] += cycles
         thread.last_ran_at = now
         thread.quantum_used += elapsed
         core.busy_time += elapsed
@@ -906,10 +924,15 @@ class Kernel:
         self._sweep_group = core.index
         thread = self._retire_slice(core)
         if thread.remaining_cycles <= _CYCLE_EPSILON:
-            # A drained spin burst is not a completed instruction: let
-            # _process's spin branch re-check the lock (or re-arm).
+            # A drained spin burst is not a completed instruction: it
+            # re-checks the lock.  With quantum left, a failed check
+            # starts the next burst here, as _process would.
             if thread.spin_lock is None:
                 self._complete_instruction(thread, None)
+            elif (thread.quantum_used < self.scheduler.quantum
+                    and not self._spin_recheck(thread, core)):
+                self._start_slice(thread, core)
+                return
             self._process(thread, core)
             return
         # Quantum expired mid-instruction.
@@ -1104,107 +1127,90 @@ class Kernel:
     # ------------------------------------------------------------------
     # Instantaneous instructions
     # ------------------------------------------------------------------
-    def _execute_instant(self, thread: SimThread, core: Core,
-                         instruction: ins.Instruction) -> bool:
-        """Execute a zero-time instruction.
+    # Each handler executes one zero-time instruction and returns True
+    # when the thread left the core (blocked, slept, yielded, moved
+    # elsewhere), False when it completed the instruction and keeps
+    # running.  ``Kernel._handlers`` maps instruction types to them.
+    def _do_sleep(self, thread: SimThread, core: Core,
+                  instruction: ins.Sleep) -> bool:
+        thread.state = _SLEEPING
+        thread.block_reason = "sleep"
+        if "block" in self._tracer_active:
+            thread.block_span = self._tracer.span(
+                self.sim._now, "block", "sleep", thread=thread.name)
+        self.sim.schedule_fast(instruction.seconds,
+                               self._wake_sleeper, thread)
+        return True
 
-        Returns True when the thread left the core (blocked, slept,
-        yielded, terminated elsewhere); False when it completed the
-        instruction and keeps running.
-        """
-        if isinstance(instruction, _Sleep):
-            thread.state = _SLEEPING
-            thread.block_reason = "sleep"
-            if "block" in self._tracer_active:
-                thread.block_span = self._tracer.span(
-                    self.sim._now, "block", "sleep", thread=thread.name)
-            self.sim.schedule_fast(instruction.seconds,
-                                   self._wake_sleeper, thread)
-            return True
-
-        if isinstance(instruction, _Lock):
-            return self._do_lock(thread, core, instruction.mutex)
-
-        if isinstance(instruction, _Unlock):
-            self._do_unlock(thread, core, instruction.mutex)
+    def _do_acquire(self, thread: SimThread, core: Core,
+                    instruction: ins.Acquire) -> bool:
+        semaphore = instruction.semaphore
+        if semaphore.permits > 0:
+            semaphore.permits -= 1
             self._complete_instruction(thread, None)
             return False
+        if not semaphore.name:
+            self._name_sync(semaphore)
+        semaphore.waiters.append(thread)
+        self._block(thread, semaphore.wait_label)
+        return True
 
-        if isinstance(instruction, ins.BarrierWait):
-            return self._do_barrier(thread, instruction.barrier)
+    def _do_release(self, thread: SimThread, core: Core,
+                    instruction: ins.Release) -> bool:
+        semaphore = instruction.semaphore
+        if semaphore.waiters:
+            waiter = semaphore.waiters.popleft()
+            self._wake_blocked(waiter, None)
+        else:
+            semaphore.permits += 1
+        self._complete_instruction(thread, None)
+        return False
 
-        if isinstance(instruction, ins.Wait):
-            return self._do_cond_wait(thread, core, instruction)
+    def _do_spawn(self, thread: SimThread, core: Core,
+                  instruction: ins.Spawn) -> bool:
+        instruction.thread.spawn_core_hint = core.index
+        self.spawn(instruction.thread)
+        self._complete_instruction(thread, instruction.thread)
+        return False
 
-        if isinstance(instruction, ins.Notify):
-            self._do_notify(instruction)
-            self._complete_instruction(thread, None)
+    def _do_join(self, thread: SimThread, core: Core,
+                 instruction: ins.Join) -> bool:
+        target = instruction.thread
+        if target.terminated:
+            self._complete_instruction(thread, target.return_value)
             return False
+        target.joiners.append(thread)
+        self._block(thread, f"join {target.name}")
+        return True
 
-        if isinstance(instruction, ins.Acquire):
-            semaphore = instruction.semaphore
-            if semaphore.permits > 0:
-                semaphore.permits -= 1
-                self._complete_instruction(thread, None)
-                return False
-            if not semaphore.name:
-                self._name_sync(semaphore)
-            semaphore.waiters.append(thread)
-            self._block(thread, semaphore.wait_label)
-            return True
+    def _do_yield(self, thread: SimThread, core: Core,
+                  instruction: ins.YieldCPU) -> bool:
+        self._complete_instruction(thread, None)
+        thread.state = _READY
+        thread.ready_at = self.sim._now
+        self.runqueues[core.index].append(thread)
+        return True
 
-        if isinstance(instruction, ins.Release):
-            semaphore = instruction.semaphore
-            if semaphore.waiters:
-                waiter = semaphore.waiters.popleft()
-                self._wake_blocked(waiter, None)
-            else:
-                semaphore.permits += 1
-            self._complete_instruction(thread, None)
-            return False
-
-        if isinstance(instruction, ins.Spawn):
-            instruction.thread.spawn_core_hint = core.index
-            self.spawn(instruction.thread)
-            self._complete_instruction(thread, instruction.thread)
-            return False
-
-        if isinstance(instruction, ins.Join):
-            target = instruction.thread
-            if target.terminated:
-                self._complete_instruction(thread, target.return_value)
-                return False
-            target.joiners.append(thread)
-            self._block(thread, f"join {target.name}")
-            return True
-
-        if isinstance(instruction, ins.YieldCPU):
-            self._complete_instruction(thread, None)
+    def _do_set_affinity(self, thread: SimThread, core: Core,
+                         instruction: ins.SetAffinity) -> bool:
+        thread.affinity = instruction.cores
+        self._complete_instruction(thread, None)
+        if not thread.allowed_on(core.index):
+            # Running on a now-forbidden core: move immediately.
             thread.state = _READY
-            thread.ready_at = self.sim._now
-            self.runqueues[core.index].append(thread)
+            self._make_ready(thread)
             return True
+        return False
 
-        if isinstance(instruction, ins.SetAffinity):
-            thread.affinity = instruction.cores
-            self._complete_instruction(thread, None)
-            if not thread.allowed_on(core.index):
-                # Running on a now-forbidden core: move immediately.
-                thread.state = _READY
-                self._make_ready(thread)
-                return True
-            return False
+    def _do_get_time(self, thread: SimThread, core: Core,
+                     instruction: ins.GetTime) -> bool:
+        self._complete_instruction(thread, self.sim.now)
+        return False
 
-        if isinstance(instruction, ins.GetTime):
-            self._complete_instruction(thread, self.sim.now)
-            return False
-
-        if isinstance(instruction, ins.GetCore):
-            self._complete_instruction(thread, core.index)
-            return False
-
-        raise SimulationError(
-            f"unknown instruction {instruction!r} from {thread.name!r}")
+    def _do_get_core(self, thread: SimThread, core: Core,
+                     instruction: ins.GetCore) -> bool:
+        self._complete_instruction(thread, core.index)
+        return False
 
     # ------------------------------------------------------------------
     # Locking (the LibASL primitive layer, DESIGN.md §11)
@@ -1258,7 +1264,9 @@ class Kernel:
         thread.remaining_cycles = mutex.spin_check_cycles
         return False
 
-    def _do_lock(self, thread: SimThread, core: Core, mutex) -> bool:
+    def _do_lock(self, thread: SimThread, core: Core,
+                 instruction: ins.Lock) -> bool:
+        mutex = instruction.mutex
         if not mutex.name:
             self._name_sync(mutex)
         owner = mutex.owner
@@ -1339,7 +1347,16 @@ class Kernel:
                 return candidate
         return None
 
-    def _do_unlock(self, thread: SimThread, core: Core, mutex) -> None:
+    def _do_unlock(self, thread: SimThread, core: Core,
+                   instruction: ins.Unlock) -> bool:
+        self._release_mutex(thread, core, instruction.mutex)
+        self._complete_instruction(thread, None)
+        return False
+
+    def _release_mutex(self, thread: SimThread, core: Core,
+                       mutex) -> None:
+        """Give up ``mutex``: hand it to the successor its policy
+        picks, or leave it free."""
         if not mutex.name:
             self._name_sync(mutex)
         if mutex.owner is not thread:
@@ -1379,7 +1396,9 @@ class Kernel:
                 counters.incr("lock.crit_migrations")
         self._wake_blocked(successor, None)
 
-    def _do_barrier(self, thread: SimThread, barrier) -> bool:
+    def _do_barrier(self, thread: SimThread, core: Core,
+                    instruction: ins.BarrierWait) -> bool:
+        barrier = instruction.barrier
         if barrier.n_waiting + 1 >= barrier.parties:
             # Last arrival trips the barrier: release everyone.
             barrier.generation += 1
@@ -1396,7 +1415,7 @@ class Kernel:
         return True
 
     def _do_cond_wait(self, thread: SimThread, core: Core,
-                      instruction) -> bool:
+                      instruction: ins.Wait) -> bool:
         mutex = instruction.mutex
         if mutex.spins:
             raise SchedulingError(
@@ -1405,12 +1424,13 @@ class Kernel:
         condvar = instruction.condvar
         if not condvar.name:
             self._name_sync(condvar)
-        self._do_unlock(thread, core, mutex)
+        self._release_mutex(thread, core, mutex)
         condvar.waiters.append(thread)
         self._block(thread, condvar.wait_label)
         return True
 
-    def _do_notify(self, instruction) -> None:
+    def _do_notify(self, thread: SimThread, core: Core,
+                   instruction: ins.Notify) -> bool:
         condvar = instruction.condvar
         count = instruction.count
         if count is None:
@@ -1435,6 +1455,8 @@ class Kernel:
                 counters.incr("lock.contended")
                 counters.set_max("lock.max_queue_depth", float(depth))
                 waiter.block_reason = f"relock {mutex.name}"
+        self._complete_instruction(thread, None)
+        return False
 
     # ------------------------------------------------------------------
     def _terminate(self, thread: SimThread, core: Core,

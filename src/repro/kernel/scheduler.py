@@ -160,9 +160,21 @@ class SymmetricScheduler(Scheduler):
     rebalance_threshold = 3
 
     def place(self, thread: "SimThread") -> Core:
-        candidates, least, last_load = self._loads(thread)
         kernel = self.kernel
-        if thread.last_core is None:
+        last = thread.last_core
+        if last is not None:
+            # A last core loaded below the threshold keeps the thread
+            # whatever the least load is (no load is negative), so the
+            # machine scan cannot change the answer.
+            core = kernel.machine.cores[last]
+            if core.online and thread.allowed_on(last):
+                load = len(kernel.runqueues[last])
+                if core.current_thread is not None:
+                    load += 1
+                if load < self.rebalance_threshold:
+                    return core
+        candidates, least, last_load = self._loads(thread)
+        if last is None:
             # New thread.  Under the era's global-runqueue kernels a
             # fresh child is grabbed by whichever core happens to be
             # idle — effectively a random, speed-blind pick among idle
@@ -185,7 +197,7 @@ class SymmetricScheduler(Scheduler):
         # never consults core speed.
         if last_load is not None \
                 and last_load - least < self.rebalance_threshold:
-            return kernel.machine.cores[thread.last_core]
+            return kernel.machine.cores[last]
         return kernel.rng.choice_tiebreak(candidates)
 
     def next_thread(self, core: Core) -> Optional["SimThread"]:
@@ -216,6 +228,8 @@ class SymmetricScheduler(Scheduler):
 
     def _steal(self, core: Core) -> Optional["SimThread"]:
         """Take a queued thread from the most loaded other core."""
+        if not any(self.kernel.runqueues):
+            return None
         victims = self._steal_victims(core)
         if not victims:
             return None

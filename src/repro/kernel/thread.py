@@ -40,6 +40,10 @@ class SimThread:
     daemon:
         Daemon threads do not count towards "the workload is finished"
         (used for background service threads such as a concurrent GC).
+
+    The kernel books each retired compute slice into the per-core
+    ``core_seconds`` and ``core_cycles``; ``cpu_seconds`` and
+    ``cycles_retired`` are sums over those books.
     """
 
     _next_tid = 1
@@ -102,8 +106,6 @@ class SimThread:
         # -------------------------- accounting -------------------------
         self.spawn_time: Optional[float] = None
         self.finish_time: Optional[float] = None
-        self.cpu_seconds = 0.0
-        self.cycles_retired = 0.0
         self.migrations = 0
         self.preemptions = 0
         #: Busy seconds broken down by core index.
@@ -125,13 +127,15 @@ class SimThread:
         """May this thread execute on the given core?"""
         return self.affinity is None or core_index in self.affinity
 
-    def account_execution(self, core_index: int, seconds: float,
-                          cycles: float) -> None:
-        """Record a completed execution slice."""
-        self.cpu_seconds += seconds
-        self.cycles_retired += cycles
-        self.core_seconds[core_index] += seconds
-        self.core_cycles[core_index] += cycles
+    @property
+    def cpu_seconds(self) -> float:
+        """Busy seconds on every core: the sum of ``core_seconds``."""
+        return sum(self.core_seconds.values(), 0.0)
+
+    @property
+    def cycles_retired(self) -> float:
+        """Cycles retired on every core: the sum of ``core_cycles``."""
+        return sum(self.core_cycles.values(), 0.0)
 
     def lifetime(self) -> Optional[float]:
         """Spawn-to-finish wall time, if the thread has terminated."""

@@ -72,13 +72,20 @@ class RunLedger:
     """Append-only JSONL sink, one flushed line per service request.
 
     Reopening an existing file continues its ``index`` sequence, so a
-    restarted server never writes an index the file already holds.
+    restarted server never writes an index the file already holds.  A
+    last line without its newline is a record a crash tore mid-append;
+    reopening cuts it off before counting.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self.records_written = (len(read_ledger(path))
-                                if os.path.exists(path) else 0)
+        self.records_written = 0
+        if os.path.exists(path):
+            with open(path, "rb+") as handle:
+                data = handle.read()
+                if data and not data.endswith(b"\n"):
+                    handle.truncate(data.rfind(b"\n") + 1)
+            self.records_written = len(read_ledger(path))
         self._handle = open(path, "a", encoding="utf-8")
 
     def record(self, entry: Dict[str, Any]) -> None:

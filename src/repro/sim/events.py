@@ -63,7 +63,7 @@ class Event:
     queued with :meth:`EventQueue.push_event`.  The object is a pure
     data slot — it holds no reference back to its queue; cancel it
     through :meth:`EventQueue.cancel` (or ``Simulator.cancel``) so the
-    queue can keep its live/cancelled bookkeeping exact.
+    queue can keep its count of cancelled entries exact.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled")
@@ -88,12 +88,11 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list = []
         self._seq = 0
-        self._live = 0
         self._cancelled = 0  # cancelled events still buried in the heap
 
     def __len__(self) -> int:
         """Number of *live* (non-cancelled) events."""
-        return self._live
+        return len(self._heap) - self._cancelled
 
     def heap_size(self) -> int:
         """Physical heap length, including lazily-deleted entries.
@@ -121,7 +120,6 @@ class EventQueue:
         event = Event(time, self._seq, callback, args)
         heapq.heappush(self._heap, (time, group, self._seq, event))
         self._seq += 1
-        self._live += 1
         return event
 
     def push_event(self, event: Event, group: int = -1) -> Event:
@@ -141,7 +139,6 @@ class EventQueue:
         event.seq = seq
         heapq.heappush(self._heap, (time, group, seq, event))
         self._seq = seq + 1
-        self._live += 1
         return event
 
     def push_fast(self, time: float, callback: Callable[..., Any],
@@ -152,7 +149,6 @@ class EventQueue:
         heapq.heappush(self._heap,
                        (time, group, self._seq, callback, args))
         self._seq += 1
-        self._live += 1
 
     # ------------------------------------------------------------------
     # Cancellation
@@ -167,9 +163,8 @@ class EventQueue:
         if event.cancelled:
             return
         event.cancelled = True
-        self._live -= 1
         self._cancelled += 1
-        if self._cancelled > self._live:
+        if 2 * self._cancelled > len(self._heap):
             self.compact()
 
     def compact(self) -> None:
@@ -199,9 +194,7 @@ class EventQueue:
                 if event.cancelled:
                     self._cancelled -= 1
                     continue
-                self._live -= 1
                 return event
-            self._live -= 1
             return Event(entry[0], entry[2], entry[3], entry[4])
         return None
 
@@ -226,12 +219,10 @@ class EventQueue:
                 if entry[0] > limit:
                     return None
                 heapq.heappop(heap)
-                self._live -= 1
                 return (entry[0], event.callback, event.args)
             if entry[0] > limit:
                 return None
             heapq.heappop(heap)
-            self._live -= 1
             return (entry[0], entry[3], entry[4])
         return None
 

@@ -28,6 +28,7 @@ from repro.kernel import (
     YieldCPU,
 )
 from repro.machine import DEFAULT_FREQUENCY_HZ
+from tests import harness
 
 ONE_SECOND_FAST = DEFAULT_FREQUENCY_HZ  # cycles that take 1s on a fast core
 
@@ -100,9 +101,12 @@ class TestComputeTiming:
         def bad():
             yield 42
         system = System.build("4f-0s")
-        system.kernel.start("t", bad())
-        with pytest.raises(SimulationError):
+        thread = system.kernel.start("t", bad())
+        with pytest.raises(SimulationError,
+                           match="'t' yielded 42, not an Instruction"):
             system.run()
+        # Rejected before the thread takes it as its instruction.
+        assert thread.current_instruction is None
 
     @pytest.mark.parametrize("cycles", [-1, float("nan")])
     def test_invalid_cycles_rejected(self, cycles):
@@ -522,3 +526,62 @@ class TestDeadlockDetection:
         system.kernel.start("daemon", daemon(), daemon=True)
         system.kernel.start("main", main())
         system.run()  # must not raise: daemon is excluded
+
+
+class _Nap(Sleep):
+    """A Sleep subclass: the kernel treats it as its base."""
+
+    __slots__ = ()
+
+
+class _Work(Compute):
+    """A Compute subclass: the kernel treats it as its base."""
+
+    __slots__ = ()
+
+
+class TestInstructionTypes:
+    """The kernel dispatches on an instruction's exact type, resolving
+    a subclass to its base the first time it sees it."""
+
+    @staticmethod
+    def _stream(sleep, compute, coalesce):
+        outcome = {}
+
+        def run():
+            system = System.build("2f-2s/8", seed=5, coalesce=coalesce)
+
+            def body():
+                for _ in range(3):
+                    yield compute(ONE_SECOND_FAST / 40)
+                    yield sleep(0.01)
+
+            threads = [system.kernel.start(f"t{i}", body())
+                       for i in range(6)]
+            outcome["finish"] = system.run()
+            outcome["cycles"] = [t.cycles_retired for t in threads]
+            outcome["metrics"] = system.run_metrics().to_json()
+
+        outcome["stream"] = harness.record_event_stream(run)
+        return outcome
+
+    @pytest.mark.parametrize("coalesce", [True, False])
+    def test_subclasses_behave_exactly_like_their_bases(self, coalesce):
+        assert self._stream(_Nap, _Work, coalesce) == \
+            self._stream(Sleep, Compute, coalesce)
+
+    def test_preempted_subclass_compute_resumes_its_cycles(self):
+        system = System.build("4f-0s")
+        pinned = frozenset([0])
+
+        def body():
+            yield _Work(ONE_SECOND_FAST)
+
+        threads = [system.kernel.spawn(SimThread(f"t{i}", body(),
+                                                 affinity=pinned))
+                   for i in range(2)]
+        assert system.run() == pytest.approx(2.0)
+        for thread in threads:
+            assert thread.preemptions > 0
+            assert thread.cycles_retired == \
+                pytest.approx(ONE_SECOND_FAST)

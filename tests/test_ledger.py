@@ -22,6 +22,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.service.ledger import (
     LATENCY_FIELDS,
     LEDGER_FORMAT,
@@ -233,6 +235,35 @@ class TestLedgerFile:
             ["ping", "stats"]
         assert check_schema.check_file(str(path))
         assert "ledger, 2 records" in capsys.readouterr().out
+
+    def test_reopening_cuts_a_record_torn_by_a_crash(self, tmp_path,
+                                                     capsys):
+        """A crash mid-append leaves an unterminated fragment; the
+        reopened ledger drops it and continues the index."""
+        path = tmp_path / "ledger.jsonl"
+        ledger = RunLedger(str(path))
+        ledger.record({"request": "ping", "outcome": "ok"})
+        ledger.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"format": 1, "index": 1, "requ')
+        ledger = RunLedger(str(path))
+        ledger.record({"request": "stats", "outcome": "ok"})
+        ledger.close()
+        records = read_ledger(str(path))
+        assert [record["index"] for record in records] == [0, 1]
+        assert check_schema.check_file(str(path))
+        assert "ledger, 2 records" in capsys.readouterr().out
+
+    def test_a_terminated_malformed_line_still_raises(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text('{"format": 1, "index": 0, "requ\n',
+                        encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError):
+            read_ledger(str(path))
+        with pytest.raises(json.JSONDecodeError):
+            RunLedger(str(path))
+        assert path.read_text(encoding="utf-8") == \
+            '{"format": 1, "index": 0, "requ\n'
 
     def test_read_ledger_skips_unknown_formats(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

@@ -6,11 +6,13 @@ placement rule pass by pass — allowed cores, their loads, the least
 loaded, the fastest of those — and checks on random machine states
 (queues, running threads, offline cores, affinities, reprogrammed
 duty cycles) that both pick the same core and consume the same
-tie-break randomness.
+tie-break randomness.  The symmetric policy answers a waking thread
+whose last core is loaded below ``rebalance_threshold`` without the
+scan; explicit examples pin that shortcut at and around its edges.
 """
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro import System
 from repro.errors import SchedulingError
@@ -76,18 +78,10 @@ core_flags = st.lists(st.booleans(), min_size=CORES, max_size=CORES)
 core_indices = st.none() | st.integers(0, CORES - 1)
 
 
-@st.composite
-def placements(draw):
-    """A system in a random mid-run state plus a thread to place."""
-    system = System.build(draw(st.sampled_from(CONFIGS)),
-                          seed=draw(st.integers(0, 10_000)),
-                          scheduler=draw(st.sampled_from(POLICIES))())
-    online = draw(core_flags)
-    running = draw(core_flags)
-    queued = draw(st.lists(st.integers(0, 4), min_size=CORES,
-                           max_size=CORES))
-    duties = draw(st.lists(st.none() | st.sampled_from(SUPPORTED_DUTY_CYCLES),
-                           min_size=CORES, max_size=CORES))
+def machine_state(config, seed, policy, online, running, queued, duties,
+                  affinity, last_core, spawn_core_hint):
+    """A system in the given mid-run state plus a thread to place."""
+    system = System.build(config, seed=seed, scheduler=policy())
     for core in system.machine.cores:
         index = core.index
         core.online = online[index]
@@ -98,16 +92,46 @@ def placements(draw):
                 SimThread(f"q{index}.{slot}", _body()))
         if duties[index] is not None:
             core.set_duty_cycle(duties[index])
-    affinity = draw(st.none() | st.sets(st.integers(0, CORES - 1),
-                                        min_size=1))
     thread = SimThread("placed", _body(), affinity=affinity)
-    thread.last_core = draw(core_indices)
-    thread.spawn_core_hint = draw(core_indices)
+    thread.last_core = last_core
+    thread.spawn_core_hint = spawn_core_hint
     return system, thread
+
+
+@st.composite
+def placements(draw):
+    """A system in a random mid-run state plus a thread to place."""
+    return machine_state(
+        draw(st.sampled_from(CONFIGS)), draw(st.integers(0, 10_000)),
+        draw(st.sampled_from(POLICIES)), draw(core_flags),
+        draw(core_flags),
+        draw(st.lists(st.integers(0, 4), min_size=CORES, max_size=CORES)),
+        draw(st.lists(st.none() | st.sampled_from(SUPPORTED_DUTY_CYCLES),
+                      min_size=CORES, max_size=CORES)),
+        draw(st.none() | st.sets(st.integers(0, CORES - 1), min_size=1)),
+        draw(core_indices), draw(core_indices))
+
+
+def waking_on_core1(load, online=True, affinity=None):
+    """A thread that last ran on core 1 of a stock-scheduled machine,
+    core 1 at ``load`` (one running, the rest queued), cores 0, 2 and
+    3 idle."""
+    queued = [0, max(load - 1, 0), 0, 0]
+    return machine_state("2f-2s/8", 7, SymmetricScheduler,
+                         [True, online, True, True],
+                         [False, load > 0, False, False], queued,
+                         [None] * CORES, affinity, 1, None)
+
+
+THRESHOLD = SymmetricScheduler.rebalance_threshold
 
 
 @settings(max_examples=300, deadline=None)
 @given(placements())
+@example(waking_on_core1(THRESHOLD - 1))  # stays, no scan
+@example(waking_on_core1(THRESHOLD))  # leaves, random idle core
+@example(waking_on_core1(0, online=False))  # offline last core
+@example(waking_on_core1(0, affinity={0, 2, 3}))  # last core excluded
 def test_one_pass_placement_matches_the_rule(case):
     system, thread = case
     assume(any(core.online and thread.allowed_on(core.index)
