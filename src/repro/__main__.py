@@ -353,8 +353,6 @@ def _cmd_report(args) -> int:
             stock_results=args.stock_results,
             asym_results=args.asym_results,
             ledger_path=args.ledger,
-            bench_path=args.bench,
-            bench_baseline_path=args.bench_baseline,
             golden_dir=args.golden_dir)
     finally:
         backend.shutdown()
@@ -634,15 +632,6 @@ def main(argv=None) -> int:
     report.add_argument("--ledger", metavar="PATH", default=None,
                         help="summarize the service run ledger at "
                              "PATH into the report's service section")
-    report.add_argument("--bench", metavar="PATH", default=None,
-                        help="current benchmark numbers "
-                             "(BENCH_engine.json) for the benchmark "
-                             "trajectory section")
-    report.add_argument("--bench-baseline", metavar="PATH",
-                        default=None,
-                        help="committed benchmark pin "
-                             "(BENCH_baseline.json) the --bench "
-                             "numbers are compared with")
     report.add_argument("--golden-dir", metavar="DIR", default=None,
                         help="golden fixture directory whose "
                              "metadata the report lists "

@@ -28,7 +28,6 @@ from repro.analysis.usl import (
 from repro.analysis.perf_report import (
     REPORT_FORMAT,
     build_report,
-    compare_to_baseline,
     generate_report_files,
     render_markdown,
     sweep_from_payloads,
@@ -54,7 +53,6 @@ __all__ = [
     "scaling_axis",
     "REPORT_FORMAT",
     "build_report",
-    "compare_to_baseline",
     "generate_report_files",
     "render_markdown",
     "sweep_from_payloads",

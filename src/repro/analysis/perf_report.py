@@ -3,8 +3,7 @@
 The paper's contribution is *measured characterization* — figures
 contrasting asymmetric and symmetric configurations — and this module
 assembles that story from data the system already produces, instead
-of leaving readers to cross-reference ``fig*.txt`` dumps and
-``BENCH_*.json`` blobs by hand:
+of leaving readers to cross-reference ``fig*.txt`` dumps by hand:
 
 * **Throughput** — per-configuration summary statistics of the
   primary metric, for the stock and the asymmetry-aware scheduler.
@@ -22,14 +21,12 @@ of leaving readers to cross-reference ``fig*.txt`` dumps and
 * **Service telemetry** — the scenario service's run ledger
   (:mod:`repro.service.ledger`) summarized into request/outcome
   censuses and queue-wait/execute distributions.
-* **Benchmark trajectory** — current ``BENCH_engine.json`` numbers
-  against the committed ``BENCH_baseline.json`` pin, as ratios.
 * **Golden fixtures** — which byte-exact fixtures pin this workload.
 
 Determinism is a contract: :func:`build_report` and
 :func:`render_markdown` are pure functions of their inputs (no
 timestamps, hosts or absolute paths in the output), so two
-generations from the same sweeps, ledger file and bench files are
+generations from the same sweeps and ledger file are
 byte-identical — CI's ``identity`` job generates twice and
 ``cmp``-s, and ``tests/golden/`` pins a small fixture report.
 """
@@ -164,42 +161,6 @@ def variability_section(stock: ConfigSweep,
     }
 
 
-def _flatten_numeric(data: Any, prefix: str = "",
-                     out: Optional[Dict[str, float]] = None,
-                     ) -> Dict[str, float]:
-    """Dotted-key view of a nested JSON object's numeric leaves."""
-    if out is None:
-        out = {}
-    if isinstance(data, dict):
-        for key in sorted(data):
-            path = f"{prefix}.{key}" if prefix else str(key)
-            _flatten_numeric(data[key], path, out)
-    elif isinstance(data, (int, float)) and not isinstance(data, bool):
-        out[prefix] = float(data)
-    return out
-
-
-def compare_to_baseline(current: Dict[str, Any],
-                        pinned: Dict[str, Any]) -> Dict[str, Any]:
-    """Ratio of every numeric leaf both benchmark files share.
-
-    ``ratio`` is current/pinned (``None`` for a non-positive pin), so
-    for a ``*_seconds`` leaf < 1 is faster than the pin and for a
-    ``*_per_sec`` leaf > 1 is.
-    """
-    flat_current = _flatten_numeric(current)
-    flat_pinned = _flatten_numeric(pinned)
-    comparison: Dict[str, Any] = {}
-    for key in sorted(set(flat_current) & set(flat_pinned)):
-        value, pin = flat_current[key], flat_pinned[key]
-        comparison[key] = {
-            "current": value,
-            "pinned": pin,
-            "ratio": (value / pin) if pin > 0 else None,
-        }
-    return comparison
-
-
 def golden_metadata(golden_dir: str,
                     workload: str) -> List[Dict[str, Any]]:
     """Metadata of the golden fixtures pinning ``workload``."""
@@ -236,8 +197,6 @@ def golden_metadata(golden_dir: str,
 def build_report(stock: ConfigSweep, asym: ConfigSweep, *,
                  ledger_records: Optional[Sequence[Dict[str, Any]]]
                  = None,
-                 bench_current: Optional[Dict[str, Any]] = None,
-                 bench_baseline: Optional[Dict[str, Any]] = None,
                  golden: Optional[List[Dict[str, Any]]] = None,
                  policies: Optional["Dict[str, ConfigSweep]"] = None,
                  ) -> Dict[str, Any]:
@@ -286,9 +245,6 @@ def build_report(stock: ConfigSweep, asym: ConfigSweep, *,
         report["omp_policies"] = policy_section(policies)
     if ledger_records is not None:
         report["service"] = summarize_ledger(ledger_records)
-    if bench_current is not None and bench_baseline is not None:
-        report["bench"] = compare_to_baseline(bench_current,
-                                              bench_baseline)
     if golden is not None:
         report["golden"] = golden
     return report
@@ -458,20 +414,6 @@ def render_markdown(report: Dict[str, Any]) -> str:
         lines += _md_table(["latency", "batches", "mean", "p50",
                             "p95", "p99"], rows)
 
-    bench = report.get("bench")
-    if bench is not None:
-        lines += ["", "## Benchmark trajectory", "",
-                  "Current numbers against the committed "
-                  "`BENCH_baseline.json` pin (ratio = "
-                  "current/pinned).", ""]
-        rows = [[f"`{key}`", f"{entry['current']:.4g}",
-                 f"{entry['pinned']:.4g}",
-                 ("-" if entry["ratio"] is None
-                  else f"{entry['ratio']:.3f}")]
-                for key, entry in bench.items()]
-        lines += _md_table(["benchmark", "current", "pinned",
-                            "ratio"], rows)
-
     golden = report.get("golden")
     if golden is not None:
         lines += ["", "## Golden fixtures", ""]
@@ -527,14 +469,6 @@ def load_results_file(path: str) -> List[Dict[str, Any]]:
     return results
 
 
-def _load_json(path: Optional[str]) -> Optional[Dict[str, Any]]:
-    if path is None or not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return data if isinstance(data, dict) else None
-
-
 def canonical_report_json(report: Dict[str, Any]) -> str:
     """The byte-exact JSON form (same discipline as the goldens)."""
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -548,8 +482,6 @@ def generate_report_files(workload_name: str, out_dir: str, *,
                           stock_results: Optional[str] = None,
                           asym_results: Optional[str] = None,
                           ledger_path: Optional[str] = None,
-                          bench_path: Optional[str] = None,
-                          bench_baseline_path: Optional[str] = None,
                           golden_dir: Optional[str] = None,
                           ) -> Tuple[Path, Path]:
     """Build one workload's report and write ``.md`` + ``.json``.
@@ -602,8 +534,6 @@ def generate_report_files(workload_name: str, out_dir: str, *,
     report = build_report(
         stock, asym,
         ledger_records=ledger_records,
-        bench_current=_load_json(bench_path),
-        bench_baseline=_load_json(bench_baseline_path),
         golden=golden,
         policies=policies)
 

@@ -20,6 +20,7 @@ Three behaviours distinguish it from :class:`SymmetricScheduler`:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.kernel.scheduler import DEFAULT_QUANTUM, SymmetricScheduler
@@ -30,9 +31,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class AsymmetryAwareScheduler(SymmetricScheduler):
-    """Speed-aware variant of the load-balancing scheduler."""
+    """Speed-aware variant of the load-balancing scheduler.
+
+    Every speed comparison reads :attr:`speed_key` (higher is faster);
+    a subclass that knows core speed some other way overrides only
+    that key.
+    """
 
     name = "asymmetry-aware"
+
+    #: A core's speed, higher is faster: its current cycle rate.  A C
+    #: getter, so the idle-dispatch scans make no Python call per core.
+    speed_key = attrgetter("rate")
 
     def __init__(self, quantum: float = DEFAULT_QUANTUM) -> None:
         super().__init__(quantum)
@@ -51,9 +61,10 @@ class AsymmetryAwareScheduler(SymmetricScheduler):
         return self.kernel.rng.choice_tiebreak(fastest)
 
     def _fastest(self, cores: List[Core]) -> List[Core]:
-        """The fastest of ``cores`` at their current rate, in order."""
-        top = max(core.rate for core in cores)
-        return [core for core in cores if core.rate == top]
+        """The fastest of ``cores`` at their current speed, in order."""
+        speed = self.speed_key
+        top = max(map(speed, cores))
+        return [core for core in cores if speed(core) == top]
 
     def next_thread(self, core: Core) -> Optional["SimThread"]:
         queue = self.kernel.runqueues[core.index]
@@ -85,9 +96,10 @@ class AsymmetryAwareScheduler(SymmetricScheduler):
         maximal on an asymmetric machine.
         """
         queues = self.kernel.runqueues
+        speed = self.speed_key
         victims = [v for v in self.kernel.machine.cores
                    if v is not core and v.online and queues[v.index]]
-        victims.sort(key=lambda v: (v.rate, -len(queues[v.index])))
+        victims.sort(key=lambda v: (speed(v), -len(queues[v.index])))
         return victims
 
     def _steal(self, core: Core) -> Optional["SimThread"]:
@@ -106,18 +118,19 @@ class AsymmetryAwareScheduler(SymmetricScheduler):
 
     def _pull_from_slower(self, core: Core) -> Optional["SimThread"]:
         """Yank the running thread off the slowest strictly-slower core."""
-        kernel = self.kernel
+        speed = self.speed_key
+        mine = speed(core)
         candidates = []
-        for victim in kernel.machine.cores:
+        for victim in self.kernel.machine.cores:
             if victim is core or not victim.online \
-                    or victim.rate >= core.rate:
+                    or speed(victim) >= mine:
                 continue
             running = victim.current_thread
             if running is not None and running.allowed_on(core.index):
                 candidates.append(victim)
         if not candidates:
             return None
-        victim = min(candidates, key=lambda v: v.rate)
+        victim = min(candidates, key=speed)
         thread = self.kernel.preempt_current(victim)
         self.pull_migrations += 1
         return thread
@@ -130,11 +143,12 @@ class RankOnlyAsymmetryScheduler(AsymmetryAwareScheduler):
     performance of processors ... may be sufficient, and absolute
     information of each processor's performance may not be necessary."
     This scheduler is handed nothing but a ranking of the cores
-    (fastest first) — no frequencies, no duty cycles — and replaces
-    every rate comparison with a rank comparison.  Its decisions are
-    provably identical to :class:`AsymmetryAwareScheduler`'s whenever
-    the ranking is consistent with the true speeds, which the tests
-    verify empirically.
+    (fastest first) — no frequencies, no duty cycles — and its speed
+    key is the negated rank, so every rate comparison of the parent
+    becomes a rank comparison.  Its decisions are provably identical
+    to :class:`AsymmetryAwareScheduler`'s whenever the ranking is
+    consistent with the true speeds, which the tests verify
+    empirically.
     """
 
     name = "rank-only-asymmetry-aware"
@@ -166,39 +180,6 @@ class RankOnlyAsymmetryScheduler(AsymmetryAwareScheduler):
             for index in members:
                 self._rank_of[index] = rank
 
-    def _rank(self, core) -> int:
-        return self._rank_of[core.index]
-
-    def preemption_horizon(self, core, thread) -> float:
-        """Same contract as the rate-based parent: rank comparisons
-        change *which* victim a pull picks, never how preemption
-        reaches a coalesced core (always ``preempt_current``)."""
-        return float("inf")
-
-    def _fastest(self, cores):
-        best = min(self._rank(core) for core in cores)
-        return [core for core in cores if self._rank(core) == best]
-
-    def _steal_victims(self, core):
-        queues = self.kernel.runqueues
-        victims = [v for v in self.kernel.machine.cores
-                   if v is not core and v.online and queues[v.index]]
-        victims.sort(key=lambda v: (-self._rank(v), -len(queues[v.index])))
-        return victims
-
-    def _pull_from_slower(self, core):
-        kernel = self.kernel
-        candidates = []
-        for victim in kernel.machine.cores:
-            if victim is core or not victim.online \
-                    or self._rank(victim) <= self._rank(core):
-                continue
-            running = victim.current_thread
-            if running is not None and running.allowed_on(core.index):
-                candidates.append(victim)
-        if not candidates:
-            return None
-        victim = max(candidates, key=self._rank)
-        thread = self.kernel.preempt_current(victim)
-        self.pull_migrations += 1
-        return thread
+    def speed_key(self, core) -> int:
+        """The negated rank: higher is faster, as with rates."""
+        return -self._rank_of[core.index]

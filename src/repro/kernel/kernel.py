@@ -109,7 +109,6 @@ class Kernel:
 
     def __init__(self, sim: Simulator, machine: Machine,
                  scheduler: Optional[Scheduler] = None,
-                 rng_stream: str = "kernel.sched",
                  coalesce: Optional[bool] = None) -> None:
         self.sim = sim
         self.machine = machine
@@ -117,7 +116,7 @@ class Kernel:
             else SymmetricScheduler()
         self.scheduler.attach(self)
         #: Random stream used by the scheduler for tie-breaking.
-        self.rng = sim.stream(rng_stream)
+        self.rng = sim.stream("kernel.sched")
         # Hot-path aliases: the tracer object and its (in-place
         # mutated) active-category set never get reassigned, so the
         # dispatch loop can skip the sim.tracer attribute chain.
@@ -306,8 +305,7 @@ class Kernel:
         themselves simulated threads.
         """
         if semaphore.waiters:
-            waiter = semaphore.waiters.popleft()
-            self._wake_blocked(waiter, None)
+            self._wake_blocked(semaphore.waiters.popleft(), None)
         else:
             semaphore.permits += 1
 
@@ -823,18 +821,6 @@ class Kernel:
                             allow_complete=False)
         return True
 
-    def _macro_absorb(self, core: Core) -> None:
-        """Re-split a live macro slice at an external interruption.
-
-        Called on entry to every path that retires a partial slice
-        (pull preemption, reprogramming, hot-unplug, stall): books all
-        boundaries strictly before ``now`` and dissolves the macro, so
-        the caller's ordinary cancel + ``_retire_slice`` sequence then
-        accounts the final partial slice — landing the interruption on
-        the identical cycle sliced execution would have.
-        """
-        self._macro_dissolve(core, "coalesce.macros_absorbed")
-
     def _macro_split(self, core: Core) -> None:
         """A thread landed on a coalesced core's runqueue: restore the
         scheduler's per-quantum preemption points.
@@ -872,18 +858,49 @@ class Kernel:
 
     def _requeue(self, thread: SimThread, core: Core) -> None:
         """Put the running thread at the back of its core's queue."""
+        thread.quantum_used = 0.0
+        self.runqueues[core.index].append(thread)
+        self._deschedule(thread, core, "preempt")
+
+    def _deschedule(self, thread: SimThread, core: Core, event: str,
+                    **details: Any) -> None:
+        """Book an involuntary deschedule of ``thread`` from ``core``:
+        the thread turns READY, the ``sched`` trace records ``event``
+        (with ``details``), and the core is re-dispatched."""
         now = self.sim._now
         thread.preemptions += 1
         core.preemptions += 1
-        thread.quantum_used = 0.0
         thread.state = _READY
         thread.ready_at = now
         core.current_thread = None
-        self.runqueues[core.index].append(thread)
         if "sched" in self._tracer_active:
-            self._tracer.record(now, "sched", event="preempt",
-                                thread=thread.name, core=core.index)
+            self._tracer.record(now, "sched", event=event,
+                                thread=thread.name, core=core.index,
+                                **details)
         self._request_dispatch(core)
+
+    def _take_slice(self, core: Core) -> Optional[SimThread]:
+        """Take the running compute slice off ``core`` and return its
+        thread, or None when the core is idle.
+
+        Every external interruption (pull preemption, reprogramming,
+        hot-unplug, stall) goes through here: a live macro slice first
+        books its boundaries strictly before ``now`` and dissolves,
+        then the slice is cancelled and retired, so the interruption
+        lands on the identical cycle sliced execution would have.
+        """
+        if core.current_thread is None:
+            return None
+        if self._macros:
+            self._macro_dissolve(core, "coalesce.macros_absorbed")
+        piece = self._slices.get(core.index)
+        if piece is None:  # pragma: no cover - invariant guard
+            # Instant instructions never leave kernel context, so a
+            # busy core between events always runs a slice.
+            raise SchedulingError(
+                f"core {core.index} busy without a compute slice")
+        self.sim.cancel(piece)
+        return self._retire_slice(core)
 
     def _retire_slice(self, core: Core) -> SimThread:
         """Account for the (possibly partial) slice running on core."""
@@ -949,31 +966,12 @@ class Kernel:
         partial slice is accounted, the thread is returned READY (not
         enqueued anywhere), and the victim core is re-dispatched.
         """
-        if core.current_thread is None:
+        thread = self._take_slice(core)
+        if thread is None:
             raise SchedulingError(
                 f"preempt_current on idle core {core.index}")
-        if self._macros:
-            self._macro_absorb(core)
-        piece = self._slices.get(core.index)
-        if piece is not None:
-            self.sim.cancel(piece)
-            thread = self._retire_slice(core)
-        else:
-            # Thread is mid-instant-instruction; cannot happen because
-            # instant instructions never leave kernel context.
-            raise SchedulingError(
-                f"core {core.index} busy without a compute slice")
-        thread.preemptions += 1
-        core.preemptions += 1
-        thread.state = _READY
-        thread.ready_at = self.sim.now
-        core.current_thread = None
         self.preempt_pulls += 1
-        tracer = self.sim.tracer
-        if "sched" in tracer.active:
-            tracer.record(self.sim.now, "sched", event="pull",
-                          thread=thread.name, core=core.index)
-        self._request_dispatch(core)
+        self._deschedule(thread, core, "pull")
         return thread
 
     # ------------------------------------------------------------------
@@ -990,29 +988,14 @@ class Kernel:
         exact across the speed step.  The per-duty time-at-speed books
         on the core are closed out at the same instant.
         """
-        if self._macros:
-            self._macro_absorb(core)
-        piece = self._slices.get(core.index)
-        thread = None
-        if piece is not None:
-            self.sim.cancel(piece)
-            thread = self._retire_slice(core)
+        thread = self._take_slice(core)
         core.record_speed_change(self.sim.now)
         snapped = core.set_duty_cycle(duty_cycle)
         if thread is not None:
-            if thread.remaining_cycles <= _CYCLE_EPSILON:
-                # Same spin guard as _on_slice_end: a drained spin
-                # burst re-checks its lock instead of completing.
-                if thread.spin_lock is None:
-                    self._complete_instruction(thread, None)
-                self._process(thread, core)
-            elif thread.quantum_used >= self.scheduler.quantum \
-                    and self.scheduler.should_preempt(core, thread):
-                self._requeue(thread, core)
-            else:
-                if thread.quantum_used >= self.scheduler.quantum:
-                    thread.quantum_used = 0.0
-                self._start_slice(thread, core)
+            # A drained instruction completes, a drained spin burst
+            # re-checks its lock, an expired quantum may preempt, and
+            # anything else resumes at the new rate.
+            self._process(thread, core)
         return snapped
 
     def set_core_offline(self, core: Core) -> None:
@@ -1030,25 +1013,10 @@ class Kernel:
                 f"cannot take core {core.index} offline: it is the "
                 "last online core")
         core.online = False
-        tracer = self.sim.tracer
-        if core.current_thread is not None:
-            if self._macros:
-                self._macro_absorb(core)
-            piece = self._slices.get(core.index)
-            if piece is None:  # pragma: no cover - invariant guard
-                raise SchedulingError(
-                    f"core {core.index} busy without a compute slice")
-            self.sim.cancel(piece)
-            thread = self._retire_slice(core)
-            thread.preemptions += 1
-            core.preemptions += 1
-            core.current_thread = None
-            thread.state = _READY
+        thread = self._take_slice(core)
+        if thread is not None:
             self.metrics.counters.incr("faults.offline_migrations")
-            if "sched" in tracer.active:
-                tracer.record(self.sim.now, "sched", event="preempt",
-                              thread=thread.name, core=core.index,
-                              reason="offline")
+            self._deschedule(thread, core, "preempt", reason="offline")
             self._make_ready(thread)
         queue = self.runqueues[core.index]
         while queue:
@@ -1077,16 +1045,9 @@ class Kernel:
         if seconds <= 0:
             raise SimulationError(
                 f"stall duration must be positive, got {seconds}")
-        if core.current_thread is None:
+        thread = self._take_slice(core)
+        if thread is None:
             return False
-        if self._macros:
-            self._macro_absorb(core)
-        piece = self._slices.get(core.index)
-        if piece is None:  # pragma: no cover - invariant guard
-            raise SchedulingError(
-                f"core {core.index} busy without a compute slice")
-        self.sim.cancel(piece)
-        thread = self._retire_slice(core)
         core.current_thread = None
         self._block(thread, "fault.stall")
         self.sim.schedule_fast(seconds, self._resume_stalled, thread)
@@ -1157,12 +1118,7 @@ class Kernel:
 
     def _do_release(self, thread: SimThread, core: Core,
                     instruction: ins.Release) -> bool:
-        semaphore = instruction.semaphore
-        if semaphore.waiters:
-            waiter = semaphore.waiters.popleft()
-            self._wake_blocked(waiter, None)
-        else:
-            semaphore.permits += 1
+        self.semaphore_release(instruction.semaphore)
         self._complete_instruction(thread, None)
         return False
 
@@ -1227,12 +1183,15 @@ class Kernel:
         """The core's *current* speed class — a throttled fast core
         counts as slow, which is exactly the case the asymmetry-aware
         handoff exists for."""
-        return "fast" if (self.machine.cores[core_index].rate
-                          == self.machine.fastest_rate) else "slow"
+        machine = self.machine
+        return "fast" if machine.is_fast(machine.cores[core_index]) \
+            else "slow"
 
-    def _grant_lock(self, mutex, thread: SimThread, core: Core) -> None:
-        """Make ``thread`` the owner of ``mutex`` on ``core``; book
-        the acquisition and (for spin kinds) the pending handoff."""
+    def _grant_lock(self, mutex, thread: SimThread,
+                    core: Optional[Core] = None) -> None:
+        """Make ``thread`` the owner of ``mutex``; book the acquisition
+        and, for spin kinds, the pending handoff to the acquirer's
+        ``core``."""
         mutex.owner = thread
         mutex.acquisitions += 1
         counters = self.metrics.counters
@@ -1281,14 +1240,7 @@ class Kernel:
             raise SchedulingError(
                 f"thread {thread.name!r} re-locking non-reentrant "
                 f"{mutex.name}")
-        mutex.waiters.append(thread)
-        mutex.contention_count += 1
-        depth = len(mutex.waiters)
-        if depth > mutex.max_queue_depth:
-            mutex.max_queue_depth = depth
-        counters = self.metrics.counters
-        counters.incr("lock.contended")
-        counters.set_max("lock.max_queue_depth", float(depth))
+        self._queue_waiter(mutex, thread)
         if mutex.spins:
             # Busy-wait: keep the core and burn spin_check_cycles per
             # lock re-check (see _process's spin branch).
@@ -1301,6 +1253,19 @@ class Kernel:
         else:
             self._block(thread, mutex.wait_label)
         return True
+
+    def _queue_waiter(self, mutex, thread: SimThread) -> None:
+        """Queue ``thread`` on the held ``mutex``; book the
+        contention."""
+        waiters = mutex.waiters
+        waiters.append(thread)
+        mutex.contention_count += 1
+        depth = len(waiters)
+        if depth > mutex.max_queue_depth:
+            mutex.max_queue_depth = depth
+        counters = self.metrics.counters
+        counters.incr("lock.contended")
+        counters.set_max("lock.max_queue_depth", float(depth))
 
     def _pick_successor(self, mutex) -> SimThread:
         """Pop the waiter the lock's handoff policy selects next.
@@ -1338,12 +1303,12 @@ class Kernel:
     def _idle_fast_core(self, thread: SimThread) -> Optional[Core]:
         """Lowest-indexed idle full-speed core that may run ``thread``
         (empty queue, nothing running), or None."""
-        fastest = self.machine.fastest_rate
-        for candidate in self.machine.cores:
-            if (candidate.online and candidate.rate == fastest
-                    and candidate.current_thread is None
+        machine = self.machine
+        for candidate in machine.cores:
+            if (candidate.online and candidate.current_thread is None
                     and not self.runqueues[candidate.index]
-                    and thread.allowed_on(candidate.index)):
+                    and thread.allowed_on(candidate.index)
+                    and machine.is_fast(candidate)):
                 return candidate
         return None
 
@@ -1376,10 +1341,8 @@ class Kernel:
             return
         successor = self._pick_successor(mutex)
         successor.lock_bypasses = 0
-        mutex.owner = successor
-        mutex.acquisitions += 1
+        self._grant_lock(mutex, successor)
         counters = self.metrics.counters
-        counters.incr("lock.acquisitions")
         to_core = successor.last_core
         to_class = self._speed_class(to_core) if to_core is not None \
             else "slow"
@@ -1435,25 +1398,16 @@ class Kernel:
         count = instruction.count
         if count is None:
             count = len(condvar.waiters)
-        counters = self.metrics.counters
         for _ in range(min(count, len(condvar.waiters))):
             waiter = condvar.waiters.popleft()
             # The waiter must re-acquire the mutex named in its Wait
             # instruction before its Wait completes.
             mutex = waiter.current_instruction.mutex
             if mutex.owner is None:
-                mutex.owner = waiter
-                mutex.acquisitions += 1
-                counters.incr("lock.acquisitions")
+                self._grant_lock(mutex, waiter)
                 self._wake_blocked(waiter, None)
             else:
-                mutex.waiters.append(waiter)
-                mutex.contention_count += 1
-                depth = len(mutex.waiters)
-                if depth > mutex.max_queue_depth:
-                    mutex.max_queue_depth = depth
-                counters.incr("lock.contended")
-                counters.set_max("lock.max_queue_depth", float(depth))
+                self._queue_waiter(mutex, waiter)
                 waiter.block_reason = f"relock {mutex.name}"
         self._complete_instruction(thread, None)
         return False

@@ -46,14 +46,10 @@ class SimThread:
     ``cycles_retired`` are sums over those books.
     """
 
-    _next_tid = 1
-
     def __init__(self, name: str,
                  body: Generator[Instruction, Any, Any],
                  affinity: Optional[FrozenSet[int]] = None,
                  daemon: bool = False) -> None:
-        self.tid = SimThread._next_tid
-        SimThread._next_tid += 1
         self.name = name
         self.body = body
         self.affinity: Optional[FrozenSet[int]] = (
@@ -144,5 +140,4 @@ class SimThread:
         return self.finish_time - self.spawn_time
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"SimThread(tid={self.tid}, name={self.name!r}, "
-                f"state={self.state.value})")
+        return f"SimThread({self.name!r}, state={self.state.value})"

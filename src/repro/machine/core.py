@@ -135,11 +135,6 @@ class Core:
             self.time_at_speed.get(duty, 0.0) + (now - self.speed_since)
         self.speed_since = now
 
-    @property
-    def is_fast(self) -> bool:
-        """True when the core runs unmodulated (a "fast" core)."""
-        return self._duty_cycle >= 1.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Core(index={self.index}, duty={self.duty_cycle:.3f}, "
                 f"rate={self.rate:.3e}Hz)")

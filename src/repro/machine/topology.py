@@ -157,11 +157,17 @@ class Machine:
     def slowest_rate(self) -> float:
         return min(core.rate for core in self.cores)
 
+    def is_fast(self, core: Core) -> bool:
+        """True when ``core`` runs at the machine's fastest *current*
+        rate — a throttled fast core counts as slow, and every core of
+        a symmetric machine is fast."""
+        return core.rate == self.fastest_rate
+
     def fast_cores(self) -> List[Core]:
-        return [c for c in self.cores if c.rate == self.fastest_rate]
+        return [c for c in self.cores if self.is_fast(c)]
 
     def slow_cores(self) -> List[Core]:
-        return [c for c in self.cores if c.rate < self.fastest_rate]
+        return [c for c in self.cores if not self.is_fast(c)]
 
     def cores_by_speed(self, descending: bool = True) -> List[Core]:
         """Cores ordered by effective rate (stable for equal speeds)."""

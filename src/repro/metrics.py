@@ -517,14 +517,13 @@ class MetricsCollector:
         machine = self.machine
         kernel._macro_catchup_all()
         now = kernel.sim.now
-        fastest = machine.fastest_rate
         slices = kernel._slices
 
         class_of = {}
         cores = []
         for core in machine.cores:
             index = core.index
-            class_of[index] = "fast" if core.rate == fastest else "slow"
+            class_of[index] = "fast" if machine.is_fast(core) else "slow"
             piece = slices.get(index)
             in_flight = (now - piece.start) if piece is not None else 0.0
             # Time-at-speed books: closed intervals plus the open one

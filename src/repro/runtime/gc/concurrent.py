@@ -71,8 +71,7 @@ class ConcurrentCollector:
                 # mechanism: a cycle crawling on a slow core is what
                 # lets allocation outrun reclamation.
                 core = machine.cores[self.thread.last_core]
-                speed = "fast" if core.rate == machine.fastest_rate \
-                    else "slow"
+                speed = "fast" if machine.is_fast(core) else "slow"
                 counters.incr(f"gc.cycles_on_{speed}_core")
                 heap.reclaim()
                 self.cycles_completed += 1

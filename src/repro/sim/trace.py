@@ -204,9 +204,6 @@ class Tracer:
         #: (records and completed spans interleaved, retention order).
         self._flight: Deque[TraceItem] = deque(
             maxlen=FLIGHT_RECORDER_CAPACITY)
-        #: When set, per-category retention is bounded too (memory cap
-        #: for long traced runs); see :meth:`set_retention`.
-        self._retention_limit: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Category control
@@ -220,20 +217,6 @@ class Tracer:
         for the exact guarantee)."""
         self._sinks.append(sink)
 
-    def set_retention(self, limit: Optional[int]) -> None:
-        """Bound per-category retention to the last ``limit`` items.
-
-        ``None`` restores unbounded retention.  Useful for flight-
-        recorder-style always-on tracing of long runs: categories stay
-        enabled (so sinks and the flight ring see everything) while
-        memory stays O(limit).  Existing items beyond the limit are
-        dropped oldest-first.
-        """
-        self._retention_limit = limit
-        if limit is not None:
-            self._records = list(self._records[-limit:])
-            self._spans = list(self._spans[-limit:])
-
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
@@ -243,9 +226,6 @@ class Tracer:
             return
         rec = TraceRecord(time, category, tuple(sorted(details.items())))
         self._records.append(rec)
-        limit = self._retention_limit
-        if limit is not None and len(self._records) > limit:
-            del self._records[0]
         self._flight.append(rec)
         for sink in self._sinks:
             sink(rec)
@@ -267,9 +247,6 @@ class Tracer:
 
     def _retain_span(self, record: SpanRecord) -> None:
         self._spans.append(record)
-        limit = self._retention_limit
-        if limit is not None and len(self._spans) > limit:
-            del self._spans[0]
         self._flight.append(record)
         for sink in self._sinks:
             sink(record)
@@ -305,11 +282,6 @@ class Tracer:
         ``"start"``/``"end"`` — the same shapes ``as_dict`` produces.
         """
         return [item.as_dict() for item in self._flight]
-
-    def clear(self) -> None:
-        self._records.clear()
-        self._spans.clear()
-        self._flight.clear()
 
 
 #: The category set ``--trace-out`` enables when ``--trace`` is absent.

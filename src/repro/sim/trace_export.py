@@ -76,10 +76,9 @@ class TraceData:
         keeps exports byte-identical.
         """
         machine = system.machine
-        fastest = machine.fastest_rate
         labels = [
             f"cpu{core.index} "
-            f"({'fast' if core.rate == fastest else 'slow'})"
+            f"({'fast' if machine.is_fast(core) else 'slow'})"
             for core in machine.cores]
         kernel = getattr(system, "kernel", None)
         if kernel is not None:

@@ -98,7 +98,6 @@ class DatabaseServer:
         machine = self.system.machine
         counters = self.system.kernel.metrics.counters
         n_cores = machine.n_cores
-        fastest = machine.fastest_rate
         pieces = list(plan.pieces)
         self.dispatch_rng.shuffle(pieces)
         start = self.dispatch_rng.randrange(n_cores)
@@ -110,7 +109,7 @@ class DatabaseServer:
             # The agent scheduler is blind to core speed; record which
             # class each piece landed on — the run-to-run variable the
             # paper identifies as deciding the query's runtime.
-            speed = "fast" if machine.cores[core].rate == fastest \
+            speed = "fast" if machine.is_fast(machine.cores[core]) \
                 else "slow"
             counters.incr(f"db2.dispatch.{speed}")
             counters.incr("db2.dispatch.cycles_" + speed, piece.cycles)

@@ -15,9 +15,15 @@ from repro.kernel import (
     RankOnlyAsymmetryScheduler,
     SimThread,
 )
-from repro.machine import DEFAULT_FREQUENCY_HZ, Machine
+from repro.machine import (
+    ASYMMETRIC_CONFIG_LABELS,
+    DEFAULT_FREQUENCY_HZ,
+    STANDARD_CONFIG_LABELS,
+    Machine,
+)
 from repro.runtime.jvm import GCKind
 from repro.workloads import SpecJBB
+from tests import harness
 
 ONE_SECOND = DEFAULT_FREQUENCY_HZ
 
@@ -78,12 +84,27 @@ class TestRankOnlyScheduler:
         system.run()
         return [round(t.finish_time, 9) for t in threads]
 
-    @pytest.mark.parametrize("config", ["2f-2s/8", "3f-1s/4", "1f-3s/8"])
+    def _decisions(self, factory, seed, config):
+        """Finish times, pull migrations and the event stream (count
+        and digest) of one run."""
+        scheduler = factory()
+        finish = []
+        stream = harness.record_event_stream(lambda: finish.extend(
+            self._run(lambda: scheduler, seed, config)))
+        return finish, scheduler.pull_migrations, stream
+
+    @pytest.mark.parametrize("config", STANDARD_CONFIG_LABELS)
     def test_identical_decisions_to_full_information(self, config):
+        pulls = 0
         for seed in range(4):
-            full = self._run(AsymmetryAwareScheduler, seed, config)
-            rank = self._run(RankOnlyAsymmetryScheduler, seed, config)
+            full = self._decisions(AsymmetryAwareScheduler, seed, config)
+            rank = self._decisions(RankOnlyAsymmetryScheduler, seed,
+                                   config)
             assert full == rank, (config, seed)
+            pulls += full[1]
+        # Pull migration needs a strictly slower core, so it runs on
+        # every asymmetric machine and never on a symmetric one.
+        assert (pulls > 0) == (config in ASYMMETRIC_CONFIG_LABELS)
 
     def test_explicit_ranking_accepted(self):
         # 2f-2s/8: cores {0,1} fast, {2,3} slow — ranking as groups.

@@ -399,6 +399,56 @@ class TestCondVar:
         system.run()
         assert sorted(woken) == ["c0", "c1", "c2"]
 
+    @staticmethod
+    def _notify_books(unlock_first):
+        """Lock books of one Wait/Notify round trip on ``4f-0s``: the
+        producer notifies while holding the mutex, or after unlocking
+        it (``unlock_first``)."""
+        mutex = Mutex("m")
+        cond = CondVar("c")
+
+        def consumer():
+            yield Lock(mutex)
+            yield Wait(cond, mutex)
+            yield Unlock(mutex)
+
+        def producer():
+            yield Sleep(1.0)
+            yield Lock(mutex)
+            if unlock_first:
+                yield Unlock(mutex)
+                yield Notify(cond)
+            else:
+                yield Notify(cond)
+                yield Unlock(mutex)
+
+        system = System.build("4f-0s")
+        system.kernel.start("consumer", consumer())
+        system.kernel.start("producer", producer())
+        system.run()
+        counters = system.run_metrics().counters
+        return mutex, {name: value for name, value in counters.items()
+                       if name.startswith("lock.")}
+
+    def test_notify_under_the_mutex_queues_then_hands_off(self):
+        # The waiter queues on the held mutex (contention booked) and
+        # is granted it at the notifier's Unlock.
+        mutex, counters = self._notify_books(unlock_first=False)
+        assert (mutex.acquisitions, mutex.contention_count,
+                mutex.max_queue_depth) == (3, 1, 1)
+        assert counters == {"lock.acquisitions": 3.0,
+                            "lock.contended": 1.0,
+                            "lock.max_queue_depth": 1.0,
+                            "lock.handoffs.fast_to_fast": 1.0}
+
+    def test_notify_after_unlock_grants_directly(self):
+        # A free mutex goes straight to the waiter: no contention and
+        # no handoff pair is booked.
+        mutex, counters = self._notify_books(unlock_first=True)
+        assert (mutex.acquisitions, mutex.contention_count,
+                mutex.max_queue_depth) == (3, 0, 0)
+        assert counters == {"lock.acquisitions": 3.0}
+
 
 class TestSemaphore:
     def test_permits_bound_concurrency(self):

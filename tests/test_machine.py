@@ -66,12 +66,10 @@ class TestCore:
     def test_full_speed_rate(self):
         core = Core(0)
         assert core.rate == DEFAULT_FREQUENCY_HZ
-        assert core.is_fast
 
     def test_modulated_rate(self):
         core = Core(1, duty_cycle=0.125)
         assert core.rate == pytest.approx(DEFAULT_FREQUENCY_HZ / 8)
-        assert not core.is_fast
 
     def test_set_duty_cycle_snaps_and_refreshes_rate(self):
         core = Core(0)
@@ -81,7 +79,6 @@ class TestCore:
         assert core.rate == DEFAULT_FREQUENCY_HZ * 0.25
         assert core.set_duty_cycle(1.0) == 1.0
         assert core.rate == DEFAULT_FREQUENCY_HZ
-        assert core.is_fast
 
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1,
                     max_size=8))
@@ -259,6 +256,19 @@ class TestMachine:
         # All equal speed: "slow" is relative to the fastest present.
         assert machine.slow_cores() == []
         assert machine.fastest_rate == machine.slowest_rate
+
+    def test_is_fast_follows_the_current_fastest_rate(self):
+        machine = Machine.from_label("2f-2s/8")
+        assert [machine.is_fast(core) for core in machine.cores] == \
+            [True, True, False, False]
+        # A throttled fast core counts as slow while it is throttled.
+        machine.cores[0].set_duty_cycle(0.5)
+        assert [machine.is_fast(core) for core in machine.cores] == \
+            [False, True, False, False]
+        assert machine.fast_cores() == [machine.cores[1]]
+        # Every core of an all-slow machine is its fastest.
+        slow = Machine.from_label("0f-4s/8")
+        assert all(slow.is_fast(core) for core in slow.cores)
 
     def test_cores_by_speed(self):
         machine = Machine.from_label("1f-3s/4")

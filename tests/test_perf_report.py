@@ -14,8 +14,6 @@ The contracts under test:
   characterization;
 * ``sweep_from_payloads`` rebuilds a sweep losslessly from ``submit
   --json-out`` payloads (the offline mode CI's report steps use);
-* ``compare_to_baseline`` produces the ratio table the bench
-  section relies on;
 * ``tools/check_schema.py`` accepts the fixture and rejects
   mutations of it.
 """
@@ -30,7 +28,6 @@ from repro.analysis.perf_report import (
     REPORT_FORMAT,
     build_report,
     canonical_report_json,
-    compare_to_baseline,
     generate_report_files,
     golden_metadata,
     render_markdown,
@@ -200,24 +197,6 @@ class TestOfflinePayloads:
             generate_report_files(
                 "specjbb", str(tmp_path),
                 stock_results=str(tmp_path / "only.json"))
-
-
-class TestCompareToBaseline:
-    def test_ratio_table(self):
-        current = {"sim": {"seconds": 2.0, "events": 10},
-                   "label": "ignored"}
-        pinned = {"sim": {"seconds": 1.0, "events": 10},
-                  "extra": {"only_pinned": 3.0}}
-        table = compare_to_baseline(current, pinned)
-        assert table["sim.seconds"] == {
-            "current": 2.0, "pinned": 1.0, "ratio": 2.0}
-        assert table["sim.events"]["ratio"] == 1.0
-        assert "label" not in table  # strings are not metrics
-        assert "extra.only_pinned" not in table  # not shared
-
-    def test_nonpositive_pin_yields_null_ratio(self):
-        table = compare_to_baseline({"x": 1.0}, {"x": 0.0})
-        assert table["x"]["ratio"] is None
 
 
 class TestSchemaChecker:

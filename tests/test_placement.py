@@ -50,8 +50,9 @@ def reference_place(scheduler, thread):
     min_load = min(load(core) for core in allowed)
     least = [core for core in allowed if load(core) == min_load]
     if isinstance(scheduler, RankOnlyAsymmetryScheduler):
-        best = min(scheduler._rank(core) for core in least)
-        fastest = [core for core in least if scheduler._rank(core) == best]
+        rank = scheduler._rank_of
+        best = min(rank[core.index] for core in least)
+        fastest = [core for core in least if rank[core.index] == best]
     elif isinstance(scheduler, AsymmetryAwareScheduler):
         top = max(core.rate for core in least)
         fastest = [core for core in least if core.rate == top]

@@ -83,18 +83,6 @@ class TestSpanAPI:
         # Unbounded retention still holds everything.
         assert len(tracer.records()) == FLIGHT_RECORDER_CAPACITY + 50
 
-    def test_set_retention_bounds_memory_not_sinks(self):
-        tracer = Tracer()
-        tracer.enable("sched")
-        seen = []
-        tracer.add_sink(seen.append)
-        tracer.set_retention(10)
-        for index in range(25):
-            tracer.record(float(index), "sched", event="tick")
-        assert len(tracer.records()) == 10
-        assert tracer.records()[0].time == 15.0
-        assert len(seen) == 25  # the sink saw every retained item
-
 
 # ----------------------------------------------------------------------
 # Kernel emission
