@@ -9,7 +9,6 @@ Usage::
     python -m repro all --jobs 4          # fan runs out over 4 workers
     python -m repro validate              # machine self-check
     python -m repro fig01 --trace-out t.json   # Perfetto timeline
-    python -m repro sweep --workload tpch --predict  # analytic sweep
     python -m repro serve --port 7070 --cache-dir /var/cache/repro
     python -m repro submit --port 7070 --workload specjbb --runs 2
     python -m repro report --workload specjbb --out-dir reports
@@ -78,72 +77,27 @@ def _sweep_workload(name: str, profile, omp_schedule: str = "all"):
 
 
 def _cmd_sweep(args) -> int:
-    """Run (or analytically predict) one workload's config sweep."""
+    """Run one workload's config sweep."""
     from repro.experiments.report import format_sweep
-    from repro.experiments.runner import PredictionGateError, Runner
+    from repro.experiments.runner import Runner
 
     profile = get_profile(args.profile)
-    try:
-        with _local_backend(args) as backend:
-            runner = Runner(runs=profile.runs, backend=backend)
-            if args.predict:
-                _print_prediction(runner.predict_sweep(
-                    _sweep_workload(args.workload, profile,
-                                    args.omp_schedule),
-                    spot_checks=args.spot_checks,
-                    tolerance=args.tolerance))
-            elif args.workload == "specomp" and args.omp_schedule == "all":
-                # Per-policy comparison: one sweep per LoopSchedule,
-                # rendered as one mean column per policy (the fig13
-                # layout).
-                from repro.workloads.specomp import SpecOmpBenchmark
-                print(format_sweep(policies={
-                    policy: runner.run(
-                        SpecOmpBenchmark("swim", omp_schedule=policy))
-                    for policy in OMP_SCHEDULES
-                }))
-            else:
-                print(format_sweep(runner.run(_sweep_workload(
-                    args.workload, profile, args.omp_schedule))))
-    except PredictionGateError as exc:
-        # Show the rejected sweep: its spot-check rows say which
-        # configuration missed the gate, and by how much.  The failed
-        # command writes no --metrics-out or --trace-out.
-        _print_prediction(exc.prediction)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _print_prediction(prediction) -> None:
-    """Render a USL analytic sweep with each value's source."""
-    from repro.experiments.report import format_table
-
-    fit = prediction.fit
-    total = len(prediction.configs)
-    print(f"{prediction.workload} — {prediction.primary_metric} "
-          f"(USL analytic sweep; DESIGN.md §10)")
-    print(f"fit: gamma={fit.gamma:.4g} sigma={fit.sigma:.4g} "
-          f"kappa={fit.kappa:.4g} R^2={fit.r_squared:.4f}")
-    spot = {check.config: check for check in prediction.spot_checks}
-    rows = []
-    for label, value in prediction.means().items():
-        if label in prediction.measured:
-            source = "simulated (anchor)"
-        elif label in spot:
-            check = spot[label]
-            source = (f"predicted (spot-check: "
-                      f"{check.relative_error:.1%} error)")
+    with _local_backend(args) as backend:
+        runner = Runner(runs=profile.runs, backend=backend)
+        if args.workload == "specomp" and args.omp_schedule == "all":
+            # Per-policy comparison: one sweep per LoopSchedule,
+            # rendered as one mean column per policy (the fig13
+            # layout).
+            from repro.workloads.specomp import SpecOmpBenchmark
+            print(format_sweep(policies={
+                policy: runner.run(
+                    SpecOmpBenchmark("swim", omp_schedule=policy))
+                for policy in OMP_SCHEDULES
+            }))
         else:
-            source = "predicted"
-        rows.append([label, f"{value:.2f}", source])
-    print(format_table(["config", prediction.primary_metric,
-                        "source"], rows))
-    print(f"simulated {len(prediction.simulated_configs)} of {total} "
-          f"configurations ({len(prediction.anchors)} anchors + "
-          f"{len(prediction.spot_checks)} spot checks); gate "
-          f"tolerance {prediction.tolerance:.1%}, worst spot error "
-          f"{prediction.max_spot_error:.1%}")
+            print(format_sweep(runner.run(_sweep_workload(
+                args.workload, profile, args.omp_schedule))))
+    return 0
 
 
 def _cmd_serve(args) -> int:
@@ -533,22 +487,6 @@ def main(argv=None) -> int:
                             "forced onto every parallel loop; 'all' "
                             "(default) sweeps every policy and "
                             "renders one column per schedule")
-    sweep.add_argument("--predict", action="store_true",
-                       help="simulate only the USL anchor "
-                            "configurations and interpolate the rest "
-                            "(repro.analysis.usl), spot-checking the "
-                            "model against --spot-checks real "
-                            "simulations")
-    sweep.add_argument("--spot-checks", type=int, default=1,
-                       metavar="K",
-                       help="predicted configurations to "
-                            "spot-simulate as a validation gate "
-                            "(default: 1; 0 disables the gate)")
-    sweep.add_argument("--tolerance", type=float, default=0.10,
-                       metavar="FRAC",
-                       help="maximum relative error a spot check may "
-                            "show before the prediction gate fails "
-                            "(default: 0.10)")
 
     serve = command("serve", _cmd_serve, address)
     serve.add_argument("--jobs", type=int, default=0, metavar="N",
@@ -644,10 +582,6 @@ def main(argv=None) -> int:
         chosen.error(f"unrecognized arguments: {' '.join(unknown)}")
     if getattr(args, "trace", None) is not None and args.trace_out is None:
         chosen.error("--trace requires --trace-out")
-    if (args.command == "sweep" and args.predict
-            and args.workload == "specomp" and args.omp_schedule == "all"):
-        chosen.error("--predict fits one schedule at a time; "
-                     "pick one with --omp-schedule")
     return args.handler(args)
 
 

@@ -21,7 +21,6 @@ from repro.analysis.stats import (
 )
 from repro.analysis.usl import (
     UslFit,
-    compute_power,
     fit_usl,
     scaling_axis,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "asymmetric_advantage",
     "UslFit",
     "fit_usl",
-    "compute_power",
     "scaling_axis",
     "REPORT_FORMAT",
     "build_report",

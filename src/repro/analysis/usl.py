@@ -43,11 +43,12 @@ Fitting is least squares on the standard linearization: with
 which turns the fit into a 3x3 normal-equation solve — plain
 arithmetic, no numerical dependencies.  The solution is kept
 *unconstrained*: a slightly negative :math:`\\sigma` (superlinear
-anchors) is retained rather than clamped, because
-:meth:`Runner.predict_sweep <repro.experiments.runner.Runner>` needs
-the fit to reproduce its anchor measurements exactly; the
-:attr:`UslFit.physical` flag reports whether the coefficients landed
-in Gunther's :math:`\\sigma, \\kappa \\ge 0` region.
+measurements) is retained rather than clamped, so the fit stays the
+least-squares fit of what was measured; through three configurations
+it passes through every point.  The performance report fits the
+measured sweep and shows :attr:`UslFit.physical`, which says whether
+the coefficients landed in Gunther's :math:`\\sigma, \\kappa \\ge 0`
+region.
 """
 
 from __future__ import annotations
@@ -56,11 +57,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.machine.topology import MachineConfig
-
-
-def compute_power(label: str) -> float:
-    """Total compute power N of a configuration label."""
-    return MachineConfig.parse(label).total_compute_power
 
 
 def scaling_axis(label: str,
@@ -119,7 +115,7 @@ class UslFit:
         if speed <= 0.0:
             raise ValueError(
                 f"USL model predicts non-positive speed on {label!r}; "
-                "anchor configurations do not bracket this regime")
+                "the fitted configurations do not bracket this regime")
         return speed if self.higher_is_better else 1.0 / speed
 
 
@@ -135,8 +131,8 @@ def _solve3(matrix: List[List[float]],
     d = det(matrix)
     if d == 0.0:
         raise ValueError(
-            "singular USL system: anchor configurations are collinear "
-            "in (1, x-1, x(x-1)); pick anchors with distinct "
+            "singular USL system: the configurations are collinear "
+            "in (1, x-1, x(x-1)); fit configurations with distinct "
             "concurrency coordinates")
     out = []
     for col in range(3):
@@ -156,8 +152,8 @@ def fit_usl(points: Dict[str, float],
     <repro.experiments.runner.ConfigSweep.means>` returns).  At least
     three configurations with distinct concurrency coordinates (see
     :func:`scaling_axis`) are required — the model has three
-    parameters; with exactly three the fit interpolates the anchors
-    exactly.
+    parameters; with exactly three the fit passes through all three
+    points.
     """
     pairs: List[Tuple[float, float]] = []
     for label, value in points.items():

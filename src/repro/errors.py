@@ -41,17 +41,3 @@ class DeadlockError(SimulationError):
 class WorkloadError(ReproError):
     """A workload model was driven with inconsistent parameters."""
 
-
-class PredictionGateError(ReproError):
-    """An analytic sweep prediction failed its spot-check gate.
-
-    Raised by :meth:`repro.experiments.runner.Runner.predict_sweep`
-    when a spot-simulated configuration deviates from the USL model's
-    prediction by more than the tolerance.  The failing
-    :class:`~repro.experiments.runner.SweepPrediction` is attached as
-    ``prediction`` so callers can inspect the fit and the errors.
-    """
-
-    def __init__(self, message: str, prediction=None) -> None:
-        super().__init__(message)
-        self.prediction = prediction

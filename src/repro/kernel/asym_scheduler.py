@@ -44,12 +44,6 @@ class AsymmetryAwareScheduler(SymmetricScheduler):
     #: getter, so the idle-dispatch scans make no Python call per core.
     speed_key = attrgetter("rate")
 
-    def __init__(self, quantum: float = DEFAULT_QUANTUM) -> None:
-        super().__init__(quantum)
-        #: Pull migrations performed (running thread yanked from a
-        #: slower core to an idle faster one).
-        self.pull_migrations = 0
-
     # ------------------------------------------------------------------
     def place(self, thread: "SimThread") -> Core:
         candidates, _, _ = self._loads(thread)
@@ -130,10 +124,7 @@ class AsymmetryAwareScheduler(SymmetricScheduler):
                 candidates.append(victim)
         if not candidates:
             return None
-        victim = min(candidates, key=speed)
-        thread = self.kernel.preempt_current(victim)
-        self.pull_migrations += 1
-        return thread
+        return self.kernel.preempt_current(min(candidates, key=speed))
 
 
 class RankOnlyAsymmetryScheduler(AsymmetryAwareScheduler):

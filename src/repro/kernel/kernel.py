@@ -186,8 +186,6 @@ class Kernel:
         self._nondaemon_live = 0
 
         # ---------------------------- metrics --------------------------
-        self.context_switches = 0
-        self.migrations = 0
         self.preempt_pulls = 0
         #: Always-on structured counters (see :mod:`repro.metrics`).
         #: Hot paths update its per-core lists inline; snapshot with
@@ -203,7 +201,7 @@ class Kernel:
         # LatencyHistogram objects on RunMetrics.histograms.
         #: Ready-to-dispatch wait per dispatch ("sched_latency_seconds").
         #: Zero waits (the common idle-dispatch case) are not counted
-        #: inline: zeros == context_switches - sum of buckets.  The
+        #: inline: zeros == the cores' dispatches - sum of buckets.  The
         #: value total lives per core (``Core.lat_total``); the
         #: snapshot sums the cores in index order.
         self._hb_latency: List[int] = bucket_array()
@@ -401,7 +399,6 @@ class Kernel:
         last = thread.last_core
         if last is not None and last != index:
             thread.migrations += 1
-            self.migrations += 1
             core.migrations_in += 1
             # Migration-gap histogram: off-CPU time the thread crosses
             # when it changes cores (inline; see repro.histogram).
@@ -427,7 +424,6 @@ class Kernel:
             core.lat_total += wait
         thread.state = _RUNNING
         core.current_thread = thread
-        self.context_switches += 1
         # Always-on dispatch counters: queue length is sampled at every
         # dispatch (after the dispatched thread left the queue).
         core.dispatches += 1

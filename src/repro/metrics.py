@@ -600,13 +600,15 @@ class MetricsCollector:
         lat_total = 0.0
         for core in machine.cores:
             lat_total += core.lat_total
+        # Each dispatch is one context switch; only the cores count them.
+        dispatches = sum(core.dispatches for core in cores)
 
         return RunMetrics(
             config=machine.label,
             scheduler=kernel.scheduler.name,
             duration=now,
-            context_switches=kernel.context_switches,
-            migrations=kernel.migrations,
+            context_switches=dispatches,
+            migrations=sum(core.migrations_in for core in cores),
             preemptions=sum(core.preemptions for core in cores),
             preempt_pulls=kernel.preempt_pulls,
             threads_spawned=len(kernel.threads),
@@ -618,14 +620,13 @@ class MetricsCollector:
             counters=counters,
             histograms={
                 # Zero waits are not counted inline (the common
-                # idle-dispatch fast path does no histogram work):
-                # every dispatch bumps context_switches, so zeros are
-                # the dispatches that put nothing in a bucket.
+                # idle-dispatch fast path does no histogram work), so
+                # zeros are the dispatches that put nothing in a
+                # bucket.
                 "sched_latency_seconds":
                     LatencyHistogram.from_bucket_array(
                         kernel._hb_latency,
-                        kernel.context_switches
-                        - sum(kernel._hb_latency),
+                        dispatches - sum(kernel._hb_latency),
                         lat_total),
                 # The slice-length sum is exactly the busy time the
                 # retire path already books on the cores (in-flight

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.errors import ReproError
 from repro.experiments.runner import Runner
 from repro.kernel.kernel import Kernel
 from repro.workloads import SpecJBB, TpchPowerRun
@@ -34,6 +35,9 @@ class TestCli:
         ["validate", "--metrics-out", "P"],
         ["fig01", "--cache-dir", "D"],
         ["sweep", "--runs", "2"],
+        ["sweep", "--predict"],
+        ["sweep", "--spot-checks", "1"],
+        ["sweep", "--tolerance", "0.1"],
         ["serve", "--faults", "P"],
         ["submit", "--metrics-out", "P"],
         ["report", "--no-coalesce"],
@@ -73,6 +77,16 @@ class TestCli:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload == {"format": 1, "records": []}
 
+        # A command that fails writes no run outputs.
+        def fail(profile, backend=None):
+            raise ReproError("stub failure")
+
+        monkeypatch.setattr(StubExhibit, "run", staticmethod(fail))
+        failed = tmp_path / "failed.json"
+        with pytest.raises(ReproError):
+            cli_main(["stub-exhibit", "--metrics-out", str(failed)])
+        assert not failed.exists()
+
     def test_all_simulates_a_repeated_task_once(self, tmp_path,
                                                  monkeypatch, capsys):
         import repro.__main__ as cli
@@ -111,21 +125,6 @@ class TestCli:
             backends.clear()
             assert cli_main(argv) == 0
             assert backends[0].cache is None
-
-    def test_sweep_predict_gate_miss_shows_the_rejected_sweep(self,
-                                                             tmp_path,
-                                                             capsys):
-        # SPECjbb at the quick profile misses the 10% gate on 2f-2s/4.
-        out = tmp_path / "metrics.json"
-        assert cli_main(["sweep", "--predict",
-                         "--metrics-out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert "predicted (spot-check: 17.9% error)" in captured.out
-        assert "USL prediction gate failed for SPECjbb" in captured.err
-        assert "2f-2s/4: predicted 1077 vs simulated 1312" in captured.err
-        assert "Traceback" not in captured.err
-        # A failed command writes no run outputs.
-        assert not out.exists() and "wrote" not in captured.out
 
     def test_report_runs_every_sweep_on_one_pool(self, tmp_path,
                                                  monkeypatch, capsys):

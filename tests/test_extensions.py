@@ -91,7 +91,7 @@ class TestRankOnlyScheduler:
         finish = []
         stream = harness.record_event_stream(lambda: finish.extend(
             self._run(lambda: scheduler, seed, config)))
-        return finish, scheduler.pull_migrations, stream
+        return finish, scheduler.kernel.preempt_pulls, stream
 
     @pytest.mark.parametrize("config", STANDARD_CONFIG_LABELS)
     def test_identical_decisions_to_full_information(self, config):
@@ -120,7 +120,7 @@ class TestRankOnlyScheduler:
         for i in range(8):
             system.kernel.spawn(SimThread(f"t{i}", spin(ONE_SECOND / 4)))
         system.run()
-        assert system.kernel.scheduler.pull_migrations == 0
+        assert system.kernel.preempt_pulls == 0
 
     def test_fixes_specjbb_like_full_information(self):
         workload = SpecJBB(warehouses=6, gc=GCKind.CONCURRENT,

@@ -129,8 +129,7 @@ class TestAsymmetryAwareScheduler:
                  for i in range(2)]
         victim = system.kernel.start("victim", spin(ONE_SECOND_FAST))
         system.run()
-        scheduler = system.kernel.scheduler
-        assert scheduler.pull_migrations >= 1
+        assert system.kernel.preempt_pulls >= 1
         # 0.1s on slow core (retires 1/80 of work) then pulled to fast:
         # far faster than the 8s a stranded run would take.
         assert victim.finish_time < 1.5
@@ -163,7 +162,7 @@ class TestAsymmetryAwareScheduler:
         for i in range(8):
             system.kernel.start(f"t{i}", spin(ONE_SECOND_FAST / 4))
         system.run()
-        assert system.kernel.scheduler.pull_migrations == 0
+        assert system.kernel.preempt_pulls == 0
 
     def test_respects_affinity_when_pulling(self):
         # A thread pinned to a slow core must never be pulled off it.
@@ -196,14 +195,14 @@ class TestAsymmetryAwareScheduler:
 class TestKernelMetrics:
     def test_migration_counting(self):
         # Pull migration moves a running thread across cores, which must
-        # show up in both the thread's and the kernel's counters.
+        # show up in both the thread's counter and the run's total.
         system = build("2f-2s/8", seed=0, asym=True)
         for i in range(2):
             system.kernel.start(f"fast{i}", spin(ONE_SECOND_FAST / 10))
         victim = system.kernel.start("victim", spin(ONE_SECOND_FAST))
         system.run()
         assert victim.migrations >= 1
-        assert system.kernel.migrations >= 1
+        assert system.run_metrics().migrations >= 1
 
     def test_core_utilization(self):
         system = build("4f-0s")
@@ -218,4 +217,4 @@ class TestKernelMetrics:
         system = build("4f-0s")
         system.kernel.start("t", spin(1000))
         system.run()
-        assert system.kernel.context_switches >= 1
+        assert system.run_metrics().context_switches >= 1
