@@ -217,9 +217,8 @@ def _print_stats(stats) -> None:
 
 def _cmd_submit(args) -> int:
     """Submit a sweep (or stats/shutdown) to a running server."""
+    from repro.analysis.perf_report import sweep_from_payloads
     from repro.experiments.report import format_sweep
-    from repro.experiments.runner import ConfigSweep
-    from repro.service.cache import result_from_payload
 
     client = _connect_client(args)
     try:
@@ -248,16 +247,7 @@ def _cmd_submit(args) -> int:
     finally:
         client.close()
 
-    results = [result_from_payload(payload)
-               for payload in response.payloads]
-    workload_cls = WORKLOADS[args.workload][0]
-    sweep = ConfigSweep(workload=workload_cls.name,
-                        primary_metric=workload_cls.primary_metric,
-                        higher_is_better=workload_cls.higher_is_better)
-    ordered = iter(results)
-    for label in configs:
-        sweep.results[label] = [next(ordered)
-                                for _ in range(args.runs)]
+    sweep = sweep_from_payloads(args.workload, response.payloads)
     print(format_sweep(sweep))
     print(f"service: {response.tasks} task(s), "
           f"{response.cache_hits} cache hit(s), "
@@ -272,7 +262,7 @@ def _cmd_submit(args) -> int:
               f"to {args.json_out}")
     if args.trace_out:
         count = _trace_export.write_chrome_trace(args.trace_out,
-                                                 results)
+                                                 sweep.all_results())
         print(f"wrote {count} trace events to {args.trace_out}")
     if args.assert_cached and not response.fully_cached:
         print(f"ASSERTION FAILED: expected a fully cached response "

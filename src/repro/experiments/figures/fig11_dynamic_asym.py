@@ -47,18 +47,6 @@ _SERIES = [
 ]
 
 
-def _storm_for(profile: Profile, seed: int,
-               horizon: float) -> FaultSchedule:
-    """The (deterministic) storm used for one repetition."""
-    return FaultSchedule.throttle_storm(
-        seed=seed,
-        duration=horizon,
-        cores=range(4),
-        events_per_second=profile.storm_events_per_second,
-        recovery_mean=profile.storm_recovery_mean,
-    )
-
-
 def _workload(profile: Profile) -> SpecJBB:
     return SpecJBB(warehouses=profile.specjbb_warehouses,
                    vm="jrockit", gc=GCKind.CONCURRENT,
@@ -78,8 +66,9 @@ def run(profile: Profile = QUICK, base_seed: int = 100,
         for rep in range(runs):
             workload = _workload(profile)
             if stormy:
-                workload.with_faults(
-                    _storm_for(profile, base_seed + rep, horizon))
+                workload.with_faults(FaultSchedule.throttle_storm(
+                    seed=base_seed + rep, duration=horizon,
+                    cores=range(4)))
             tasks.append(RunTask(workload, CONFIG, base_seed + rep,
                                  factory, backend.options))
     results = iter(backend.execute(tasks))

@@ -50,17 +50,6 @@ RECOVERY_BAR = 0.70
 STORM_HORIZON = 8.0
 
 
-def _storm_for(profile: Profile, seed: int) -> FaultSchedule:
-    """The (deterministic) throttle storm used for one repetition."""
-    return FaultSchedule.throttle_storm(
-        seed=seed,
-        duration=STORM_HORIZON,
-        cores=range(4),
-        events_per_second=profile.storm_events_per_second,
-        recovery_mean=profile.storm_recovery_mean,
-    )
-
-
 def run(profile: Profile = QUICK, base_seed: int = 100,
         jobs: Optional[int] = None,
         backend: Optional[Backend] = None,
@@ -87,7 +76,10 @@ def run(profile: Profile = QUICK, base_seed: int = 100,
                         BENCHMARK, omp_schedule=policy)
                     if stormy:
                         workload.with_faults(
-                            _storm_for(profile, base_seed + rep))
+                            FaultSchedule.throttle_storm(
+                                seed=base_seed + rep,
+                                duration=STORM_HORIZON,
+                                cores=range(4)))
                     tasks.append(RunTask(workload, config,
                                          base_seed + rep, None,
                                          backend.options))

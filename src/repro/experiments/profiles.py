@@ -40,11 +40,6 @@ class Profile:
     pmake_files: int = 790
     #: jAppServer injection rates of Figure 3(b).
     injection_rates: Tuple[int, ...] = (250, 290, 320)
-    #: Throttle-storm intensity for the Figure 11 dynamic-asymmetry
-    #: exhibit: mean fault events per simulated second, and the mean
-    #: recovery window of a transient throttle.
-    storm_events_per_second: float = 25.0
-    storm_recovery_mean: float = 0.02
     #: Simulated seconds per LockStress run in the Figure 12
     #: slow-holder exhibit.
     lockstress_seconds: float = 0.6

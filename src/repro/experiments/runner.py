@@ -17,8 +17,6 @@ from repro.analysis.stats import Summary, speedup_over, summarize
 from repro.experiments.parallel import Backend, RunTask, make_backend
 from repro.metrics import RunMetrics
 from repro.machine.topology import STANDARD_CONFIG_LABELS
-from repro.sim import trace_export as _trace_export
-from repro.sim.trace_export import TraceData
 from repro.workloads.base import RunResult, SchedulerFactory, Workload
 
 
@@ -91,33 +89,9 @@ class ConfigSweep:
         items = [m for lab in labels for m in self.run_metrics(lab)]
         return RunMetrics.merge(items)
 
-    def traces(self, label: str) -> List["TraceData"]:
-        """Per-run timelines for one configuration.
-
-        Raises :class:`ValueError` if any run was executed without
-        tracing enabled (no trace categories in its ``RunOptions``).
-        """
-        out = []
-        for run in self.results[label]:
-            if run.trace is None:
-                raise ValueError(
-                    f"run {run.seed} on {label} carries no trace "
-                    "(enable tracing before running the sweep)")
-            out.append(run.trace)
-        return out
-
     def all_results(self) -> List[RunResult]:
         """Every run in the sweep, in deterministic task order."""
         return [run for runs in self.results.values() for run in runs]
-
-    def chrome_trace(self) -> Dict[str, object]:
-        """Chrome trace-event JSON object covering every traced run.
-
-        Each run becomes one trace process; run order is the sweep's
-        deterministic task order, so serial and process-pool sweeps
-        export byte-identical traces.
-        """
-        return _trace_export.chrome_trace(self.all_results())
 
     def classification(self) -> Classification:
         """This sweep's Table 1 row."""

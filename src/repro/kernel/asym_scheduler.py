@@ -69,19 +69,6 @@ class AsymmetryAwareScheduler(SymmetricScheduler):
             return stolen
         return self._pull_from_slower(core)
 
-    def preemption_horizon(self, core: Core,
-                           thread: "SimThread") -> float:
-        """Coalescing-safe like the symmetric policy.
-
-        Pull migration *does* preempt running threads, but always from
-        another core's dispatch event — it reaches this core via
-        ``Kernel.preempt_current``, which re-splits a live macro slice
-        exactly.  ``should_preempt`` itself is inherited unchanged
-        (own-runqueue check only), so quantum boundaries with an empty
-        runqueue never deschedule the thread.
-        """
-        return float("inf")
-
     # ------------------------------------------------------------------
     def _steal_victims(self, core: Core) -> List[Core]:
         """Victims ordered slowest-first, then by queue length.

@@ -545,7 +545,7 @@ class Kernel:
         if (self._coalesce and seconds_needed > budget
                 and thread.spin_lock is None
                 and not self.runqueues[index]
-                and self.scheduler.preemption_horizon(core, thread) == _INF
+                and self.scheduler.coalesce_safe
                 and self._start_macro(thread, core, length)):
             return
         if length < 0.0:

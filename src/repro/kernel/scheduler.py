@@ -39,7 +39,7 @@ class Scheduler:
     runs next; the kernel owns the mechanism (runqueues, slices,
     blocking).
 
-    :meth:`preemption_horizon` is the policy's only contract with the
+    :attr:`coalesce_safe` is the policy's only contract with the
     kernel's quantum-coalescing fast path (DESIGN.md §9).  Policies may
     read and pop ``kernel.runqueues`` directly: a macro slice only
     lives on a core whose runqueue is empty, so a non-empty queue is
@@ -49,6 +49,15 @@ class Scheduler:
     """
 
     name = "base"
+
+    #: True promises that :meth:`should_preempt` stays False at every
+    #: quantum boundary while the core's runqueue remains empty — the
+    #: contract the kernel's quantum-coalescing fast path needs before
+    #: it replaces per-quantum slice events with one closed-form macro
+    #: slice.  False (the base policy's answer) disables coalescing
+    #: for subclasses that have not audited ``should_preempt`` against
+    #: the contract.
+    coalesce_safe = False
 
     def __init__(self, quantum: float = DEFAULT_QUANTUM) -> None:
         if quantum <= 0:
@@ -75,21 +84,6 @@ class Scheduler:
     def should_preempt(self, core: Core, thread: "SimThread") -> bool:
         """Preempt ``thread`` at quantum expiry on ``core``?"""
         raise NotImplementedError
-
-    def preemption_horizon(self, core: Core,
-                           thread: "SimThread") -> float:
-        """Earliest time this policy might preempt ``thread`` on its
-        own initiative, assuming no further events touch the core.
-
-        ``inf`` promises that :meth:`should_preempt` stays False at
-        every quantum boundary while ``core``'s runqueue remains empty
-        — the contract the kernel's quantum-coalescing fast path needs
-        before replacing per-quantum slice events with one closed-form
-        macro slice.  The base policy answers 0.0 ("now / unknown"),
-        which simply disables coalescing for subclasses that have not
-        audited their ``should_preempt`` against the contract.
-        """
-        return 0.0
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -159,6 +153,15 @@ class SymmetricScheduler(Scheduler):
     #: transient burst imbalances (3 vs 1 runnable) do not move tasks.
     rebalance_threshold = 3
 
+    #: Never preempts spontaneously: :meth:`should_preempt` only
+    #: consults the core's own runqueue, and a thread can land there
+    #: only through an event the kernel's coalescing machinery already
+    #: re-splits on (wakeup, spawn, fault drain).  The asymmetry-aware
+    #: policies inherit this: pull migration does preempt a running
+    #: thread, but always from another core's dispatch, through
+    #: ``Kernel.preempt_current``, which re-splits a live macro slice.
+    coalesce_safe = True
+
     def place(self, thread: "SimThread") -> Core:
         kernel = self.kernel
         last = thread.last_core
@@ -208,14 +211,6 @@ class SymmetricScheduler(Scheduler):
 
     def should_preempt(self, core: Core, thread: "SimThread") -> bool:
         return len(self.kernel.runqueues[core.index]) > 0
-
-    def preemption_horizon(self, core: Core,
-                           thread: "SimThread") -> float:
-        """Never preempts spontaneously: :meth:`should_preempt` only
-        consults the core's own runqueue, and a thread can land there
-        only through an event the kernel's coalescing machinery
-        already re-splits on (wakeup, spawn, fault drain)."""
-        return float("inf")
 
     # ------------------------------------------------------------------
     def _steal_victims(self, core: Core) -> List[Core]:

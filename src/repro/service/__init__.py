@@ -23,7 +23,7 @@ from repro.service.cache import (
 )
 from repro.service.client import ServiceClient, ServiceError, SweepResponse
 from repro.service.protocol import ProtocolError, ScenarioRequest
-from repro.service.server import ScenarioServer, StreamingMetricsSink
+from repro.service.server import ScenarioServer
 
 __all__ = [
     "ProtocolError",
@@ -32,7 +32,6 @@ __all__ = [
     "ScenarioServer",
     "ServiceClient",
     "ServiceError",
-    "StreamingMetricsSink",
     "SweepResponse",
     "canonical_result_json",
     "result_from_payload",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import socket
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.service.cache import result_from_payload
@@ -101,27 +101,18 @@ class ServiceClient:
         self.close()
 
     # ------------------------------------------------------------------
-    def _send(self, message: Dict[str, Any]) -> Any:
+    def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Send one message, return its response."""
         self.connect()
         assert self._file is not None
         self._next_id += 1
         message = dict(message, id=self._next_id)
-        self._file.write(
-            (json.dumps(message) + "\n").encode("utf-8"))
+        self._file.write((json.dumps(message) + "\n").encode("utf-8"))
         self._file.flush()
-        return message["id"]
-
-    def _read_response(self) -> Dict[str, Any]:
-        assert self._file is not None
         line = self._file.readline()
         if not line:
             raise ConnectionError("server closed the connection")
-        return json.loads(line)
-
-    def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one message, return its (non-streaming) response."""
-        self._send(message)
-        response = self._read_response()
+        response = json.loads(line)
         if response.get("type") == "error":
             raise ServiceError(response)
         return response
@@ -131,16 +122,6 @@ class ServiceClient:
     # ------------------------------------------------------------------
     def ping(self) -> bool:
         return self.request({"type": "ping"}).get("type") == "pong"
-
-    def run(self, workload: str, config: str, seed: int = 100,
-            params: Optional[Dict[str, Any]] = None,
-            **options: Any) -> SweepResponse:
-        """Run one scenario; see :mod:`repro.service.protocol`."""
-        message = {"type": "run", "workload": workload,
-                   "config": config, "seed": seed,
-                   "params": params or {}}
-        message.update(options)
-        return SweepResponse(self.request(message))
 
     def sweep(self, workload: str, configs: List[str],
               runs: int = 1, base_seed: int = 100,
@@ -159,21 +140,3 @@ class ServiceClient:
     def shutdown(self) -> Dict[str, Any]:
         """Ask the server to drain and stop; returns its ack."""
         return self.request({"type": "shutdown", "drain": True})
-
-    def subscribe(self) -> Iterator[Dict[str, Any]]:
-        """Yield ``RunMetrics`` records as the server retires runs.
-
-        Dedicate a connection to this: after subscribing, the socket
-        carries the metrics stream until either side closes it.
-        """
-        response = self.request({"type": "subscribe"})
-        if response.get("type") != "subscribed":
-            raise ServiceError(response)
-        assert self._file is not None
-        while True:
-            try:
-                message = self._read_response()
-            except (ConnectionError, OSError):
-                return
-            if message.get("type") == "metrics":
-                yield message["record"]

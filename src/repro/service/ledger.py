@@ -18,8 +18,9 @@ Record schema (``format`` = :data:`LEDGER_FORMAT`; ``python
 tools/check_schema.py LEDGER.jsonl`` validates a file against it)::
 
     every record:   format, index, request ("ping" | "stats" |
-                    "shutdown" | "subscribe" | "run" | "sweep" |
-                    "invalid"), outcome ("ok" | "invalid" |
+                    "shutdown" | "sweep" | "invalid"; ledgers
+                    written by older servers also hold "subscribe"
+                    and "run"), outcome ("ok" | "invalid" |
                     "overloaded" | "shutting_down" |
                     "worker_crashed" | "internal")
     scenario only:  workload, scheduler, fingerprint (digest over the
@@ -53,7 +54,10 @@ OUTCOMES = ("ok", "invalid", "overloaded", "shutting_down",
             "worker_crashed", "internal")
 
 #: Request kinds a record may carry ("invalid" marks a line that
-#: failed protocol decoding before its type was known).
+#: failed protocol decoding before its type was known).  The server
+#: no longer accepts "subscribe" or "run", but format-1 ledgers that
+#: older servers wrote hold them, and a reopened ledger must still
+#: validate.
 REQUEST_KINDS = ("ping", "stats", "shutdown", "subscribe", "run",
                  "sweep", "invalid")
 

@@ -4,15 +4,13 @@ Every message is one JSON object on one line, with a ``type`` field.
 
 Requests (client -> server)::
 
-    {"type": "run",   "id": 1, "workload": "specjbb",
-     "params": {...}, "config": "2f-2s/8", "seed": 100, ...}
-    {"type": "sweep", "id": 2, "workload": "tpch", "params": {...},
+    {"type": "sweep", "id": 1, "workload": "tpch", "params": {...},
      "configs": ["4f-0s", "2f-2s/8"], "runs": 3, "base_seed": 100,
      "scheduler": "stock", "faults": {...}|null,
      "trace": ["exec", "sched"]|null, "coalesce": true|false|null}
-    {"type": "stats",     "id": 3}
-    {"type": "subscribe", "id": 4}
-    {"type": "shutdown",  "id": 5, "drain": true}
+    {"type": "stats",     "id": 2}
+    {"type": "ping",      "id": 3}
+    {"type": "shutdown",  "id": 4, "drain": true}
 
 Responses (server -> client)::
 
@@ -23,12 +21,10 @@ Responses (server -> client)::
      "worker_crashed"|"shutting_down"|"internal",
      "messages": ["..."], ...}
     {"type": "stats", "id": ..., "counters": {...}}
-    {"type": "subscribed", "id": ...} then a stream of
-    {"type": "metrics", "record": {...}} lines as runs retire
+    {"type": "pong", "id": ...}
     {"type": "shutdown", "id": ..., "draining": N}
 
-A ``run`` request is normalized into a single-config, single-run
-sweep; both shapes expand to the *same deterministic task order* a
+A sweep expands to the *same deterministic task order* a
 :class:`~repro.experiments.runner.Runner` would produce (config-major,
 then ``base_seed + i``), so a service response reassembles task
 results into exactly the sequence a local
@@ -55,8 +51,7 @@ from repro.workloads.base import RunOptions, Workload
 #: backpressure valve, this just caps per-message blast radius).
 MAX_TASKS_PER_REQUEST = 4096
 
-REQUEST_TYPES = ("run", "sweep", "stats", "subscribe", "shutdown",
-                 "ping")
+REQUEST_TYPES = ("sweep", "stats", "shutdown", "ping")
 
 
 class ProtocolError(ReproError):
@@ -69,7 +64,7 @@ class ProtocolError(ReproError):
 
 @dataclass
 class ScenarioRequest:
-    """A validated ``run``/``sweep`` request, normalized to a sweep.
+    """A validated ``sweep`` request.
 
     Every task carries the request's trace categories and coalescing
     mode as its :class:`~repro.workloads.base.RunOptions`; a request
@@ -146,13 +141,12 @@ def _check_config(label: Any, problems: List[str]) -> None:
 
 
 def parse_scenario(message: Dict[str, Any]) -> ScenarioRequest:
-    """Validate a ``run``/``sweep`` message into a ScenarioRequest.
+    """Validate a ``sweep`` message into a ScenarioRequest.
 
     Collects *every* problem before raising, so a client sees the full
     shape of what it got wrong in one round trip.
     """
     problems: List[str] = []
-    kind = message.get("type")
 
     workload_name = message.get("workload")
     params = message.get("params", {})
@@ -162,18 +156,9 @@ def parse_scenario(message: Dict[str, Any]) -> ScenarioRequest:
         problems.append(f"'params' must be an object, got {params!r}")
         params = {}
 
-    if kind == "run":
-        configs = [message.get("config")]
-        runs = 1
-        base_seed = message.get("seed", 100)
-        if "configs" in message or "runs" in message:
-            problems.append(
-                "'run' takes 'config'/'seed'; use type 'sweep' for "
-                "'configs'/'runs'")
-    else:
-        configs = message.get("configs")
-        runs = message.get("runs", 1)
-        base_seed = message.get("base_seed", 100)
+    configs = message.get("configs")
+    runs = message.get("runs", 1)
+    base_seed = message.get("base_seed", 100)
     if not isinstance(configs, list) or not configs:
         problems.append("missing or empty 'configs'")
         configs = []

@@ -19,8 +19,7 @@ TCP and exchange newline-delimited JSON
    limit — and batches it onto the warm pool, at most
    ``max_inflight`` batches simulating concurrently;
 5. stores fresh results in the cache, resolves duplicate waiters,
-   streams retiring runs to ``subscribe``-d connections, and answers
-   with results reassembled in task order.
+   and answers with results reassembled in task order.
 
 Backpressure state machine (DESIGN.md §12)::
 
@@ -39,7 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.histogram import LatencyHistogram
-from repro.metrics import CounterBag, metrics_record
+from repro.metrics import CounterBag
 from repro.experiments.parallel import (
     ProcessPoolBackend,
     RunTask,
@@ -55,47 +54,6 @@ log = logging.getLogger("repro.service")
 #: Per-connection line limit: requests are small, but responses carry
 #: traces; the read limit only bounds *incoming* lines.
 _READ_LIMIT = 4 * 1024 * 1024
-
-
-class StreamingMetricsSink:
-    """Fans each retiring run's metrics out to subscribers.
-
-    ``extend`` publishes each run's :func:`~repro.metrics.metrics_record`
-    to every subscribed connection's queue instead of accumulating
-    records in memory (a daemon would otherwise grow without bound).
-    Slow subscribers drop records once their queue is full — counted,
-    never blocking the serving path.
-    """
-
-    def __init__(self, counters: CounterBag,
-                 queue_size: int = 1024) -> None:
-        self.queue_size = queue_size
-        self._counters = counters
-        self._queues: Set[asyncio.Queue] = set()
-
-    def subscribe(self) -> asyncio.Queue:
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.queue_size)
-        self._queues.add(queue)
-        self._counters.set_max("service.stream.max_subscribers",
-                               len(self._queues))
-        return queue
-
-    def unsubscribe(self, queue: asyncio.Queue) -> None:
-        self._queues.discard(queue)
-
-    @property
-    def subscribers(self) -> int:
-        return len(self._queues)
-
-    def extend(self, results) -> None:
-        for result in results:
-            record = metrics_record(result)
-            self._counters.incr("service.stream.published")
-            for queue in self._queues:
-                try:
-                    queue.put_nowait(record)
-                except asyncio.QueueFull:
-                    self._counters.incr("service.stream.dropped")
 
 
 class ScenarioServer:
@@ -155,7 +113,6 @@ class ScenarioServer:
             "execute_seconds": LatencyHistogram(),
         }
         self.counters = CounterBag()
-        self.sink = StreamingMetricsSink(self.counters)
         self.draining = False
         self._server: Optional[asyncio.base_events.Server] = None
         self._threads = ThreadPoolExecutor(
@@ -238,8 +195,6 @@ class ScenarioServer:
         peer = writer.get_extra_info("peername")
         self.counters.incr("service.connections")
         self._connections.add(asyncio.current_task())
-        stream_task: Optional[asyncio.Task] = None
-        queue: Optional[asyncio.Queue] = None
         try:
             while True:
                 try:
@@ -255,16 +210,10 @@ class ScenarioServer:
                     break
                 if not line.strip():
                     continue
-                response, wants_stream = await self._dispatch(line)
-                if wants_stream and stream_task is None:
-                    queue = self.sink.subscribe()
-                    stream_task = asyncio.ensure_future(
-                        self._stream_records(queue, writer))
-                if response is not None:
-                    writer.write(protocol.encode(response))
-                    await writer.drain()
-                if response is not None \
-                        and response.get("type") == "shutdown":
+                response = await self._dispatch(line)
+                writer.write(protocol.encode(response))
+                await writer.drain()
+                if response.get("type") == "shutdown":
                     self.request_shutdown()
         except (ConnectionError, asyncio.CancelledError):
             # Cancellation means the server is closing; finish the
@@ -273,10 +222,6 @@ class ScenarioServer:
             pass
         finally:
             self._connections.discard(asyncio.current_task())
-            if stream_task is not None:
-                stream_task.cancel()
-            if queue is not None:
-                self.sink.unsubscribe(queue)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -290,9 +235,8 @@ class ScenarioServer:
             self.counters.incr("service.ledger.records")
             self.ledger.record(entry)
 
-    async def _dispatch(self, line: bytes) -> Tuple[
-            Optional[Dict[str, Any]], bool]:
-        """One request line -> (response, wants metrics streaming)."""
+    async def _dispatch(self, line: bytes) -> Dict[str, Any]:
+        """One request line -> its response."""
         self.counters.incr("service.requests")
         try:
             message = protocol.decode_line(line)
@@ -301,26 +245,21 @@ class ScenarioServer:
             self._record_request({"request": "invalid",
                                   "outcome": "invalid"})
             return protocol.error_response(
-                None, "invalid", exc.messages), False
+                None, "invalid", exc.messages)
         kind = message["type"]
         request_id = message.get("id")
         if kind == "ping":
             self._record_request({"request": "ping", "outcome": "ok"})
-            return {"type": "pong", "id": request_id}, False
+            return {"type": "pong", "id": request_id}
         if kind == "stats":
             self._record_request({"request": "stats", "outcome": "ok"})
-            return self._stats_response(request_id), False
+            return self._stats_response(request_id)
         if kind == "shutdown":
             self._record_request({"request": "shutdown",
                                   "outcome": "ok"})
             return {"type": "shutdown", "id": request_id,
-                    "draining": self._pending_tasks}, False
-        if kind == "subscribe":
-            self.counters.incr("service.subscribes")
-            self._record_request({"request": "subscribe",
-                                  "outcome": "ok"})
-            return {"type": "subscribed", "id": request_id}, True
-        return await self._handle_scenario(message), False
+                    "draining": self._pending_tasks}
+        return await self._handle_scenario(message)
 
     # ------------------------------------------------------------------
     # Scenario execution
@@ -328,7 +267,7 @@ class ScenarioServer:
     async def _handle_scenario(
             self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Answer one scenario request and ledger it exactly once."""
-        entry: Dict[str, Any] = {"request": message.get("type")}
+        entry: Dict[str, Any] = {"request": "sweep"}
         try:
             response = await self._scenario_response(message, entry)
         except BaseException:
@@ -349,7 +288,7 @@ class ScenarioServer:
             request = protocol.parse_scenario(message)
         except protocol.ProtocolError as exc:
             self.counters.incr("service.rejected.invalid")
-            log.warning("invalid %s request: %s", message.get("type"),
+            log.warning("invalid sweep request: %s",
                         "; ".join(exc.messages))
             return protocol.error_response(
                 request_id, "invalid", exc.messages)
@@ -358,7 +297,7 @@ class ScenarioServer:
             return protocol.error_response(
                 request_id, "shutting_down",
                 ["server is draining; resubmit elsewhere"])
-        self.counters.incr(f"service.{message['type']}s")
+        self.counters.incr("service.sweeps")
 
         entry["workload"] = request.workload_name
         entry["scheduler"] = request.scheduler
@@ -467,10 +406,9 @@ class ScenarioServer:
             return protocol.error_response(
                 request_id, "internal",
                 [f"{type(exc).__name__}: {exc}"])
-        log.info("%s %s: %d task(s), %d cache hit(s), %d coalesced, "
-                 "%d simulated", message["type"],
-                 request.workload_name, len(order), cache_hits,
-                 coalesced, len(fresh))
+        log.info("sweep %s: %d task(s), %d cache hit(s), %d coalesced, "
+                 "%d simulated", request.workload_name, len(order),
+                 cache_hits, coalesced, len(fresh))
         return {
             "type": "result", "id": request_id,
             "workload": request.workload_name,
@@ -530,7 +468,6 @@ class ScenarioServer:
                     self.cache.store_text(key, text)
             self.counters.incr("service.simulations_run",
                                len(results))
-            self.sink.extend(results)
             for key in keys:
                 future = self._inflight.pop(key, None)
                 if future is not None and not future.done():
@@ -548,7 +485,7 @@ class ScenarioServer:
             self._pending_tasks -= len(keys)
 
     # ------------------------------------------------------------------
-    # Stats and streaming
+    # Stats
     # ------------------------------------------------------------------
     def _stats_response(self, request_id: Any) -> Dict[str, Any]:
         counters = dict(self.counters.as_dict())
@@ -563,7 +500,6 @@ class ScenarioServer:
             "counters": counters,
             "pending_tasks": self._pending_tasks,
             "inflight_keys": len(self._inflight),
-            "subscribers": self.sink.subscribers,
             "draining": self.draining,
             "cache_entries": (len(self.cache)
                               if self.cache is not None else 0),
@@ -578,17 +514,3 @@ class ScenarioServer:
                     self.counters.get("service.ledger.records")),
             },
         }
-
-    async def _stream_records(self, queue: asyncio.Queue,
-                              writer: asyncio.StreamWriter) -> None:
-        """Push ``metrics`` lines to one subscribed connection."""
-        try:
-            while True:
-                record = await queue.get()
-                writer.write(protocol.encode(
-                    {"type": "metrics", "record": record}))
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self.sink.unsubscribe(queue)

@@ -7,11 +7,21 @@ latency histograms, scheduler traces and Chrome trace exports must be
 byte-identical to per-quantum slicing — coalescing may only change how
 fast the simulator gets there.  These tests hold that contract down:
 
-* a panel over the paper's nine machine configurations × both
-  scheduler policies × (clean | golden fault storm), comparing the
-  full observable surface of coalesced vs sliced runs, and checking
-  between every two events that no coalesced core has a thread queued
-  (the invariant that lets schedulers read runqueues directly);
+* a panel over two scenarios × the paper's nine machine
+  configurations × both scheduler policies × (clean | golden fault
+  storm), comparing the full observable surface of coalesced vs sliced
+  runs, and checking between every two events that no coalesced core
+  has a thread queued (the invariant that lets schedulers read
+  runqueues directly);
+* round-robin rotations on contended cores: contended cores run
+  per-quantum slices in both modes, but their queues drain at
+  different times, so coalesced runs arm macro slices on the emptied
+  cores while contenders still rotate elsewhere, and wakeups and
+  faults occasionally split one.  The panel's ``contended`` scenario
+  holds that down, hypothesis property tests land random wakeups and
+  random throttle storms inside rotations, and the
+  ``coalesce.macro_fallback`` regression counter stays zero on every
+  standard configuration;
 * deterministic unit tests for the re-split paths (a wakeup landing on
   a coalesced core mid-window, pull migration absorbing a macro);
 * the engagement guarantee the benchmarks rely on (uncontended runs
@@ -26,9 +36,11 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import System
 from repro.experiments.parallel import RunTask, task_fingerprint
+from repro.faults import FaultSchedule
 from repro.kernel import (
     AsymmetryAwareScheduler,
     Compute,
@@ -80,26 +92,72 @@ def _mixed_threads(kernel) -> None:
     kernel.spawn(SimThread("late", nap_then_spin(0.2e8, 0.031, 0.9e8)))
 
 
-def _observed(config: str, scheduler_name: str, coalesce: bool,
-              faults: bool) -> str:
+def _contended_threads(kernel) -> None:
+    """A runqueue-heavy scenario.
+
+    Twelve staggered spinners keep every core's runqueue deep (and
+    leave a coalesced tail as they drain), while two sleepers wake
+    mid-run.
+    """
+
+    def spin(cycles):
+        yield Compute(cycles)
+
+    def nap_then_spin(head, seconds, tail):
+        yield Compute(head)
+        yield Sleep(seconds)
+        yield Compute(tail)
+
+    for index in range(12):
+        kernel.spawn(SimThread(f"spin{index}",
+                               spin((1.1 + 0.13 * index) * 1e8)))
+    kernel.spawn(SimThread("napper",
+                           nap_then_spin(0.3e8, 0.017, 1.2e8)))
+    kernel.spawn(SimThread("late",
+                           nap_then_spin(0.1e8, 0.042, 0.8e8)))
+
+
+#: The panel's scenarios: name -> (spawn, seed).
+SCENARIOS = {
+    "mixed": (_mixed_threads, 13),
+    "contended": (_contended_threads, 17),
+}
+
+#: scenario × config × scheduler.  The mixed cases are named
+#: ``[config-scheduler]``; the others carry their scenario first.
+PANEL = [
+    pytest.param(scenario, config, scheduler_name,
+                 id=("" if scenario == "mixed" else f"{scenario}-")
+                 + f"{config}-{scheduler_name}")
+    for scenario in SCENARIOS
+    for config in STANDARD_CONFIG_LABELS
+    for scheduler_name in sorted(SCHEDULERS)
+]
+
+
+def _observed(scenario: str, config: str, scheduler_name: str,
+              coalesce: bool, faults: bool) -> str:
     """Canonical JSON of everything a run exposes to an observer."""
-    return observed_surface(config, SCHEDULERS[scheduler_name](), 13,
-                            coalesce, faults, _mixed_threads)
+    spawn, seed = SCENARIOS[scenario]
+    return observed_surface(config, SCHEDULERS[scheduler_name](), seed,
+                            coalesce, faults, spawn)
 
 
-@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
-@pytest.mark.parametrize("config", STANDARD_CONFIG_LABELS)
-def test_panel_byte_identity(config, scheduler_name):
-    coalesced = _observed(config, scheduler_name, True, faults=False)
-    sliced = _observed(config, scheduler_name, False, faults=False)
+@pytest.mark.parametrize("scenario,config,scheduler_name", PANEL)
+def test_panel_byte_identity(scenario, config, scheduler_name):
+    coalesced = _observed(scenario, config, scheduler_name, True,
+                          faults=False)
+    sliced = _observed(scenario, config, scheduler_name, False,
+                       faults=False)
     assert coalesced == sliced
 
 
-@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
-@pytest.mark.parametrize("config", STANDARD_CONFIG_LABELS)
-def test_fault_storm_byte_identity(config, scheduler_name):
-    coalesced = _observed(config, scheduler_name, True, faults=True)
-    sliced = _observed(config, scheduler_name, False, faults=True)
+@pytest.mark.parametrize("scenario,config,scheduler_name", PANEL)
+def test_fault_storm_byte_identity(scenario, config, scheduler_name):
+    coalesced = _observed(scenario, config, scheduler_name, True,
+                          faults=True)
+    sliced = _observed(scenario, config, scheduler_name, False,
+                       faults=True)
     assert coalesced == sliced
 
 
@@ -133,6 +191,92 @@ def test_workload_run_byte_identity():
                                   options=RunOptions(coalesce=True))
     assert coalesced.run_metrics.to_json() == sliced.run_metrics.to_json()
     assert coalesced.metrics == sliced.metrics
+
+
+@pytest.mark.parametrize("config", STANDARD_CONFIG_LABELS)
+def test_macro_fallback_stays_zero(config):
+    """The defensive fallback in ``_on_macro_end`` never fires on the
+    standard configurations (it would silently shed the fast path)."""
+    system = System.build(config, seed=17, coalesce=True)
+    _contended_threads(system.kernel)
+    system.run()
+    counters = system.run_metrics().counters
+    assert counters.get("coalesce.macro_fallback", 0.0) == 0.0
+
+
+# ----------------------------------------------------------------------
+# Property tests: anything landing inside a rotation keeps identity
+# ----------------------------------------------------------------------
+CONFIG_ST = st.sampled_from(list(STANDARD_CONFIG_LABELS))
+SCHEDULER_ST = st.sampled_from(sorted(SCHEDULERS))
+
+
+def _randomized_observed(config: str, scheduler_name: str,
+                         coalesce: bool, wake_after: float,
+                         head_cycles: float,
+                         storm_seed) -> str:
+    """One contended run with a randomized mid-rotation wakeup."""
+
+    def spin(cycles):
+        yield Compute(cycles)
+
+    def waker():
+        yield Compute(head_cycles)
+        yield Sleep(wake_after)
+        yield Compute(0.9e8)
+
+    system = System.build(config, seed=23,
+                          scheduler=SCHEDULERS[scheduler_name](),
+                          coalesce=coalesce)
+    system.sim.tracer.enable(*_trace.DEFAULT_TRACE_CATEGORIES)
+    if storm_seed is not None:
+        FaultSchedule.throttle_storm(
+            storm_seed, 0.25, cores=range(len(system.machine.cores)),
+        ).install(system)
+    for core in system.machine.cores:
+        for slot in range(3):
+            system.kernel.spawn(SimThread(
+                f"c{core.index}t{slot}", spin(core.rate * 0.22),
+                affinity=frozenset([core.index])))
+    system.kernel.spawn(SimThread("waker", waker()))
+    duration = system.run()
+    metrics = system.run_metrics()
+    assert_conservation(metrics)
+    return canonical_json({"duration": duration,
+                           "run_metrics": metrics.as_dict()})
+
+
+@settings(max_examples=12, deadline=None)
+@given(config=CONFIG_ST, scheduler_name=SCHEDULER_ST,
+       wake_after=st.floats(min_value=1e-4, max_value=0.2),
+       head_cycles=st.floats(min_value=1e6, max_value=2e8))
+def test_random_wakeup_inside_rotation_resplits(config, scheduler_name,
+                                                wake_after,
+                                                head_cycles):
+    """A wakeup at an arbitrary time inside a rotation (or a macro
+    window on a drained core) lands on byte-identical sliced state."""
+    coalesced = _randomized_observed(config, scheduler_name, True,
+                                     wake_after, head_cycles, None)
+    sliced = _randomized_observed(config, scheduler_name, False,
+                                  wake_after, head_cycles, None)
+    assert coalesced == sliced
+
+
+@settings(max_examples=10, deadline=None)
+@given(config=CONFIG_ST, scheduler_name=SCHEDULER_ST,
+       wake_after=st.floats(min_value=1e-4, max_value=0.2),
+       storm_seed=st.integers(0, 2**16))
+def test_random_fault_storm_inside_rotation_resplits(config,
+                                                     scheduler_name,
+                                                     wake_after,
+                                                     storm_seed):
+    """Random throttle storms (duty-cycle reprogramming mid-rotation
+    or mid-macro) leave byte-identical sliced state."""
+    coalesced = _randomized_observed(config, scheduler_name, True,
+                                     wake_after, 0.4e8, storm_seed)
+    sliced = _randomized_observed(config, scheduler_name, False,
+                                  wake_after, 0.4e8, storm_seed)
+    assert coalesced == sliced
 
 
 # ----------------------------------------------------------------------
@@ -179,9 +323,7 @@ def test_unaudited_scheduler_never_coalesces():
 
     class Strict(SymmetricScheduler):
         name = "strict"
-
-        def preemption_horizon(self, core, thread):
-            return 0.0
+        coalesce_safe = False
 
     def spin(cycles):
         yield Compute(cycles)

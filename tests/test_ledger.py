@@ -40,6 +40,7 @@ from repro.workloads.base import RunResult
 
 from tests.harness import GOLDEN_LEDGER_RECORDS
 from tests.test_service_server import (
+    RETIRED_REQUESTS,
     Connection,
     StubExecutor,
     _sweep_message,
@@ -253,6 +254,38 @@ class TestLedgerFile:
         assert [record["index"] for record in records] == [0, 1]
         assert check_schema.check_file(str(path))
         assert "ledger, 2 records" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", sorted(RETIRED_REQUESTS))
+    def test_retired_request_kind_still_validates(self, tmp_path, kind):
+        """A format-1 ledger from an older server holds ``run`` or
+        ``subscribe`` records.  A server restarted on it appends after
+        them, ledgers its refusal of that kind as ``invalid``, and the
+        file stays schema clean."""
+        path = tmp_path / "ledger.jsonl"
+        legacy = {"request": kind, "outcome": "ok"}
+        if kind == "run":
+            legacy.update(workload="tpch", scheduler="stock",
+                          fingerprint="00112233445566778899aabbccddeeff",
+                          tasks=1, cache_hits=0, coalesced=0, fresh=1,
+                          queue_wait_seconds=1e-05,
+                          execute_seconds=0.01, jobs=1)
+        ledger = RunLedger(str(path))
+        ledger.record(legacy)
+        ledger.close()
+
+        async def scenario():
+            async with running_server(
+                    executor=StubExecutor(),
+                    ledger_path=str(path)) as server:
+                return await one_rpc(server, RETIRED_REQUESTS[kind])
+        assert asyncio.run(scenario())["error"] == "invalid"
+        records = read_ledger(str(path))
+        assert [(r["index"], r["request"], r["outcome"])
+                for r in records] == [(0, kind, "ok"),
+                                      (1, "invalid", "invalid")]
+        assert _schema_clean(records) == []
+        assert summarize_ledger(records)["by_request"] == \
+            {kind: 1, "invalid": 1}
 
     def test_a_terminated_malformed_line_still_raises(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

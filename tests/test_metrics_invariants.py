@@ -42,10 +42,11 @@ def _mixed_body(cycles_list, sleepy):
             yield YieldCPU()
 
 
-def _run_panel_system(config, scheduler_cls, seed):
+def _run_panel_system(config, scheduler_cls, seed, *categories):
     system = System.build(
         config, seed=seed,
         scheduler=scheduler_cls() if scheduler_cls else None)
+    system.sim.tracer.enable(*categories)
     for index in range(4):
         cycles = [2e7 * (index + 1), 5e6]
         system.kernel.spawn(
@@ -61,15 +62,14 @@ def _run_panel_system(config, scheduler_cls, seed):
 @pytest.mark.parametrize("config", STANDARD_CONFIG_LABELS)
 def test_cycle_conservation_every_config(config, scheduler):
     for seed in (0, 7, 1234):
-        system = _run_panel_system(config, SCHEDULERS[scheduler], seed)
+        system = _run_panel_system(config, SCHEDULERS[scheduler], seed,
+                                   "sched")
         metrics = system.run_metrics()
         harness.assert_conservation(metrics)
         assert metrics.config == config
         assert metrics.threads_finished == metrics.threads_spawned == 4
-        assert metrics.context_switches == \
-            sum(core.dispatches for core in metrics.cores)
-        assert metrics.migrations == \
-            sum(core.migrations_in for core in metrics.cores)
+        assert harness.trace_consistency_errors(
+            metrics, system.sim.tracer.records("sched")) == []
 
 
 @settings(max_examples=20, deadline=None)

@@ -429,9 +429,9 @@ class TestPersistentCacheDrift:
 
         def service_key(**settings):
             request = parse_scenario({
-                "type": "run", "workload": "lockstress",
+                "type": "sweep", "workload": "lockstress",
                 "params": {"n_threads": 4, "duration": 0.01},
-                "config": "2f-2s/8", "seed": 7, **settings})
+                "configs": ["2f-2s/8"], "base_seed": 7, **settings})
             return task_fingerprint(request.tasks[0])
 
         assert service_key() == cli_key(RunOptions())

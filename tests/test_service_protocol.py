@@ -20,7 +20,6 @@ from repro.service.protocol import (
     error_response,
     parse_scenario,
 )
-from repro.workloads.specjbb import SpecJBB
 
 
 def _sweep(**overrides):
@@ -52,8 +51,10 @@ class TestDecode:
             decode_line(b"[1, 2]\n")
 
     def test_unknown_type_raises(self):
-        with pytest.raises(ProtocolError, match="unknown request"):
-            decode_line(b'{"type": "explode"}\n')
+        for line in (b'{"type": "explode"}\n', b'{"type": "run"}\n',
+                     b'{"type": "subscribe"}\n'):
+            with pytest.raises(ProtocolError, match="unknown request"):
+                decode_line(line)
 
 
 class TestParseScenario:
@@ -63,19 +64,6 @@ class TestParseScenario:
             ("4f-0s", 100), ("4f-0s", 101),
             ("2f-2s/8", 100), ("2f-2s/8", 101)]
         assert request.request_id == 1
-
-    def test_run_normalizes_to_a_single_task_sweep(self):
-        request = parse_scenario(
-            {"type": "run", "workload": "specjbb",
-             "config": "2f-2s/8", "seed": 42})
-        assert [(t.config, t.seed) for t in request.tasks] == [
-            ("2f-2s/8", 42)]
-        assert isinstance(request.workload, SpecJBB)
-
-    def test_run_rejects_sweep_fields(self):
-        with pytest.raises(ProtocolError, match="use type 'sweep'"):
-            parse_scenario({"type": "run", "workload": "specjbb",
-                            "config": "4f-0s", "runs": 3})
 
     def test_scheduler_name_resolves_to_factory(self):
         request = parse_scenario(_sweep(scheduler="asym"))

@@ -9,7 +9,8 @@ The contracts under test, straight from the service's guarantees:
   ``overloaded`` error instead of queueing without limit;
 * a task whose worker process dies is retried once, then surfaces a
   structured ``worker_crashed`` error without wedging the queue;
-* malformed requests get structured ``invalid`` errors;
+* malformed requests, and the retired ``run`` and ``subscribe``
+  types, get structured ``invalid`` errors;
 * a graceful drain finishes in-flight batches, rejects new scenarios
   and stops.
 """
@@ -56,6 +57,16 @@ def _sweep_message(**overrides):
                "base_seed": 100}
     message.update(overrides)
     return message
+
+
+#: Request types older servers accepted, as those servers' clients
+#: sent them.  A one-config ``sweep`` replaces ``run``.
+RETIRED_REQUESTS = {
+    "run": {"type": "run", "workload": "tpch",
+            "params": dict(TPCH_PARAMS), "config": "4f-0s",
+            "seed": 100},
+    "subscribe": {"type": "subscribe"},
+}
 
 
 # ----------------------------------------------------------------------
@@ -170,20 +181,6 @@ class TestColdWarmIdentity:
             assert canonical_result_json(
                 result_from_payload(payload)) == \
                 canonical_result_json(reference)
-
-    def test_run_request_round_trips(self, tmp_path):
-        async def scenario():
-            async with running_server(
-                    cache=ResultCache(str(tmp_path / "cache")),
-                    executor=ProcessPoolBackend(jobs=1)) as server:
-                return await one_rpc(
-                    server,
-                    {"type": "run", "workload": "tpch",
-                     "params": dict(TPCH_PARAMS),
-                     "config": "4f-0s", "seed": 100}, timeout=120)
-        response = asyncio.run(scenario())
-        assert response["tasks"] == 1
-        assert response["results"][0]["config"] == "4f-0s"
 
 
 # ----------------------------------------------------------------------
@@ -360,6 +357,26 @@ class TestFaultPaths:
         assert "malformed JSON" in bad["messages"][0]
         assert pong["type"] == "pong"
 
+    @pytest.mark.parametrize("kind", sorted(RETIRED_REQUESTS))
+    def test_retired_request_type_is_invalid(self, kind):
+        stub = StubExecutor()
+
+        async def scenario():
+            async with running_server(executor=stub) as server:
+                async with Connection(server) as connection:
+                    refused = await connection.rpc(
+                        RETIRED_REQUESTS[kind])
+                    # The connection survives the refusal.
+                    answer = await connection.rpc(_sweep_message(
+                        configs=["4f-0s"], runs=1))
+                    return refused, answer
+        refused, answer = asyncio.run(scenario())
+        assert refused["type"] == "error"
+        assert refused["error"] == "invalid"
+        assert f"unknown request type {kind!r}" in refused["messages"][0]
+        assert answer["type"] == "result" and answer["tasks"] == 1
+        assert stub.calls == [[("4f-0s", 100)]]
+
     def test_invalid_scenario_lists_every_problem(self):
         async def scenario():
             async with running_server(
@@ -414,24 +431,6 @@ class TestFaultPaths:
         assert refused["error"] == "shutting_down"
         assert finished["type"] == "result"
         assert finished["simulations_run"] == 4
-
-    def test_metrics_streaming(self):
-        async def scenario():
-            async with running_server(
-                    executor=StubExecutor()) as server:
-                async with Connection(server) as subscriber:
-                    subscribed = await subscriber.rpc(
-                        {"type": "subscribe"})
-                    assert subscribed["type"] == "subscribed"
-                    await one_rpc(server, _sweep_message(
-                        configs=["4f-0s"], runs=2))
-                    records = [await subscriber.read(),
-                               await subscriber.read()]
-                    return records
-        records = asyncio.run(scenario())
-        assert all(r["type"] == "metrics" for r in records)
-        seeds = sorted(r["record"]["seed"] for r in records)
-        assert seeds == [100, 101]
 
 
 # ----------------------------------------------------------------------
@@ -532,9 +531,10 @@ class TestWorkerDeath:
                         [RunTask(poisoned, "2f-2s/8", 100)])
                 # The service keeps serving after the crash.
                 healthy = await one_rpc(server, {
-                    "type": "run", "workload": "lockstress",
+                    "type": "sweep", "workload": "lockstress",
                     "params": {"n_threads": 2, "duration": 0.005},
-                    "config": "2f-2s/8", "seed": 100}, timeout=120)
+                    "configs": ["2f-2s/8"], "base_seed": 100},
+                    timeout=120)
                 return excinfo.value, healthy
         error, healthy = asyncio.run(scenario())
         assert isinstance(error, WorkerCrashError)
@@ -560,9 +560,10 @@ class TestWorkerDeath:
             async with running_server(
                     executor=CrashingExecutor()) as server:
                 response = await one_rpc(server, {
-                    "type": "run", "workload": "lockstress",
+                    "type": "sweep", "workload": "lockstress",
                     "params": {"n_threads": 2, "duration": 0.005},
-                    "config": "2f-2s/8", "seed": 100}, timeout=120)
+                    "configs": ["2f-2s/8"], "base_seed": 100},
+                    timeout=120)
                 stats = await one_rpc(server, {"type": "stats"})
                 return response, stats
         response, stats = asyncio.run(scenario())
@@ -634,3 +635,32 @@ class TestServiceCli:
     def test_assert_cached_fails_cold(self, served, capsys):
         assert self._submit(served, "--assert-cached") == 3
         assert "ASSERTION FAILED" in capsys.readouterr().err
+
+    def test_repeated_config_keeps_both_copies(self, served, tmp_path,
+                                               capsys):
+        """``submit`` rebuilds its sweep the way ``report
+        --stock-results`` does, so a config listed twice contributes
+        both of its results to the table and to the trace."""
+        from repro.__main__ import main
+        traces = {}
+        for configs in ("4f-0s", "4f-0s,4f-0s"):
+            trace = tmp_path / f"{configs.count(',')}.trace.json"
+            assert main(["submit", "--port-file", str(served),
+                         "--workload", "tpch",
+                         "--params", json.dumps(TPCH_PARAMS),
+                         "--configs", configs, "--runs", "1",
+                         "--trace-out", str(trace)]) == 0
+            rows = [line.split() for line
+                    in capsys.readouterr().out.splitlines()
+                    if line.startswith("4f-0s")]
+            assert [row[-1] for row in rows] == \
+                [str(configs.count(",") + 1)]
+            traces[configs] = json.loads(trace.read_text())
+        runs = {configs: [(run["pid"], run["config"], run["seed"])
+                          for run in trace["otherData"]["runs"]]
+                for configs, trace in traces.items()}
+        assert runs == {"4f-0s": [(0, "4f-0s", 100)],
+                        "4f-0s,4f-0s": [(0, "4f-0s", 100),
+                                        (1, "4f-0s", 100)]}
+        assert len(traces["4f-0s,4f-0s"]["traceEvents"]) == \
+            2 * len(traces["4f-0s"]["traceEvents"])

@@ -57,6 +57,8 @@ MARKDOWN_HEADINGS = ("# Performance report — ",
 
 # The ledger vocabulary, restated from repro.service.ledger so this
 # tool needs no import of the package; a tier-1 test keeps them equal.
+# REQUEST_KINDS keeps "subscribe" and "run", which the server no longer
+# accepts: format-1 ledgers written by older servers hold them.
 LEDGER_FORMAT = 1
 OUTCOMES = ("ok", "invalid", "overloaded", "shutting_down",
             "worker_crashed", "internal")
