@@ -1,9 +1,9 @@
 """The seed commit's event queue and run loop, as a timing reference.
 
 ``test_event_queue_throughput`` times today's :class:`repro.sim.Simulator`
-against this code in the same process, round by round, so its
-``speedup_vs_seed`` compares two programs on one host instead of one
-program against a wall time taken on another.  The classes are the
+against this code in the same process, round by round, so its seed
+speedup compares two programs on one host instead of one program
+against a wall time taken on another.  The classes are the
 seed's ``repro/sim/events.py`` and ``repro/sim/engine.py`` (commit
 2eff73a), trimmed to what the benchmark's 5000-event schedule-and-fire
 loop calls: ``Simulator()``, ``schedule``, ``run`` and

@@ -65,8 +65,7 @@ def _sweep_workload(name: str, profile, omp_schedule: str = "all"):
     """Build the named workload at the profile's scale."""
     if name == "specjbb":
         from repro.workloads.specjbb import SpecJBB
-        return SpecJBB(warehouses=profile.specjbb_warehouses,
-                       measurement_seconds=profile.specjbb_measurement)
+        return SpecJBB(measurement_seconds=profile.specjbb_measurement)
     if name == "specomp":
         from repro.workloads.specomp import SpecOmpBenchmark
         schedule = None if omp_schedule == "all" else omp_schedule

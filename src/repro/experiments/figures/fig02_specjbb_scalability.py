@@ -21,8 +21,7 @@ from repro.workloads.specjbb import SpecJBB
 
 
 def _workload(profile: Profile) -> SpecJBB:
-    return SpecJBB(warehouses=profile.specjbb_warehouses,
-                   vm="jrockit", gc=GCKind.CONCURRENT,
+    return SpecJBB(vm="jrockit", gc=GCKind.CONCURRENT,
                    measurement_seconds=profile.specjbb_measurement)
 
 

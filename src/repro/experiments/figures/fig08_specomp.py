@@ -20,15 +20,17 @@ from repro.experiments.report import format_table
 from repro.experiments.runner import Runner
 from repro.workloads.specomp import BENCHMARK_NAMES, SpecOmpBenchmark
 
+#: SPEC OMP configurations shown in Figure 8.
+CONFIGS = ("4f-0s", "2f-2s/8", "0f-4s/4", "0f-4s/8")
+
 
 def run(profile: Profile = QUICK, base_seed: int = 100,
         jobs: Optional[int] = None,
         backend: Optional[Backend] = None) -> Dict:
     runs = max(2, profile.runs)
-    runner = Runner(configs=profile.omp_configs, runs=runs,
+    runner = Runner(configs=CONFIGS, runs=runs,
                     base_seed=base_seed, backend=backend, jobs=jobs)
-    data: Dict[str, Dict] = {"a": {}, "b": {}, "configs":
-                             list(profile.omp_configs)}
+    data: Dict[str, Dict] = {"a": {}, "b": {}, "configs": list(CONFIGS)}
     for name in BENCHMARK_NAMES:
         data["a"][name] = runner.run(SpecOmpBenchmark(name, "reference"))
         data["b"][name] = runner.run(SpecOmpBenchmark(name, "modified"))

@@ -43,8 +43,7 @@ def collect(profile: Profile = QUICK, base_seed: int = 100,
                     backend=backend, jobs=jobs)
     workloads = [
         SpecJAppServer(injection_rate=max(profile.injection_rates)),
-        SpecJBB(warehouses=profile.specjbb_warehouses,
-                gc=GCKind.CONCURRENT,
+        SpecJBB(gc=GCKind.CONCURRENT,
                 measurement_seconds=profile.specjbb_measurement),
         ApacheWorkload("light",
                        measurement_seconds=profile.web_measurement),

@@ -48,8 +48,7 @@ _SERIES = [
 
 
 def _workload(profile: Profile) -> SpecJBB:
-    return SpecJBB(warehouses=profile.specjbb_warehouses,
-                   vm="jrockit", gc=GCKind.CONCURRENT,
+    return SpecJBB(vm="jrockit", gc=GCKind.CONCURRENT,
                    measurement_seconds=profile.specjbb_measurement)
 
 

@@ -49,7 +49,6 @@ def run(profile: Profile = QUICK, base_seed: int = 100,
                           backend=backend)
     remedies = {
         "SPECjbb + asym kernel": fixed_runner.run(SpecJBB(
-            warehouses=profile.specjbb_warehouses,
             gc=GCKind.CONCURRENT,
             measurement_seconds=profile.specjbb_measurement)),
         "Apache + asym kernel": fixed_runner.run(ApacheWorkload(

@@ -24,17 +24,12 @@ class Profile:
     #: SPECjbb steady-state seconds and the warehouse sweep of Fig. 1.
     specjbb_measurement: float
     warehouses: Tuple[int, ...]
-    #: Fixed warehouse count for the Fig. 2 scaling sweep.
-    specjbb_warehouses: int
     #: TPC-H queries in the power run (PAPER = all 22).
     tpch_queries: Tuple[int, ...]
     #: Runs for the single-query experiment (paper shows 13).
     tpch_query_runs: int
     #: Web server steady-state seconds.
     web_measurement: float
-    #: SPEC OMP configurations shown in Figure 8.
-    omp_configs: Tuple[str, ...] = ("4f-0s", "2f-2s/8", "0f-4s/4",
-                                    "0f-4s/8")
     #: H.264 frames and PMAKE files.
     h264_frames: int = 6
     pmake_files: int = 790
@@ -50,7 +45,6 @@ PAPER = Profile(
     runs=4,
     specjbb_measurement=2.0,
     warehouses=tuple(range(1, 21)),
-    specjbb_warehouses=8,
     tpch_queries=tuple(range(1, 23)),
     tpch_query_runs=13,
     web_measurement=2.0,
@@ -61,7 +55,6 @@ QUICK = Profile(
     runs=3,
     specjbb_measurement=1.5,
     warehouses=(2, 6, 10),
-    specjbb_warehouses=8,
     tpch_queries=(1, 3, 6, 9, 14, 18),
     tpch_query_runs=5,
     web_measurement=1.0,

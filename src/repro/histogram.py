@@ -11,9 +11,9 @@ insertion and a few dozen buckets for any realistic run.
 Design constraints, in order:
 
 * **Hot-path cheap** — the kernel does not call :meth:`add` at all; it
-  increments plain ``{exponent: count}`` dicts inline (one
-  ``math.frexp`` plus a dict update) and the histogram object is only
-  materialized at snapshot time via :meth:`from_buckets`.
+  increments flat bucket arrays inline (one ``math.frexp`` plus a list
+  increment, see :func:`bucket_array`) and the histogram object is only
+  materialized at snapshot time via :meth:`from_bucket_array`.
 * **Mergeable and deterministic** — bucket counts are integers;
   :meth:`merge` sums them, so merging the same runs in the same order
   yields byte-identical JSON regardless of which process produced each
@@ -86,12 +86,6 @@ class LatencyHistogram:
     # ------------------------------------------------------------------
     # Construction and insertion
     # ------------------------------------------------------------------
-    @classmethod
-    def from_buckets(cls, buckets: Dict[int, int], zeros: int = 0,
-                     total: float = 0.0) -> "LatencyHistogram":
-        """Wrap raw kernel-maintained bucket counts (copied)."""
-        return cls(buckets=dict(buckets), zeros=zeros, total=total)
-
     @classmethod
     def from_bucket_array(cls, array: Sequence[int], zeros: int = 0,
                           total: float = 0.0) -> "LatencyHistogram":

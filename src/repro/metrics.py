@@ -646,7 +646,7 @@ class MetricsCollector:
 
 def metrics_record(result: Any) -> Dict[str, Any]:
     """JSON-ready metrics of one ``RunResult``: the ``--metrics-out``
-    record, also streamed by the scenario server."""
+    record, and the base of the service's canonical run JSON."""
     record: Dict[str, Any] = {
         "workload": result.workload,
         "config": result.config,

@@ -42,7 +42,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
-from repro.metrics import CounterBag, RunMetrics
+from repro.metrics import CounterBag, RunMetrics, metrics_record
 from repro.sim.trace_export import TraceData
 from repro.workloads.base import RunResult
 
@@ -109,14 +109,7 @@ def canonical_result_json(result: RunResult) -> str:
     are "byte-identical" for the service's guarantees iff these
     strings match.
     """
-    surface: Dict[str, Any] = {
-        "workload": result.workload,
-        "config": result.config,
-        "seed": result.seed,
-        "metrics": dict(result.metrics),
-    }
-    if result.run_metrics is not None:
-        surface["run_metrics"] = result.run_metrics.as_dict()
+    surface = metrics_record(result)
     if result.trace is not None:
         surface["trace"] = result.trace.as_dict()
     return json.dumps(surface, sort_keys=True)
