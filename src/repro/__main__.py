@@ -218,6 +218,7 @@ def _cmd_submit(args) -> int:
     """Submit a sweep (or stats/shutdown) to a running server."""
     from repro.analysis.perf_report import sweep_from_payloads
     from repro.experiments.report import format_sweep
+    from repro.service.client import ServiceError
 
     client = _connect_client(args)
     try:
@@ -243,6 +244,9 @@ def _cmd_submit(args) -> int:
         response = client.sweep(
             args.workload, configs, runs=args.runs,
             base_seed=args.seed, params=params, **options)
+    except ServiceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         client.close()
 

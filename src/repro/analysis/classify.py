@@ -61,10 +61,7 @@ class Classification:
 
 def classify(workload: str,
              samples: Mapping[str, Sequence[float]],
-             higher_is_better: bool,
-             cov_threshold: float = PREDICTABILITY_COV_THRESHOLD,
-             r2_threshold: float = SCALABILITY_R2_THRESHOLD,
-             ) -> Classification:
+             higher_is_better: bool) -> Classification:
     """Derive a Table 1 row from per-configuration repeated runs.
 
     ``samples`` maps configuration labels to the primary-metric values
@@ -85,8 +82,8 @@ def classify(workload: str,
     fit = scaling_fit(means, higher_is_better)
     return Classification(
         workload=workload,
-        predictable=worst_asym < cov_threshold,
-        scalable=fit.r_squared >= r2_threshold,
+        predictable=worst_asym < PREDICTABILITY_COV_THRESHOLD,
+        scalable=fit.r_squared >= SCALABILITY_R2_THRESHOLD,
         worst_asymmetric_cov=worst_asym,
         worst_symmetric_cov=worst_sym,
         scaling_r_squared=fit.r_squared,

@@ -18,7 +18,7 @@ this collector.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro._system import System
 from repro.kernel.instructions import Compute, Join, Spawn
@@ -33,11 +33,10 @@ class ParallelCollector:
     """Stop-the-world collector with per-core GC worker threads."""
 
     def __init__(self, system: System, heap: ManagedHeap,
-                 n_gc_threads: Optional[int] = None,
                  cycles_per_byte: float = DEFAULT_CYCLES_PER_BYTE) -> None:
         self.system = system
         self.heap = heap
-        self.n_gc_threads = n_gc_threads or system.machine.n_cores
+        self.n_gc_threads = system.machine.n_cores
         self.cycles_per_byte = cycles_per_byte
         heap.collector = self
         self.pauses = 0

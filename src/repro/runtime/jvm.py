@@ -107,3 +107,7 @@ def hotspot(system: System, gc: GCKind = GCKind.CONCURRENT,
                       24.0 if gc is GCKind.PARALLEL else 40.0)
     kwargs.setdefault("trigger_fraction", 0.8)
     return ManagedRuntime(system, gc=gc, name="hotspot", **kwargs)
+
+
+#: VM preset name -> factory (SPECjbb's and the service's ``vm``).
+VM_PRESETS = {"jrockit": jrockit, "hotspot": hotspot}

@@ -3,8 +3,8 @@
 Used by the server workloads (SPECjAppServer, and as a building block
 for the web servers): a fixed set of worker threads pull tasks from a
 shared FIFO queue, guarded by a semaphore so idle workers sleep
-off-CPU.  Each task is some compute, optionally sandwiched between
-blocking I/O waits, with a completion callback for metric collection.
+off-CPU.  Each task is some compute, optionally preceded by a blocking
+I/O wait, with a completion callback for metric collection.
 """
 
 from __future__ import annotations
@@ -26,29 +26,23 @@ class Task:
     ----------
     cycles:
         CPU cycles of processing.
-    io_before / io_after:
-        Blocking wall-time waits around the compute (e.g. reading the
-        request, writing the response).
+    io_before:
+        Blocking wall-time wait before the compute (e.g. reading the
+        request).
     on_done:
         Called as ``on_done(task, finish_time)`` in kernel context.
-    tag:
-        Free-form payload for the caller.
     """
 
-    __slots__ = ("cycles", "io_before", "io_after", "on_done", "tag",
+    __slots__ = ("cycles", "io_before", "on_done",
                  "submit_time", "start_time", "finish_time")
 
     def __init__(self, cycles: float, io_before: float = 0.0,
-                 io_after: float = 0.0,
-                 on_done: Optional[Callable[["Task", float], None]] = None,
-                 tag=None) -> None:
-        if cycles < 0 or io_before < 0 or io_after < 0:
+                 on_done: Optional[Callable[["Task", float], None]] = None) -> None:
+        if cycles < 0 or io_before < 0:
             raise WorkloadError("task durations must be non-negative")
         self.cycles = cycles
         self.io_before = io_before
-        self.io_after = io_after
         self.on_done = on_done
-        self.tag = tag
         self.submit_time: Optional[float] = None
         self.start_time: Optional[float] = None
         self.finish_time: Optional[float] = None
@@ -128,8 +122,6 @@ class ThreadPool:
                 yield Sleep(task.io_before)
             if task.cycles > 0:
                 yield Compute(task.cycles)
-            if task.io_after > 0:
-                yield Sleep(task.io_after)
             task.finish_time = self.system.now
             self.completed += 1
             if task.on_done is not None:

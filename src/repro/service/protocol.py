@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.faults import FaultSchedule
 from repro.kernel.kernel import coalescing_enabled
 from repro.machine.topology import MachineConfig
@@ -130,14 +130,22 @@ def encode(message: Dict[str, Any]) -> bytes:
     return ("{" + ", ".join(fields) + "}\n").encode("utf-8")
 
 
-def _check_config(label: Any, problems: List[str]) -> None:
+def _check_config(label: Any, schedule: Optional[FaultSchedule],
+                  problems: List[str]) -> None:
     if not isinstance(label, str):
         problems.append(f"config must be a string, got {label!r}")
         return
     try:
-        MachineConfig.parse(label)
+        n_cores = MachineConfig.parse(label).n_cores
     except (ReproError, ValueError) as exc:
         problems.append(f"config {label!r}: {exc}")
+        return
+    if schedule is not None:
+        # The worker would fail to install a schedule that misfits.
+        try:
+            schedule.validate(n_cores)
+        except ConfigurationError as exc:
+            problems.append(f"'faults' on config {label!r}: {exc}")
 
 
 def parse_scenario(message: Dict[str, Any]) -> ScenarioRequest:
@@ -156,6 +164,21 @@ def parse_scenario(message: Dict[str, Any]) -> ScenarioRequest:
         problems.append(f"'params' must be an object, got {params!r}")
         params = {}
 
+    faults = message.get("faults")
+    schedule: Optional[FaultSchedule] = None
+    if faults is not None:
+        try:
+            if isinstance(faults, dict):
+                schedule = FaultSchedule.from_json(json.dumps(faults))
+            elif isinstance(faults, str):
+                schedule = FaultSchedule.from_json(faults)
+            else:
+                raise ValueError(
+                    f"expected an object or JSON string, got "
+                    f"{faults!r}")
+        except (ReproError, ValueError, KeyError, TypeError) as exc:
+            problems.append(f"'faults': {exc}")
+
     configs = message.get("configs")
     runs = message.get("runs", 1)
     base_seed = message.get("base_seed", 100)
@@ -163,7 +186,7 @@ def parse_scenario(message: Dict[str, Any]) -> ScenarioRequest:
         problems.append("missing or empty 'configs'")
         configs = []
     for label in configs:
-        _check_config(label, problems)
+        _check_config(label, schedule, problems)
     if (isinstance(runs, bool) or not isinstance(runs, int)
             or runs < 1):
         problems.append(f"'runs' must be a positive integer, "
@@ -203,21 +226,6 @@ def parse_scenario(message: Dict[str, Any]) -> ScenarioRequest:
         problems.append(f"'coalesce' must be a boolean or null, "
                         f"got {coalesce!r}")
         coalesce = None
-
-    faults = message.get("faults")
-    schedule: Optional[FaultSchedule] = None
-    if faults is not None:
-        try:
-            if isinstance(faults, dict):
-                schedule = FaultSchedule.from_json(json.dumps(faults))
-            elif isinstance(faults, str):
-                schedule = FaultSchedule.from_json(faults)
-            else:
-                raise ValueError(
-                    f"expected an object or JSON string, got "
-                    f"{faults!r}")
-        except (ReproError, ValueError, KeyError, TypeError) as exc:
-            problems.append(f"'faults': {exc}")
 
     workload: Optional[Workload] = None
     if isinstance(workload_name, str):

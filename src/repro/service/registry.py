@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.kernel.asym_scheduler import AsymmetryAwareScheduler
-from repro.runtime.jvm import GCKind
+from repro.kernel.sync import LOCK_KINDS
+from repro.runtime.jvm import VM_PRESETS, GCKind
 from repro.workloads.base import SchedulerFactory, Workload
 from repro.workloads.lockstress import LockStress
 from repro.workloads.specjbb import SpecJBB
@@ -46,12 +47,6 @@ def _float(value: Any) -> float:
     return float(value)
 
 
-def _str(value: Any) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
-    return value
-
-
 def _int_list(value: Any) -> List[int]:
     if not isinstance(value, list) or not value:
         raise ValueError(f"expected a non-empty list, got {value!r}")
@@ -67,16 +62,17 @@ def _bool(value: Any) -> bool:
 def _choice(options: Tuple[str, ...]) -> Callable[[Any], str]:
     """A string converter restricted to a fixed vocabulary.
 
-    Constructors raise :class:`repro.errors.WorkloadError` on bad
-    values, which the protocol layer does not translate — validating
-    here keeps malformed requests on the structured-rejection path.
+    A name no model knows would otherwise fail inside a worker (an
+    unknown VM preset or lock kind) or raise a
+    :class:`repro.errors.WorkloadError` the protocol layer does not
+    translate; validating here keeps malformed requests on the
+    structured-rejection path.
     """
     def convert(value: Any) -> str:
-        name = _str(value)
-        if name not in options:
+        if not isinstance(value, str) or value not in options:
             raise ValueError(
-                f"expected one of {sorted(options)}, got {name!r}")
-        return name
+                f"expected one of {sorted(options)}, got {value!r}")
+        return value
     return convert
 
 
@@ -87,18 +83,18 @@ WORKLOADS: Dict[str, Tuple[Callable[..., Workload],
                            Dict[str, Callable[[Any], Any]]]] = {
     "specjbb": (SpecJBB, {
         "warehouses": _int,
-        "vm": _str,
+        "vm": _choice(tuple(VM_PRESETS)),
         "gc": _gc_kind,
         "measurement_seconds": _float,
         "warmup_seconds": _float,
-        "lock_kind": _str,
+        "lock_kind": _choice(LOCK_KINDS),
         "log_batch": _int,
     }),
     "tpch": (TpchPowerRun, {
         "parallel_degree": _int,
         "optimization_degree": _int,
         "queries": _int_list,
-        "lock_kind": _str,
+        "lock_kind": _choice(LOCK_KINDS),
         "latch_cycles": _float,
     }),
     "specomp": (SpecOmpBenchmark, {
@@ -110,7 +106,7 @@ WORKLOADS: Dict[str, Tuple[Callable[..., Workload],
     }),
     "lockstress": (LockStress, {
         "n_threads": _int,
-        "lock_kind": _str,
+        "lock_kind": _choice(LOCK_KINDS),
         "outside_cycles": _float,
         "critical_cycles": _float,
         "duration": _float,

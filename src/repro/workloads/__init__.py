@@ -18,7 +18,7 @@ lock-contention microbenchmark behind fig12 (DESIGN.md §11).
 
 from repro.workloads.base import RunResult, SchedulerFactory, Workload
 from repro.workloads.h264 import H264Encoder
-from repro.workloads.jappserver import INJECTION_RATES, SpecJAppServer
+from repro.workloads.jappserver import SpecJAppServer
 from repro.workloads.lockstress import LockStress
 from repro.workloads.pmake import Pmake
 from repro.workloads.specjbb import SpecJBB
@@ -32,7 +32,6 @@ __all__ = [
     "SchedulerFactory",
     "SpecJBB",
     "SpecJAppServer",
-    "INJECTION_RATES",
     "TpchPowerRun",
     "TpchQuery",
     "ApacheWorkload",

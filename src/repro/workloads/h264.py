@@ -88,41 +88,32 @@ class H264Encoder(Workload):
     ----------
     frames:
         Frames to encode.
-    mb_rows / mb_cols:
-        Macro-block grid (24 x 33 = 4CIF-class resolution; a wide
-        grid keeps the wavefront broad, which is what gives the real
-        encoder its "abundant parallelism").
-    mb_cycles:
-        Mean encode cost per macro-block (motion estimation + mode
-        decision), jittered per block.
-    pre_fraction / post_fraction:
-        Serial main-thread share of each frame's work (the paper's
-        2-5% combined).
-    encoder_threads:
-        Worker threads grabbing macro-blocks (paper uses four plus the
-        main thread).
     """
 
     name = "H.264"
     primary_metric = "runtime"
     higher_is_better = False
+    #: Macro-block grid (24 x 33 = 4CIF-class resolution; a wide grid
+    #: keeps the wavefront broad, which is what gives the real encoder
+    #: its "abundant parallelism").
+    mb_rows = 24
+    mb_cols = 33
+    #: Mean encode cost per macro-block (motion estimation + mode
+    #: decision), jittered per block by ``mb_jitter``.
+    mb_cycles = 1.0e6
+    mb_jitter = 0.10
+    #: Serial main-thread share of each frame's work (the paper's 2-5%
+    #: combined).
+    pre_fraction = 0.015
+    post_fraction = 0.025
+    #: Worker threads grabbing macro-blocks (paper uses four plus the
+    #: main thread).
+    encoder_threads = 4
 
-    def __init__(self, frames: int = 6, mb_rows: int = 24,
-                 mb_cols: int = 33, mb_cycles: float = 1.0e6,
-                 mb_jitter: float = 0.10,
-                 pre_fraction: float = 0.015,
-                 post_fraction: float = 0.025,
-                 encoder_threads: int = 4) -> None:
-        if frames < 1 or encoder_threads < 1:
-            raise ValueError("need at least one frame and one encoder")
+    def __init__(self, frames: int = 6) -> None:
+        if frames < 1:
+            raise ValueError("need at least one frame")
         self.frames = frames
-        self.mb_rows = mb_rows
-        self.mb_cols = mb_cols
-        self.mb_cycles = mb_cycles
-        self.mb_jitter = mb_jitter
-        self.pre_fraction = pre_fraction
-        self.post_fraction = post_fraction
-        self.encoder_threads = encoder_threads
 
     # ------------------------------------------------------------------
     def simulate(self, system: System) -> Dict[str, float]:

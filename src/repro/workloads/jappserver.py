@@ -33,9 +33,6 @@ from repro._system import System
 from repro.runtime.threadpool import Task, ThreadPool
 from repro.workloads.base import Workload
 
-#: Injection rates exercised by Figure 3(b).
-INJECTION_RATES = (250, 290, 320)
-
 
 class SpecJAppServer(Workload):
     """SPECjAppServer2002 behavioural model.
@@ -44,38 +41,28 @@ class SpecJAppServer(Workload):
     ----------
     injection_rate:
         Orders per second the driver tries to inject.
-    pool_threads:
-        Container execute-queue threads.
-    customer_cycles / manufacturing_cycles:
-        Middle-tier CPU per transaction of each domain.
-    db_roundtrip:
-        Blocking wait per transaction for the backend database tier
-        (a separate, never-bottlenecked machine in the paper's setup).
-    response_limit:
-        Response-time bound; sustained violations make the driver
-        scale the injection rate down (the SPEC feedback rule).
     """
 
     name = "SPECjAppServer"
     primary_metric = "throughput"
     higher_is_better = True
+    #: Container execute-queue threads.
+    pool_threads = 16
+    #: Middle-tier CPU per transaction of each domain.
+    customer_cycles = 11.2e6
+    manufacturing_cycles = 19.6e6
+    #: Blocking wait per transaction for the backend database tier (a
+    #: separate, never-bottlenecked machine in the paper's setup).
+    db_roundtrip = 0.004
+    #: Response-time bound; sustained violations make the driver scale
+    #: the injection rate down (the SPEC feedback rule).
+    response_limit = 0.25
+    control_interval = 0.2
 
     def __init__(self, injection_rate: float = 320.0,
-                 pool_threads: int = 16,
-                 customer_cycles: float = 11.2e6,
-                 manufacturing_cycles: float = 19.6e6,
-                 db_roundtrip: float = 0.004,
-                 response_limit: float = 0.25,
-                 control_interval: float = 0.2,
                  measurement_seconds: float = 3.0,
                  warmup_seconds: float = 2.0) -> None:
         self.injection_rate = injection_rate
-        self.pool_threads = pool_threads
-        self.customer_cycles = customer_cycles
-        self.manufacturing_cycles = manufacturing_cycles
-        self.db_roundtrip = db_roundtrip
-        self.response_limit = response_limit
-        self.control_interval = control_interval
         self.measurement_seconds = measurement_seconds
         self.warmup_seconds = warmup_seconds
 

@@ -28,12 +28,15 @@ from repro.sim.rng import RandomStream, derive_seed
 from repro.workloads.base import Workload
 
 
-def compile_cost_cycles(file_index: int,
-                        mean_cycles: float = 20e6) -> float:
+#: Mean per-file compile cost on a fast core.
+MEAN_COMPILE_CYCLES = 20e6
+
+
+def compile_cost_cycles(file_index: int) -> float:
     """Deterministic per-file compile cost (same tree every run)."""
     rng = RandomStream(derive_seed(0x4B49, f"file-{file_index}"))
     # Log-normal-ish: most files small, a few big ones (drivers, core).
-    return mean_cycles * (0.3 + rng.expovariate(1.0 / 0.7))
+    return MEAN_COMPILE_CYCLES * (0.3 + rng.expovariate(1.0 / 0.7))
 
 
 class Pmake(Workload):
@@ -45,32 +48,24 @@ class Pmake(Workload):
         Compilation units (paper: ~7900; scaled to 790 by default).
     jobs:
         The ``-j`` window (paper uses 4, the processor count).
-    mean_compile_cycles:
-        Mean per-file compile cost on a fast core.
-    link_fraction / prologue_fraction:
-        Serial phases as a fraction of total compile work.
     """
 
     name = "PMAKE"
     primary_metric = "runtime"
     higher_is_better = False
+    #: Serial phases as a fraction of total compile work.
+    link_fraction = 0.01
+    prologue_fraction = 0.002
 
-    def __init__(self, n_files: int = 790, jobs: int = 4,
-                 mean_compile_cycles: float = 20e6,
-                 link_fraction: float = 0.01,
-                 prologue_fraction: float = 0.002) -> None:
+    def __init__(self, n_files: int = 790, jobs: int = 4) -> None:
         if n_files < 1 or jobs < 1:
             raise ValueError("need at least one file and one job slot")
         self.n_files = n_files
         self.jobs = jobs
-        self.mean_compile_cycles = mean_compile_cycles
-        self.link_fraction = link_fraction
-        self.prologue_fraction = prologue_fraction
 
     # ------------------------------------------------------------------
     def simulate(self, system: System) -> Dict[str, float]:
-        costs = [compile_cost_cycles(i, self.mean_compile_cycles)
-                 for i in range(self.n_files)]
+        costs = [compile_cost_cycles(i) for i in range(self.n_files)]
         total_compile = sum(costs)
         slots = Semaphore(self.jobs, name="make-jobs")
         done = Semaphore(0, name="make-done")

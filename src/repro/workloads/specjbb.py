@@ -24,13 +24,13 @@ the stock scheduler, fixed by the asymmetry-aware kernel.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro._system import System
 from repro.kernel.instructions import Compute, Lock, Unlock
 from repro.kernel.sync import Mutex, make_lock
 from repro.kernel.thread import SimThread
-from repro.runtime.jvm import GCKind, ManagedRuntime, hotspot, jrockit
+from repro.runtime.jvm import VM_PRESETS, GCKind, ManagedRuntime
 from repro.workloads.base import Workload
 
 MB = 1e6
@@ -59,16 +59,9 @@ class SpecJBB(Workload):
     measurement_seconds / warmup_seconds:
         Simulated steady-state window; throughput is measured after
         warmup.
-    transaction_cycles:
-        Mean CPU work per business operation (fast-core cycles).
-    allocation_per_transaction:
-        Heap bytes allocated per operation (GC pressure knob).
     lock_kind:
         Kind of the shared transaction-log lock ("fifo"/"spin"/"mcs"/
         "asym", DESIGN.md §11).
-    log_cycles:
-        Critical-section length of one log-buffer flush (fast-core
-        cycles).  Zero disables the lock entirely.
     log_batch:
         Transactions appended to a warehouse's local log buffer
         between flushes.  Commits are batched (as real transaction
@@ -79,24 +72,27 @@ class SpecJBB(Workload):
     name = "SPECjbb"
     primary_metric = "throughput"
     higher_is_better = True
+    #: Mean CPU work per business operation (fast-core cycles),
+    #: jittered per operation by ``transaction_jitter``.
+    transaction_cycles = 2.8e6
+    transaction_jitter = 0.05
+    #: Heap bytes allocated per operation (GC pressure knob).
+    allocation_per_transaction = 15e3
+    #: Heap geometry handed to the VM preset.
+    heap_capacity = 24 * MB
+    live_bytes = 8 * MB
+    #: Critical-section length of one log-buffer flush (fast-core cycles).
+    log_cycles = 40e3
 
     def __init__(self, warehouses: int = 8,
                  vm: str = "jrockit",
                  gc: GCKind = GCKind.CONCURRENT,
                  measurement_seconds: float = 2.0,
                  warmup_seconds: float = 0.3,
-                 transaction_cycles: float = 2.8e6,
-                 transaction_jitter: float = 0.05,
-                 allocation_per_transaction: float = 15e3,
-                 heap_capacity: float = 24 * MB,
-                 live_bytes: float = 8 * MB,
                  lock_kind: str = "fifo",
-                 log_cycles: float = 40e3,
                  log_batch: int = 32) -> None:
         if warehouses < 1:
             raise ValueError("need at least one warehouse")
-        if log_cycles < 0:
-            raise ValueError("log_cycles must be non-negative")
         if log_batch < 1:
             raise ValueError("log_batch must be >= 1")
         self.warehouses = warehouses
@@ -104,18 +100,12 @@ class SpecJBB(Workload):
         self.gc = gc
         self.measurement_seconds = measurement_seconds
         self.warmup_seconds = warmup_seconds
-        self.transaction_cycles = transaction_cycles
-        self.transaction_jitter = transaction_jitter
-        self.allocation_per_transaction = allocation_per_transaction
-        self.heap_capacity = heap_capacity
-        self.live_bytes = live_bytes
         self.lock_kind = lock_kind
-        self.log_cycles = log_cycles
         self.log_batch = log_batch
 
     # ------------------------------------------------------------------
     def _build_vm(self, system) -> ManagedRuntime:
-        factory = {"jrockit": jrockit, "hotspot": hotspot}.get(self.vm)
+        factory = VM_PRESETS.get(self.vm)
         if factory is None:
             raise ValueError(f"unknown VM preset {self.vm!r}")
         return factory(system, gc=self.gc,
@@ -123,14 +113,14 @@ class SpecJBB(Workload):
                        live_bytes=self.live_bytes)
 
     def _warehouse_body(self, rng, vm: ManagedRuntime, counter: _Counter,
-                        log_lock: Optional[Mutex]):
+                        log_lock: Mutex):
         buffered = 0
         while True:
             yield Compute(rng.jitter(self.transaction_cycles,
                                      self.transaction_jitter))
             yield from vm.allocate(self.allocation_per_transaction)
             buffered += 1
-            if log_lock is not None and buffered >= self.log_batch:
+            if buffered >= self.log_batch:
                 # Flush the local log buffer to the shared transaction
                 # log.  Every warehouse serializes here, so a slow-core
                 # holder stalls the whole terminal population
@@ -146,8 +136,7 @@ class SpecJBB(Workload):
         vm = self._build_vm(system)
         counter = _Counter()
         rng = system.sim.stream("specjbb.tx")
-        log_lock = (make_lock(self.lock_kind, "jbb-txlog")
-                    if self.log_cycles > 0 else None)
+        log_lock = make_lock(self.lock_kind, "jbb-txlog")
         for wid in range(self.warehouses):
             system.kernel.spawn(SimThread(
                 f"warehouse-{wid}",

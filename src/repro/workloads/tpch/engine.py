@@ -45,10 +45,6 @@ class DatabaseServer:
     ----------
     n_processes:
         Server processes; DB2 binds them round-robin over the cores.
-    execution_jitter:
-        Small relative jitter on piece execution (buffer pool state,
-        I/O interleaving) — gives symmetric configurations their tight
-        but non-identical clustering, as in Figure 4.
     lock_kind:
         Kind of the shared buffer-pool latch every agent takes before
         running a piece ("fifo"/"spin"/"mcs"/"asym", DESIGN.md §11).
@@ -57,8 +53,12 @@ class DatabaseServer:
         cycles).  Zero disables the latch entirely.
     """
 
+    #: Small relative jitter on piece execution (buffer pool state, I/O
+    #: interleaving) — gives symmetric configurations their tight but
+    #: non-identical clustering, as in Figure 4.
+    execution_jitter = 0.01
+
     def __init__(self, system: System, n_processes: Optional[int] = None,
-                 execution_jitter: float = 0.01,
                  lock_kind: str = "fifo",
                  latch_cycles: float = 25e3) -> None:
         if latch_cycles < 0:
@@ -66,7 +66,6 @@ class DatabaseServer:
         self.system = system
         n_cores = system.machine.n_cores
         self.n_processes = n_processes or 2 * n_cores
-        self.execution_jitter = execution_jitter
         self.latch_cycles = latch_cycles
         self._buffer_pool_latch = (
             make_lock(lock_kind, "db2-bufferpool")

@@ -70,12 +70,9 @@ class TpchQuery(Workload):
     higher_is_better = False
 
     def __init__(self, query: int = 3, parallel_degree: int = 4,
-                 optimization_degree: int = MAX_OPT_DEGREE,
-                 lock_kind: str = "fifo",
-                 latch_cycles: float = 25e3) -> None:
+                 optimization_degree: int = MAX_OPT_DEGREE) -> None:
         self._power = TpchPowerRun(parallel_degree, optimization_degree,
-                                   queries=[query], lock_kind=lock_kind,
-                                   latch_cycles=latch_cycles)
+                                   queries=[query])
         self.query = query
 
     def simulate(self, system: System) -> Dict[str, float]:

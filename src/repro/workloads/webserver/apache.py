@@ -61,59 +61,46 @@ class ApacheServer:
         Pre-forked pool size (the paper's "optimally selected" count).
     recycle_after:
         Requests a worker handles before it exits and is re-forked.
-    request_cycles:
-        CPU work to serve the static file once (fast-core cycles).
     io_read / io_write:
         Blocking socket read/write time per request.
-    fork_latency / fork_cycles:
-        Control-process cost of forking one replacement worker.
-    lock_kind:
-        Kind of the accept-serialization mutex ("fifo"/"spin"/"mcs"/
-        "asym", DESIGN.md §11) — Apache's cross-process accept mutex.
-    accept_cycles:
-        Held time per accept: dequeue the connection or register in
-        the idle list (fast-core cycles).  Zero disables the mutex.
     """
 
     name = "apache"
+    #: CPU work to serve the static file once (fast-core cycles),
+    #: jittered per request by ``request_jitter``.
+    request_cycles = 2.8e6
+    request_jitter = 0.05
+    #: Control-process cost of forking one replacement worker.
+    fork_latency = 0.0015
+    fork_cycles = 1.4e6
+    #: Child-initialization CPU work of every forked worker.
+    startup_cycles = 8.4e6
+    #: The initial pool boots before the benchmark's measurement
+    #: window (server startup is never measured); replacement
+    #: children forked during the run pay the full child-init.
+    initial_startup_latency = 0.050
+    #: Kind of Apache's cross-process accept mutex (DESIGN.md §11).
+    lock_kind = "spin"
+    #: Held time per accept: dequeue the connection or register in
+    #: the idle list (fast-core cycles).
+    accept_cycles = 15e3
 
     def __init__(self, system: System, n_workers: int = 12,
                  recycle_after: int = DEFAULT_RECYCLE_AFTER,
-                 request_cycles: float = 2.8e6,
-                 request_jitter: float = 0.05,
                  io_read: float = 0.0005,
                  io_write: float = 0.0005,
-                 fork_latency: float = 0.0015,
-                 fork_cycles: float = 1.4e6,
-                 startup_latency: float = 0.150,
-                 startup_cycles: float = 8.4e6,
-                 initial_startup_latency: float = 0.050,
-                 lock_kind: str = "spin",
-                 accept_cycles: float = 15e3) -> None:
+                 startup_latency: float = 0.150) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
         if recycle_after < 1:
             raise ValueError("recycle_after must be >= 1")
-        if accept_cycles < 0:
-            raise ValueError("accept_cycles must be non-negative")
         self.system = system
         self.n_workers = n_workers
         self.recycle_after = recycle_after
-        self.request_cycles = request_cycles
-        self.request_jitter = request_jitter
         self.io_read = io_read
         self.io_write = io_write
-        self.fork_latency = fork_latency
-        self.fork_cycles = fork_cycles
         self.startup_latency = startup_latency
-        self.startup_cycles = startup_cycles
-        #: The initial pool boots before the benchmark's measurement
-        #: window (server startup is never measured); replacement
-        #: children forked during the run pay the full child-init.
-        self.initial_startup_latency = initial_startup_latency
-        self.accept_cycles = accept_cycles
-        self._accept_lock = (make_lock(lock_kind, "apache-acceptq")
-                             if accept_cycles > 0 else None)
+        self._accept_lock = make_lock(self.lock_kind, "apache-acceptq")
         self.rng = system.sim.stream("apache.service")
 
         #: Idle workers in FIFO order: the era's kernels wake exclusive
@@ -179,26 +166,22 @@ class ApacheServer:
         # when recycling every 50 requests (Figure 6(b)).
         if startup_latency > 0:
             yield Sleep(startup_latency)
-        if self.startup_cycles > 0:
-            yield Compute(self.startup_cycles)
+        yield Compute(self.startup_cycles)
         while True:
             if worker.request is None:
-                if self._accept_lock is not None:
-                    # Apache's cross-process accept mutex: only one
-                    # worker at a time may pop the connection backlog
-                    # or park itself in the idle list.
-                    yield Lock(self._accept_lock)
-                    yield Compute(self.accept_cycles)
+                # Apache's cross-process accept mutex: only one worker
+                # at a time may pop the connection backlog or park
+                # itself in the idle list.
+                yield Lock(self._accept_lock)
+                yield Compute(self.accept_cycles)
                 if self._backlog:
                     worker.request = self._backlog.popleft()
                     worker.request.start_time = self.system.now
-                    if self._accept_lock is not None:
-                        yield Unlock(self._accept_lock)
+                    yield Unlock(self._accept_lock)
                 else:
                     # No connection pending: go idle in accept().
                     self._idle.append(worker)
-                    if self._accept_lock is not None:
-                        yield Unlock(self._accept_lock)
+                    yield Unlock(self._accept_lock)
                     yield Acquire(worker.gate)
                     continue
             request = worker.request
@@ -224,17 +207,13 @@ class ApacheServer:
         # start on the control's core (Linux 2.4 fork placement) and
         # are spread over the machine by idle balancing afterwards.
         for _ in range(self.n_workers):
-            if self.fork_latency > 0:
-                yield Sleep(self.fork_latency)
-            if self.fork_cycles > 0:
-                yield Compute(self.fork_cycles)
+            yield Sleep(self.fork_latency)
+            yield Compute(self.fork_cycles)
             yield Spawn(self._make_worker(initial=True).thread)
         # Steady state: replace each recycled worker with a fresh fork.
         while True:
             yield Acquire(self._fork_gate)
             self._exited.popleft()
-            if self.fork_latency > 0:
-                yield Sleep(self.fork_latency)
-            if self.fork_cycles > 0:
-                yield Compute(self.fork_cycles)
+            yield Sleep(self.fork_latency)
+            yield Compute(self.fork_cycles)
             yield Spawn(self._make_worker().thread)

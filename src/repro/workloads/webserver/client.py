@@ -60,16 +60,18 @@ class ClosedLoopClient:
         request on the same slot.
     """
 
+    #: Name of the random stream the client's jitter draws from.
+    rng_stream = "http.client"
+
     def __init__(self, system: System, server, concurrency: int,
-                 network_delay: float = 0.002,
-                 rng_stream: str = "http.client") -> None:
+                 network_delay: float = 0.002) -> None:
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         self.system = system
         self.server = server
         self.concurrency = concurrency
         self.network_delay = network_delay
-        self.rng = system.sim.stream(rng_stream)
+        self.rng = system.sim.stream(self.rng_stream)
         self.completed = 0
         self._measuring = False
         self.measured_count = 0

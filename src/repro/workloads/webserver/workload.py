@@ -29,18 +29,18 @@ class _WebWorkload(Workload):
 
     primary_metric = "throughput"
     higher_is_better = True
+    #: Client think time between a response and the slot's next request.
+    network_delay = 0.0045
 
     def __init__(self, load: str = "light",
                  measurement_seconds: float = 2.0,
-                 warmup_seconds: float = 0.3,
-                 network_delay: float = 0.0045) -> None:
+                 warmup_seconds: float = 0.3) -> None:
         if load not in _LOAD_LEVELS:
             raise ValueError(f"load must be one of {sorted(_LOAD_LEVELS)}")
         self.load = load
         self.concurrency = _LOAD_LEVELS[load]
         self.measurement_seconds = measurement_seconds
         self.warmup_seconds = warmup_seconds
-        self.network_delay = network_delay
 
     def _build_server(self, system):
         raise NotImplementedError
@@ -76,23 +76,19 @@ class ApacheWorkload(_WebWorkload):
     """
 
     name = "Apache"
+    #: Pre-forked pool size (``ApacheServer`` itself defaults to 12).
+    n_workers = 16
 
     def __init__(self, load: str = "light", fine_grained: bool = False,
-                 n_workers: int = 16, lock_kind: str = "spin",
-                 accept_cycles: float = 15e3, **kwargs) -> None:
+                 **kwargs) -> None:
         super().__init__(load, **kwargs)
         self.fine_grained = fine_grained
-        self.n_workers = n_workers
-        self.lock_kind = lock_kind
-        self.accept_cycles = accept_cycles
 
     def _build_server(self, system):
         recycle = (FINE_GRAINED_RECYCLE_AFTER if self.fine_grained
                    else DEFAULT_RECYCLE_AFTER)
         return ApacheServer(system, n_workers=self.n_workers,
-                            recycle_after=recycle,
-                            lock_kind=self.lock_kind,
-                            accept_cycles=self.accept_cycles)
+                            recycle_after=recycle)
 
     def _extra_metrics(self, server, metrics) -> None:
         metrics["forks"] = float(server.forks)
@@ -103,13 +99,5 @@ class ZeusWorkload(_WebWorkload):
 
     name = "Zeus"
 
-    def __init__(self, load: str = "light", n_workers: int = None,
-                 **kwargs) -> None:
-        super().__init__(load, **kwargs)
-        self.n_workers = n_workers
-
     def _build_server(self, system):
-        kwargs = {}
-        if self.n_workers is not None:
-            kwargs["n_workers"] = self.n_workers
-        return ZeusServer(system, **kwargs)
+        return ZeusServer(system)

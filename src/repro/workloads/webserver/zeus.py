@@ -59,33 +59,26 @@ class ZeusServer:
 
     Parameters
     ----------
-    n_workers:
-        Event-loop process count (defaults to one per core).
-    request_cycles:
-        CPU work per request in a worker (no blocking sleeps).
-    accept_cycles:
-        Master-process work per request (accept, parse, dispatch).
     pin:
         Zeus binds its own processes (default).  The master goes to a
         *random* core — Zeus knows nothing about core speeds.
     """
 
     name = "zeus"
+    #: CPU work per request in a worker (no blocking sleeps), jittered
+    #: per request by ``request_jitter``.
+    request_cycles = 1.0e6
+    request_jitter = 0.05
+    #: Master-process work per request (accept, parse, dispatch).
+    accept_cycles = 0.4e6
 
-    def __init__(self, system: System, n_workers: Optional[int] = None,
-                 request_cycles: float = 1.0e6,
-                 request_jitter: float = 0.05,
-                 accept_cycles: float = 0.4e6,
-                 pin: bool = True) -> None:
+    def __init__(self, system: System, pin: bool = True) -> None:
         self.system = system
         n_cores = system.machine.n_cores
         # One event loop per remaining core; the master acceptor gets a
         # core of its own (Zeus's deployment guides recommend leaving
         # the acceptor a dedicated CPU).
-        self.n_workers = n_workers or max(1, n_cores - 1)
-        self.request_cycles = request_cycles
-        self.request_jitter = request_jitter
-        self.accept_cycles = accept_cycles
+        self.n_workers = max(1, n_cores - 1)
         self.rng = system.sim.stream("zeus.dispatch")
         self.requests_served = 0
         self._bindings: Dict[int, _EventWorker] = {}
@@ -136,8 +129,7 @@ class ZeusServer:
             if not self._accept_queue:
                 continue
             request = self._accept_queue.popleft()
-            if self.accept_cycles > 0:
-                yield Compute(self.accept_cycles)
+            yield Compute(self.accept_cycles)
             worker = self._bindings.get(request.slot_id)
             if worker is None:
                 worker = self._dispatch_connection()

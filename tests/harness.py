@@ -845,7 +845,8 @@ def _golden_exhibit_files() -> Dict[str, str]:
 # mechanisms behave as they do (DESIGN.md §4).
 def _ablation_apache_recycling() -> str:
     """Recycling threshold between the paper's 50 and 5000: recycling
-    sooner buys stability with throughput."""
+    sooner buys stability with throughput.  Runs ``ApacheServer``'s
+    default pool of 12 workers, not the 16 that fig06 forks."""
     rows = []
     for recycle in (50, 200, 1000, 5000):
         class Tuned(ApacheWorkload):

@@ -124,6 +124,39 @@ class TestParseScenario:
         with pytest.raises(ProtocolError, match="'faults'"):
             parse_scenario(_sweep(faults={"events": [{"bad": 1}]}))
 
+    @pytest.mark.parametrize("workload, param, value", [
+        ("specjbb", "vm", "jrockt"),
+        ("specjbb", "lock_kind", "ticket"),
+        ("tpch", "lock_kind", "ticket"),
+        ("lockstress", "lock_kind", "ticket"),
+    ])
+    def test_unknown_preset_or_lock_kind_rejected(self, workload, param,
+                                                  value):
+        """A name no model knows is a malformed request: it must fail
+        validation, not the worker that builds the model."""
+        with pytest.raises(ProtocolError,
+                           match=f"parameter '{param}': expected one "
+                                 f"of .*, got '{value}'"):
+            parse_scenario(_sweep(workload=workload,
+                                  params={param: value}))
+
+    @pytest.mark.parametrize("events, fragment", [
+        ([{"kind": "throttle", "time": 0.01, "core": 7,
+           "duty_cycle": 0.5}], "targets core 7"),
+        ([{"kind": "offline", "time": 0.01, "core": core}
+          for core in range(4)], "every core offline"),
+    ], ids=["core-out-of-range", "all-cores-offline"])
+    def test_fault_schedule_must_fit_every_config(self, events,
+                                                  fragment):
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_scenario(_sweep(configs=["4f-0s", "2f-2s/8"],
+                                  faults={"events": events}))
+        messages = excinfo.value.messages
+        assert [m.split(":")[0] for m in messages] == [
+            "'faults' on config '4f-0s'",
+            "'faults' on config '2f-2s/8'"]
+        assert all(fragment in m for m in messages)
+
     def test_per_request_task_cap(self):
         message = _sweep(configs=["4f-0s"],
                          runs=MAX_TASKS_PER_REQUEST + 1)

@@ -387,6 +387,31 @@ class TestFaultPaths:
         assert response["error"] == "invalid"
         assert len(response["messages"]) >= 3
 
+    @pytest.mark.parametrize("overrides", [
+        {"workload": "specjbb", "params": {"vm": "jrockt"}},
+        {"params": dict(TPCH_PARAMS, lock_kind="ticket")},
+        {"faults": {"events": [{"kind": "throttle", "time": 0.01,
+                                "core": 7, "duty_cycle": 0.5}]}},
+    ], ids=["vm", "lock_kind", "faults"])
+    def test_unbuildable_scenario_is_invalid_before_admission(
+            self, overrides):
+        """A sweep the worker could not build is refused as
+        ``invalid`` up front: nothing is simulated, and it counts as
+        an invalid rejection rather than an internal error."""
+        stub = StubExecutor()
+
+        async def scenario():
+            async with running_server(executor=stub) as server:
+                response = await one_rpc(
+                    server, _sweep_message(**overrides))
+                stats = await one_rpc(server, {"type": "stats"})
+                return response, stats
+        response, stats = asyncio.run(scenario())
+        assert response["error"] == "invalid", response
+        assert stub.calls == []
+        assert stats["counters"]["service.rejected.invalid"] == 1
+        assert stats["pending_tasks"] == 0
+
     def test_executor_exception_is_an_internal_error(self):
         class Exploding:
             def run_tasks(self, tasks):
@@ -635,6 +660,25 @@ class TestServiceCli:
     def test_assert_cached_fails_cold(self, served, capsys):
         assert self._submit(served, "--assert-cached") == 3
         assert "ASSERTION FAILED" in capsys.readouterr().err
+
+    def test_malformed_sweep_reports_error_without_traceback(
+            self, served, tmp_path, capsys):
+        """A server error is a one-line message and exit status 1,
+        and no output file is written."""
+        from repro.__main__ import main
+        json_out = tmp_path / "results.json"
+        trace_out = tmp_path / "trace.json"
+        assert main(["submit", "--port-file", str(served),
+                     "--workload", "specjbb",
+                     "--params", json.dumps({"vm": "jrockt"}),
+                     "--configs", "4f-0s", "--runs", "1",
+                     "--json-out", str(json_out),
+                     "--trace-out", str(trace_out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid: parameter 'vm'")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not json_out.exists() and not trace_out.exists()
 
     def test_repeated_config_keeps_both_copies(self, served, tmp_path,
                                                capsys):
