@@ -31,7 +31,6 @@ import sys
 import time
 
 from repro.faults import FaultSchedule
-from repro.kernel.kernel import coalescing_enabled
 from repro.metrics import metrics_record
 from repro.sim import trace as _trace
 from repro.sim import trace_export as _trace_export
@@ -163,20 +162,14 @@ def _read_port(args) -> int:
     return args.port
 
 
-def _connect_client(args):
-    """A connected ServiceClient, retrying while the server starts."""
-    from repro.service.client import ServiceClient
-
-    port = _read_port(args)
-    deadline = time.monotonic() + args.connect_timeout
+def _connect(client, connect_timeout: float) -> None:
+    """Connect ``client``, retrying while the server starts."""
+    deadline = time.monotonic() + connect_timeout
     while True:
-        client = ServiceClient(host=args.host, port=port,
-                               timeout=args.timeout)
         try:
             client.connect()
-            return client
+            return
         except OSError:
-            client.close()
             if time.monotonic() >= deadline:
                 raise
             time.sleep(0.2)
@@ -218,10 +211,13 @@ def _cmd_submit(args) -> int:
     """Submit a sweep (or stats/shutdown) to a running server."""
     from repro.analysis.perf_report import sweep_from_payloads
     from repro.experiments.report import format_sweep
-    from repro.service.client import ServiceError
+    from repro.service.client import ServiceClient, ServiceError
 
-    client = _connect_client(args)
+    port = _read_port(args)
+    client = ServiceClient(host=args.host, port=port,
+                           timeout=args.timeout)
     try:
+        _connect(client, args.connect_timeout)
         if args.stats:
             _print_stats(client.stats())
             return 0
@@ -246,6 +242,10 @@ def _cmd_submit(args) -> int:
             base_seed=args.seed, params=params, **options)
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot reach server at {args.host}:{port}: "
+              f"{exc}", file=sys.stderr)
         return 1
     finally:
         client.close()
@@ -325,9 +325,8 @@ def _run_options(args) -> RunOptions:
               f"from {args.faults}")
     if args.no_coalesce:
         print("quantum coalescing: disabled (per-quantum slicing)")
-    return RunOptions(
-        faults=faults, trace=trace,
-        coalesce=False if args.no_coalesce else coalescing_enabled())
+        return RunOptions(faults=faults, trace=trace, coalesce=False)
+    return RunOptions(faults=faults, trace=trace)
 
 
 @contextlib.contextmanager

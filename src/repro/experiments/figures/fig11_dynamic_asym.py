@@ -26,6 +26,7 @@ fully deterministic per seed.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional
 
 from repro.experiments.parallel import Backend, RunTask, make_backend
@@ -63,13 +64,14 @@ def run(profile: Profile = QUICK, base_seed: int = 100,
     tasks: List[RunTask] = []
     for _, factory, stormy in _SERIES:
         for rep in range(runs):
-            workload = _workload(profile)
+            options = backend.options
             if stormy:
-                workload.with_faults(FaultSchedule.throttle_storm(
-                    seed=base_seed + rep, duration=horizon,
-                    cores=range(4)))
-            tasks.append(RunTask(workload, CONFIG, base_seed + rep,
-                                 factory, backend.options))
+                options = dataclasses.replace(
+                    options, faults=FaultSchedule.throttle_storm(
+                        seed=base_seed + rep, duration=horizon,
+                        cores=range(4)))
+            tasks.append(RunTask(_workload(profile), CONFIG,
+                                 base_seed + rep, factory, options))
     results = iter(backend.execute(tasks))
     data: Dict = {"runs": runs, "config": CONFIG, "series": {}}
     for name, _, _ in _SERIES:

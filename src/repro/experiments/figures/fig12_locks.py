@@ -32,6 +32,7 @@ begin with — the two fixes compose rather than compete.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional
 
 from repro.experiments.parallel import Backend, RunTask, make_backend
@@ -71,13 +72,14 @@ def run(profile: Profile = QUICK, base_seed: int = 100,
     tasks: List[RunTask] = []
     for _, factory, kind, stormy in _SERIES:
         for rep in range(runs):
-            workload = _workload(profile, kind)
+            options = backend.options
             if stormy:
-                workload.with_faults(FaultSchedule.throttle_storm(
-                    seed=base_seed + rep, duration=horizon,
-                    cores=range(4)))
-            tasks.append(RunTask(workload, CONFIG, base_seed + rep,
-                                 factory, backend.options))
+                options = dataclasses.replace(
+                    options, faults=FaultSchedule.throttle_storm(
+                        seed=base_seed + rep, duration=horizon,
+                        cores=range(4)))
+            tasks.append(RunTask(_workload(profile, kind), CONFIG,
+                                 base_seed + rep, factory, options))
     results = iter(backend.execute(tasks))
     data: Dict = {"runs": runs, "config": CONFIG, "series": {}}
     for name, _, _, _ in _SERIES:

@@ -22,6 +22,7 @@ recovers there depends on where the storm lands (DESIGN.md §14).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
@@ -72,17 +73,16 @@ def run(profile: Profile = QUICK, base_seed: int = 100,
         for policy in policies:
             for config in configs:
                 for rep in range(runs):
-                    workload = SpecOmpBenchmark(
-                        BENCHMARK, omp_schedule=policy)
+                    options = backend.options
                     if stormy:
-                        workload.with_faults(
-                            FaultSchedule.throttle_storm(
+                        options = dataclasses.replace(
+                            options, faults=FaultSchedule.throttle_storm(
                                 seed=base_seed + rep,
                                 duration=STORM_HORIZON,
                                 cores=range(4)))
-                    tasks.append(RunTask(workload, config,
-                                         base_seed + rep, None,
-                                         backend.options))
+                    tasks.append(RunTask(
+                        SpecOmpBenchmark(BENCHMARK, omp_schedule=policy),
+                        config, base_seed + rep, None, options))
     results = iter(backend.execute(tasks))
     data: Dict = {"benchmark": BENCHMARK, "configs": configs,
                   "runs": runs, "policies": list(policies),

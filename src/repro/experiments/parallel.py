@@ -152,10 +152,7 @@ def task_fingerprint(task: RunTask) -> str:
                      f"{getattr(factory, '__module__', '')}."
                      f"{getattr(factory, '__qualname__', repr(factory))}")
     options = task.options
-    if task.workload.faults is None and options.faults is not None:
-        # The options' schedule applies only to a workload without
-        # its own (a workload-attached schedule is already covered by
-        # the instance-attribute walk above).
+    if options.faults is not None:
         parts.append(f"faults={options.faults.to_json()}")
     # The trace categories decide whether a RunResult carries a
     # timeline, so traced and untraced runs never share cache entries.

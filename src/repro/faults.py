@@ -27,14 +27,15 @@ Event kinds
 
 Wiring
 ------
-``workload.with_faults(schedule)`` attaches a schedule to any
-:class:`~repro.workloads.base.Workload`; ``python -m repro <exhibit>
---faults schedule.json`` applies one to every run of an exhibit whose
-workload carries none, through the ``faults`` field of the
-:class:`~repro.workloads.base.RunOptions` each task carries (into
-worker processes too, keeping parallel sweeps bit-identical to serial
-ones).  ``FaultSchedule.throttle_storm``
-generates the seeded random storms used by the Figure 11 exhibit.
+A run's schedule is the ``faults`` field of the
+:class:`~repro.workloads.base.RunOptions` it runs under, which each
+task carries (into worker processes too, keeping parallel sweeps
+bit-identical to serial ones): ``Workload.run_once(...,
+options=RunOptions(faults=schedule))`` runs one workload under it, and
+``python -m repro <exhibit> --faults schedule.json`` puts it on every
+task of an exhibit.  ``FaultSchedule.throttle_storm`` generates the
+seeded random storms of the Figure 11–13 exhibits, which put their
+own storm on their stormy tasks in place of ``--faults``.
 """
 
 from __future__ import annotations

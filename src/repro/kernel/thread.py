@@ -115,10 +115,6 @@ class SimThread:
     def terminated(self) -> bool:
         return self.state is ThreadState.TERMINATED
 
-    @property
-    def runnable(self) -> bool:
-        return self.state in (ThreadState.READY, ThreadState.RUNNING)
-
     def allowed_on(self, core_index: int) -> bool:
         """May this thread execute on the given core?"""
         return self.affinity is None or core_index in self.affinity

@@ -1,10 +1,10 @@
 """A generic worker-thread pool over the simulated kernel.
 
-Used by the server workloads (SPECjAppServer, and as a building block
-for the web servers): a fixed set of worker threads pull tasks from a
-shared FIFO queue, guarded by a semaphore so idle workers sleep
-off-CPU.  Each task is some compute, optionally preceded by a blocking
-I/O wait, with a completion callback for metric collection.
+Used by SPECjAppServer (the web servers run their own worker models):
+a fixed set of worker threads pull tasks from a shared FIFO queue,
+guarded by a semaphore so idle workers sleep off-CPU.  Each task is
+some compute, optionally preceded by a blocking I/O wait, with a
+completion callback for metric collection.
 """
 
 from __future__ import annotations

@@ -120,9 +120,6 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Convenience wrappers
     # ------------------------------------------------------------------
-    def ping(self) -> bool:
-        return self.request({"type": "ping"}).get("type") == "pong"
-
     def sweep(self, workload: str, configs: List[str],
               runs: int = 1, base_seed: int = 100,
               params: Optional[Dict[str, Any]] = None,

@@ -6,7 +6,7 @@ Requests (client -> server)::
 
     {"type": "sweep", "id": 1, "workload": "tpch", "params": {...},
      "configs": ["4f-0s", "2f-2s/8"], "runs": 3, "base_seed": 100,
-     "scheduler": "stock", "faults": {...}|null,
+     "scheduler": "stock", "faults": {"events": [...]}|null,
      "trace": ["exec", "sched"]|null, "coalesce": true|false|null}
     {"type": "stats",     "id": 2}
     {"type": "ping",      "id": 3}
@@ -34,12 +34,11 @@ results into exactly the sequence a local
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, FrozenSet, List, Optional
 
 from repro.errors import ConfigurationError, ReproError
 from repro.faults import FaultSchedule
-from repro.kernel.kernel import coalescing_enabled
 from repro.machine.topology import MachineConfig
 from repro.experiments.parallel import RunTask
 from repro.service import registry
@@ -66,9 +65,10 @@ class ProtocolError(ReproError):
 class ScenarioRequest:
     """A validated ``sweep`` request.
 
-    Every task carries the request's trace categories and coalescing
-    mode as its :class:`~repro.workloads.base.RunOptions`; a request
-    that leaves ``coalesce`` unset gets the server's default.
+    Every task carries ``options``: the request's fault schedule,
+    trace categories and coalescing mode, as
+    :class:`~repro.workloads.base.RunOptions` (a request that leaves
+    ``coalesce`` unset gets the server's default).
     """
 
     workload_name: str
@@ -77,20 +77,15 @@ class ScenarioRequest:
     runs: int
     base_seed: int
     scheduler: str
-    trace_categories: Optional[FrozenSet[str]]
-    coalesce: Optional[bool]
+    options: RunOptions
     request_id: Optional[Any] = None
     tasks: List[RunTask] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         factory = registry.scheduler_factory(self.scheduler)
-        options = RunOptions(
-            trace=self.trace_categories,
-            coalesce=(coalescing_enabled() if self.coalesce is None
-                      else self.coalesce))
         self.tasks = [
             RunTask(self.workload, label, self.base_seed + i, factory,
-                    options)
+                    self.options)
             for label in self.configs for i in range(self.runs)]
 
 
@@ -168,14 +163,9 @@ def parse_scenario(message: Dict[str, Any]) -> ScenarioRequest:
     schedule: Optional[FaultSchedule] = None
     if faults is not None:
         try:
-            if isinstance(faults, dict):
-                schedule = FaultSchedule.from_json(json.dumps(faults))
-            elif isinstance(faults, str):
-                schedule = FaultSchedule.from_json(faults)
-            else:
-                raise ValueError(
-                    f"expected an object or JSON string, got "
-                    f"{faults!r}")
+            if not isinstance(faults, dict):
+                raise ValueError(f"expected an object, got {faults!r}")
+            schedule = FaultSchedule.from_json(json.dumps(faults))
         except (ReproError, ValueError, KeyError, TypeError) as exc:
             problems.append(f"'faults': {exc}")
 
@@ -233,8 +223,6 @@ def parse_scenario(message: Dict[str, Any]) -> ScenarioRequest:
             workload = registry.build_workload(workload_name, params)
         except ValueError as exc:
             problems.append(str(exc))
-    if workload is not None and schedule is not None:
-        workload.with_faults(schedule)
 
     if not problems and len(configs) * runs > MAX_TASKS_PER_REQUEST:
         problems.append(
@@ -244,11 +232,14 @@ def parse_scenario(message: Dict[str, Any]) -> ScenarioRequest:
     if problems:
         raise ProtocolError(problems)
     assert workload is not None
+    options = RunOptions(faults=schedule, trace=trace_categories)
+    if coalesce is not None:
+        options = replace(options, coalesce=coalesce)
     return ScenarioRequest(
         workload_name=workload_name, workload=workload,
         configs=list(configs), runs=runs, base_seed=base_seed,
-        scheduler=scheduler, trace_categories=trace_categories,
-        coalesce=coalesce, request_id=message.get("id"))
+        scheduler=scheduler, options=options,
+        request_id=message.get("id"))
 
 
 def error_response(request_id: Any, error: str,

@@ -21,25 +21,18 @@ when the category is disabled, so hot paths pay the usual one-``if``
 guard — and closed with :meth:`Span.end`, at which point the completed
 :class:`SpanRecord` is retained and forwarded to sinks.
 
-Flight recorder
----------------
-Independent of the unbounded per-category retention, every retained
-record and completed span is also appended to a bounded ring buffer
-(the *flight recorder*), always on for whatever categories are
-enabled.  When a simulation trips an invariant the last
-:data:`FLIGHT_RECORDER_CAPACITY` entries are the crash forensics —
-``tests/harness.py`` dumps them automatically on conservation or
-golden-trace failures.
+The retained lists are the tracer's one copy of its timeline and are
+never cleared, so a failing run's forensics are their tail:
+``tests/harness.py`` dumps that tail (the *flight recorder*) when a
+conservation or golden-trace check fails.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     FrozenSet,
     List,
@@ -47,10 +40,6 @@ from typing import (
     Tuple,
     Union,
 )
-
-#: Entries kept in every tracer's always-on flight-recorder ring.
-FLIGHT_RECORDER_CAPACITY = 256
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -189,9 +178,7 @@ class Tracer:
     forwarded once, at :meth:`Span.end` time — never while open).
     Nothing gated out by ``active`` ever reaches a sink, and nothing
     retained is skipped — so a sink is a superset-free, subset-free
-    live view of :meth:`records` plus :meth:`spans`.  (The flight
-    recorder ring may *evict* old items; eviction does not retract the
-    sink notification that already happened.)
+    live view of :meth:`records` plus :meth:`spans`.
     """
 
     def __init__(self) -> None:
@@ -200,10 +187,6 @@ class Tracer:
         self._records: List[TraceRecord] = []
         self._spans: List[SpanRecord] = []
         self._sinks: List[Callable[[TraceItem], None]] = []
-        #: Always-on bounded ring of the most recent retained items
-        #: (records and completed spans interleaved, retention order).
-        self._flight: Deque[TraceItem] = deque(
-            maxlen=FLIGHT_RECORDER_CAPACITY)
 
     # ------------------------------------------------------------------
     # Category control
@@ -226,7 +209,6 @@ class Tracer:
             return
         rec = TraceRecord(time, category, tuple(sorted(details.items())))
         self._records.append(rec)
-        self._flight.append(rec)
         for sink in self._sinks:
             sink(rec)
 
@@ -247,7 +229,6 @@ class Tracer:
 
     def _retain_span(self, record: SpanRecord) -> None:
         self._spans.append(record)
-        self._flight.append(record)
         for sink in self._sinks:
             sink(record)
 
@@ -274,14 +255,6 @@ class Tracer:
         if category is None:
             return list(self._spans)
         return [s for s in self._spans if s.category == category]
-
-    def flight_dump(self) -> List[Dict[str, Any]]:
-        """JSON-ready dump of the flight-recorder ring (oldest first).
-
-        Point records carry ``"time"``; spans carry ``"span"`` with
-        ``"start"``/``"end"`` — the same shapes ``as_dict`` produces.
-        """
-        return [item.as_dict() for item in self._flight]
 
 
 #: The category set ``--trace-out`` enables when ``--trace`` is absent.

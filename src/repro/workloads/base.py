@@ -32,11 +32,11 @@ class RunOptions:
     the cache key folds it in, so a run's result depends on its task
     alone.  The CLI builds one per invocation from its flags.
 
-    ``faults`` is the fault schedule for runs whose workload carries
-    none (``--faults``); ``trace`` the trace categories recorded,
-    whose timeline then rides on the result (``--trace-out``);
-    ``coalesce`` the kernel's quantum-coalescing mode
-    (``--no-coalesce``), by default
+    ``faults`` is the run's fault schedule (``--faults``, or the storm
+    an exhibit puts on its stormy tasks); ``trace`` the trace
+    categories recorded, whose timeline then rides on the result
+    (``--trace-out``); ``coalesce`` the kernel's quantum-coalescing
+    mode (``--no-coalesce``), by default
     :func:`~repro.kernel.kernel.coalescing_enabled`.
     """
 
@@ -84,23 +84,6 @@ class Workload(abc.ABC):
     #: True when larger primary-metric values are better (throughput);
     #: False for runtimes.
     higher_is_better: bool = True
-    #: Fault schedule installed on every system this workload builds
-    #: (see :mod:`repro.faults`); None falls back to the run's
-    #: ``RunOptions.faults``.
-    faults: Optional[FaultSchedule] = None
-
-    def with_faults(self,
-                    schedule: Optional[FaultSchedule]) -> "Workload":
-        """Attach a fault schedule to this workload; returns self.
-
-        The schedule becomes part of the workload's identity: it is
-        pickled with the workload into worker processes and folded
-        into the result-cache fingerprint, so faulted and clean runs
-        never share cache entries and parallel sweeps stay
-        bit-identical to serial ones.
-        """
-        self.faults = schedule
-        return self
 
     def run_once(self, config: str, seed: int = 0,
                  scheduler_factory: Optional[SchedulerFactory] = None,
@@ -108,13 +91,12 @@ class Workload(abc.ABC):
         """Run the workload once under ``options``; return its result.
 
         The one run skeleton: builds a fresh platform with the run's
-        ``options`` (default: ``RunOptions()``), installs the
-        workload's fault schedule, else the options' one, before any
-        thread is spawned (so fault events interleave
-        deterministically with the run), lets :meth:`simulate` drive
-        it, and attaches the run's timeline (when trace categories
-        are recorded) and its :class:`~repro.metrics.RunMetrics`
-        snapshot.
+        ``options`` (default: ``RunOptions()``), installs their fault
+        schedule before any thread is spawned (so fault events
+        interleave deterministically with the run), lets
+        :meth:`simulate` drive it, and attaches the run's timeline
+        (when trace categories are recorded) and its
+        :class:`~repro.metrics.RunMetrics` snapshot.
         """
         if options is None:
             options = RunOptions()
@@ -122,10 +104,8 @@ class Workload(abc.ABC):
         system = System.build(config, seed=seed, scheduler=scheduler,
                               coalesce=options.coalesce,
                               trace=options.trace)
-        schedule = self.faults if self.faults is not None \
-            else options.faults
-        if schedule is not None:
-            schedule.install(system)
+        if options.faults is not None:
+            options.faults.install(system)
         metrics = self.simulate(system)
         trace = None
         if system.sim.tracer.active:

@@ -153,7 +153,7 @@ class _DriverState:
         if response is None:
             return
         self._window_total += 1
-        if self._limit is not None and response > self._limit:
+        if response > self._limit:
             self._window_slow += 1
 
     def window_violations(self) -> bool:

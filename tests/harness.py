@@ -14,15 +14,16 @@ audit those books, shared across the test suite:
   live trace sink: under the asymmetry-aware policy no core goes idle
   while a strictly slower core still runs a thread.
 * ``WORKLOAD_TABLE`` — every concrete workload class at a tiny size,
-  for the contracts every run keeps (timeline, own fault schedule).
+  for the contracts every run keeps (timeline, the run's fault
+  schedule).
 * ``GOLDEN_RUNS`` — the registry of small fixed-seed simulations whose
   canonical JSON lives in ``tests/golden/`` (regenerate with
   ``python tests/golden/regenerate.py``).
 * Flight-recorder dumps — every golden rebuild runs with the default
-  trace categories enabled and captures the tracer's bounded ring
-  (:data:`repro.sim.trace.FLIGHT_RECORDER_CAPACITY` most recent spans
-  and records); when a conservation invariant or golden comparison
-  fails, :func:`write_flight_dump` writes the ring to
+  trace categories enabled, and :func:`flight_ring` takes the last
+  :data:`FLIGHT_RECORDER_CAPACITY` records and spans of its timeline,
+  in time order; when a conservation invariant or golden comparison
+  fails, :func:`write_flight_dump` writes that ring to
   ``$REPRO_FLIGHT_DIR`` (default: a ``repro-flight-dumps`` directory
   under the system temp dir) so the failure ships its own forensics.
 * Event streams — :func:`record_event_stream` digests every event a
@@ -47,6 +48,7 @@ import hashlib
 import json
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -74,7 +76,7 @@ from repro.runtime.jvm import GCKind, jrockit
 from repro.runtime.openmp import Loop, LoopSchedule, OmpProgram, OmpTeam
 from repro.sim import trace as _trace
 from repro.sim.events import EventQueue
-from repro.sim.trace import FLIGHT_RECORDER_CAPACITY, TraceRecord, Tracer
+from repro.sim.trace import TraceRecord, Tracer
 from repro.sim.trace_export import TraceData, chrome_trace, trace_to_json
 from repro.workloads.base import RunOptions, Workload
 from repro.workloads.h264 import H264Encoder
@@ -93,6 +95,9 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 # ----------------------------------------------------------------------
 # Flight-recorder dumps
 # ----------------------------------------------------------------------
+#: Entries in a flight-recorder ring: the tail of a run's timeline.
+FLIGHT_RECORDER_CAPACITY = 256
+
 #: golden name -> flight-recorder entries of the most recent rebuild.
 GOLDEN_FLIGHT: Dict[str, List[Dict[str, Any]]] = {}
 
@@ -117,19 +122,24 @@ def write_flight_dump(label: str,
     return path
 
 
-def _flight_from_trace(data) -> List[Dict[str, Any]]:
-    """Rebuild a flight ring from a run's captured ``TraceData``.
+def flight_ring(timeline) -> List[Dict[str, Any]]:
+    """The last :data:`FLIGHT_RECORDER_CAPACITY` records and spans of
+    ``timeline``, oldest first, as JSON-ready dicts.
 
-    Workload-owned runs (``run_once``) finish before the harness can
-    reach their tracer, but their :class:`RunResult` carries the full
-    timeline — the last ring's worth of it, merged in time order, is
-    the same forensics the live ring would have held.
+    ``timeline`` is a live :class:`~repro.sim.trace.Tracer` or a run's
+    captured :class:`~repro.sim.trace_export.TraceData` (``None`` for
+    an untraced run).  Records are placed at their time and spans at
+    their end.  A tracer never clears what it retains, so this tail is
+    the forensics of the instants before a failure.
     """
-    if data is None:
+    if timeline is None:
         return []
-    items = ([(record.time, record.as_dict())
-              for record in data.records]
-             + [(span.end, span.as_dict()) for span in data.spans])
+    if isinstance(timeline, Tracer):
+        records, spans = timeline.records(), timeline.spans()
+    else:
+        records, spans = timeline.records, timeline.spans
+    items = ([(record.time, record.as_dict()) for record in records]
+             + [(span.end, span.as_dict()) for span in spans])
     items.sort(key=lambda pair: pair[0])
     return [entry for _, entry in items[-FLIGHT_RECORDER_CAPACITY:]]
 
@@ -144,13 +154,13 @@ def assert_conservation(metrics: RunMetrics,
                         label: str = "conservation") -> None:
     """Fail with every violated conservation law listed.
 
-    Passing the run's ``tracer`` dumps its flight-recorder ring to
+    Passing the run's ``tracer`` dumps its :func:`flight_ring` to
     :func:`flight_dump_dir` on failure and names the dump in the
     assertion message.
     """
     errors = metrics.conservation_errors(rtol=rtol, atol=atol)
     if errors and tracer is not None:
-        path = write_flight_dump(label, tracer.flight_dump())
+        path = write_flight_dump(label, flight_ring(tracer))
         errors = errors + [f"flight recorder dumped to {path}"]
     assert not errors, \
         "cycle conservation violated:\n  " + "\n  ".join(errors)
@@ -261,7 +271,7 @@ def watch_fast_cores(system: System) -> FastCoreIdleWatcher:
 #: Class name -> a fresh instance small enough to run in well under a
 #: second on ``WORKLOAD_TABLE_CONFIG``: one entry per concrete workload
 #: class (a guard test in ``test_trace_export`` keeps it complete), so
-#: a contract every run must keep (its timeline, its own fault
+#: a contract every run must keep (its timeline, the run's fault
 #: schedule) is checked on all of them.
 WORKLOAD_TABLE: Dict[str, Callable[[], Workload]] = {
     "SpecJBB": lambda: SpecJBB(warehouses=2, measurement_seconds=0.1,
@@ -288,16 +298,19 @@ WORKLOAD_TABLE_CONFIG = "2f-2s/8"
 TRACED = RunOptions(trace=frozenset(_trace.DEFAULT_TRACE_CATEGORIES))
 
 
-def _traced_run_once(name: str, workload, *args, **kwargs):
-    """Run a workload with the default trace categories recorded.
+def _traced_run_once(name: str, workload, *args,
+                     faults: Optional[FaultSchedule] = None, **kwargs):
+    """Run a workload under ``faults`` with the default trace
+    categories recorded.
 
     Tracing is passive — it schedules no events and changes no
     metrics, so the golden payload is byte-identical either way — but
     the captured timeline feeds :data:`GOLDEN_FLIGHT` so a drifted
     fixture ships its flight-recorder dump.
     """
-    result = workload.run_once(*args, options=TRACED, **kwargs)
-    GOLDEN_FLIGHT[name] = _flight_from_trace(result.trace)
+    result = workload.run_once(*args, options=replace(TRACED, faults=faults),
+                               **kwargs)
+    GOLDEN_FLIGHT[name] = flight_ring(result.trace)
     return result
 
 
@@ -352,7 +365,7 @@ def _golden_sched_trace() -> Dict[str, Any]:
         system.kernel.spawn(SimThread(f"t{index}", body(cycles)))
     duration = system.run()
     GOLDEN_FLIGHT["sched_trace_1f-3s_asym_seed11"] = \
-        system.sim.tracer.flight_dump()
+        flight_ring(system.sim.tracer)
     events = [record.as_dict()
               for record in system.sim.tracer.records("sched")]
     return {
@@ -430,7 +443,7 @@ def _golden_fault_storm() -> Dict[str, Any]:
         system.kernel.spawn(SimThread(f"t{index}", body(cycles)))
     duration = system.run()
     GOLDEN_FLIGHT["fault_storm_2f-2s_seed5"] = \
-        system.sim.tracer.flight_dump()
+        flight_ring(system.sim.tracer)
     events = [record.as_dict()
               for record in system.sim.tracer.records("faults")]
     return {
@@ -454,13 +467,9 @@ def _golden_lock_storm() -> Dict[str, Any]:
     (DESIGN.md §11) and the fault machinery — handoff bookkeeping,
     queue-depth peaks and the spin/busy conservation books.
     """
-    workload = LockStress(n_threads=8, lock_kind="asym",
-                          duration=0.4).with_faults(
-        FaultSchedule.throttle_storm(
-            seed=5, duration=0.4, cores=range(4),
-            events_per_second=25.0, recovery_mean=0.02))
+    workload = LockStress(n_threads=8, lock_kind="asym", duration=0.4)
     result = _traced_run_once("lock_storm_2f-2s_seed5", workload,
-                              "2f-2s/8", seed=5)
+                              "2f-2s/8", seed=5, faults=_storm(0.4))
     return {
         "kind": "run",
         "workload": result.workload,
@@ -481,13 +490,10 @@ def _golden_specomp_static_weighted() -> Dict[str, Any]:
     tail booked when throttles leave one member computing alone,
     against the fault machinery, byte-exactly.
     """
-    workload = SpecOmpBenchmark(
-        "swim", omp_schedule="static_weighted").with_faults(
-        FaultSchedule.throttle_storm(
-            seed=5, duration=2.0, cores=range(4),
-            events_per_second=25.0, recovery_mean=0.02))
+    workload = SpecOmpBenchmark("swim", omp_schedule="static_weighted")
     result = _traced_run_once("specomp_static_weighted_2f-2s_seed5",
-                              workload, "2f-2s/8", seed=5)
+                              workload, "2f-2s/8", seed=5,
+                              faults=_storm(2.0))
     return {
         "kind": "run",
         "workload": result.workload,
@@ -740,6 +746,7 @@ def _contended_spin_run() -> None:
 
 
 def _storm(duration: float) -> FaultSchedule:
+    """A seeded throttle storm over all four cores, 25 events/s."""
     return FaultSchedule.throttle_storm(
         seed=5, duration=duration, cores=range(4),
         events_per_second=25.0, recovery_mean=0.02)
@@ -772,7 +779,8 @@ EVENT_STREAM_SCENARIOS: Dict[str, Callable[[], Any]] = {
                scheduler_factory=AsymmetryAwareScheduler),
     "lock_storm_asym_2f-2s_seed5": lambda: LockStress(
         n_threads=8, lock_kind="asym", duration=0.4,
-    ).with_faults(_storm(0.4)).run_once("2f-2s/8", seed=5),
+    ).run_once("2f-2s/8", seed=5,
+               options=RunOptions(faults=_storm(0.4))),
     "specjbb_2f-2s_stock_seed42": lambda: SpecJBB(
         warehouses=2, measurement_seconds=0.4, warmup_seconds=0.1,
     ).run_once("2f-2s/8", seed=42),
@@ -782,7 +790,8 @@ EVENT_STREAM_SCENARIOS: Dict[str, Callable[[], Any]] = {
         query=9, parallel_degree=8).run_once("3f-1s/4", seed=7),
     "specomp_weighted_storm_2f-2s_seed5": lambda: SpecOmpBenchmark(
         "swim", omp_schedule="static_weighted",
-    ).with_faults(_storm(1.0)).run_once("2f-2s/8", seed=5),
+    ).run_once("2f-2s/8", seed=5,
+               options=RunOptions(faults=_storm(1.0))),
     "specomp_dynamic_1f-3s_stock_seed5": lambda: SpecOmpBenchmark(
         "art", omp_schedule="dynamic").run_once("1f-3s/4", seed=5),
     "pmake_2f-2s_asym_seed5": lambda: Pmake(n_files=60).run_once(

@@ -19,12 +19,14 @@ from repro.errors import (
     SchedulingError,
     SimulationError,
 )
+from repro.experiments.figures import fig12_locks
 from repro.experiments.parallel import (
     ProcessPoolBackend,
     RunTask,
     SerialBackend,
     task_fingerprint,
 )
+from repro.experiments.profiles import QUICK
 from repro.faults import (
     CoreOfflineEvent,
     CoreOnlineEvent,
@@ -445,8 +447,9 @@ class TestDeterminism:
 
         def run():
             workload = SpecJBB(warehouses=2, measurement_seconds=0.3,
-                               warmup_seconds=0.1).with_faults(storm)
-            return workload.run_once("2f-2s/8", seed=42)
+                               warmup_seconds=0.1)
+            return workload.run_once("2f-2s/8", seed=42,
+                                     options=RunOptions(faults=storm))
 
         assert run().run_metrics.to_json() == \
             run().run_metrics.to_json()
@@ -460,13 +463,13 @@ class TestDeterminism:
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_TABLE))
 def test_every_workload_installs_its_own_schedule(name):
-    """``with_faults`` reaches the system the workload runs on,
+    """``RunOptions.faults`` reaches the system the workload runs on,
     including one it delegates to (``TpchQuery``'s power run)."""
     storm = FaultSchedule.throttle_storm(
         seed=5, duration=2.0, cores=range(4), events_per_second=25.0,
         recovery_mean=0.02)
-    result = WORKLOAD_TABLE[name]().with_faults(storm).run_once(
-        WORKLOAD_TABLE_CONFIG, seed=7)
+    result = WORKLOAD_TABLE[name]().run_once(
+        WORKLOAD_TABLE_CONFIG, seed=7, options=RunOptions(faults=storm))
     assert result.run_metrics.counters.get("faults.throttle", 0.0) > 0
 
 
@@ -477,9 +480,10 @@ class TestParallelByteIdentity:
                                              cores=range(4))
         return [
             RunTask(SpecJBB(warehouses=2, measurement_seconds=0.3,
-                            warmup_seconds=0.1).with_faults(storm),
+                            warmup_seconds=0.1),
                     config, seed,
-                    scheduler_factory=factory)
+                    scheduler_factory=factory,
+                    options=RunOptions(faults=storm))
             for config in ("2f-2s/8", "1f-3s/8")
             for seed in (42, 43)
             for factory in (None, AsymmetryAwareScheduler)
@@ -517,6 +521,26 @@ class TestParallelByteIdentity:
             task, options=RunOptions(faults=golden_fault_schedule())))
         assert bare != faulted
         assert task_fingerprint(task) == bare
+
+
+def test_exhibit_storm_outranks_the_run_schedule():
+    """A storm exhibit puts its own storm on its stormy tasks in place
+    of the run's schedule (``--faults``); its clean tasks keep it."""
+    results = []
+    backend = SerialBackend(
+        options=RunOptions(faults=golden_fault_schedule()), sink=results)
+    data = fig12_locks.run(replace(QUICK, lockstress_seconds=0.2),
+                           backend=backend)
+    counters = iter(result.run_metrics.counters for result in results)
+    for name in data["series"]:
+        for _ in range(data["runs"]):
+            booked = next(counters)
+            if name.endswith("+storm"):
+                assert booked.get("faults.throttle", 0) > 0, name
+                assert booked.get("faults.offline", 0) == 0, name
+            else:
+                assert booked.get("faults.offline", 0) == 1, name
+    assert next(counters, None) is None
 
 
 class TestCli:

@@ -31,6 +31,7 @@ from repro.kernel.sync import (
     SpinMutex,
     make_lock,
 )
+from repro.workloads.base import RunOptions
 from repro.workloads.lockstress import LockStress
 
 from tests.harness import assert_conservation
@@ -341,12 +342,13 @@ class TestFaultInterop:
             assert_conservation(system.run_metrics())
 
     def test_lock_storm_conservation_all_kinds(self):
+        storm = FaultSchedule.throttle_storm(
+            seed=7, duration=0.2, cores=range(4))
         for kind in LOCK_KINDS:
             workload = LockStress(n_threads=8, lock_kind=kind,
-                                  duration=0.2).with_faults(
-                FaultSchedule.throttle_storm(
-                    seed=7, duration=0.2, cores=range(4)))
-            result = workload.run_once("2f-2s/8", seed=7)
+                                  duration=0.2)
+            result = workload.run_once("2f-2s/8", seed=7,
+                                       options=RunOptions(faults=storm))
             assert_conservation(result.run_metrics)
             assert result.metric("sections") > 0
 

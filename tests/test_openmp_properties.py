@@ -33,6 +33,7 @@ from repro.runtime.openmp import (
     OmpTeam,
     Serial,
 )
+from repro.workloads.base import RunOptions
 from repro.workloads.specomp import SpecOmpBenchmark
 
 from tests.harness import assert_conservation
@@ -169,17 +170,24 @@ def test_sliced_vs_coalesced_identity(config, policy, scheduler,
 @pytest.mark.parametrize("storm", [False, True])
 def test_serial_vs_pool_identity(policy, storm):
     """A process-pool sweep is byte-identical to the serial sweep."""
+    from repro.experiments.parallel import make_backend
     from repro.experiments.runner import Runner
 
+    options = RunOptions()
+    if storm:
+        options = RunOptions(faults=FaultSchedule.throttle_storm(
+            seed=9, duration=2.0, cores=range(4),
+            events_per_second=25.0, recovery_mean=0.02))
+
     def sweep(jobs):
-        workload = SpecOmpBenchmark("swim", omp_schedule=policy)
-        if storm:
-            workload.with_faults(FaultSchedule.throttle_storm(
-                seed=9, duration=2.0, cores=range(4),
-                events_per_second=25.0, recovery_mean=0.02))
-        runner = Runner(configs=("4f-0s", "2f-2s/8", "0f-4s/8"),
-                        runs=2, jobs=jobs)
-        sweep = runner.run(workload)
+        backend = make_backend(jobs, options=options)
+        try:
+            runner = Runner(configs=("4f-0s", "2f-2s/8", "0f-4s/8"),
+                            runs=2, backend=backend)
+            sweep = runner.run(
+                SpecOmpBenchmark("swim", omp_schedule=policy))
+        finally:
+            backend.shutdown()
         return {
             label: [run.run_metrics.as_dict()
                     for run in sweep.results[label]]

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.faults import FaultSchedule
 from repro.kernel.asym_scheduler import AsymmetryAwareScheduler
 from repro.service import registry
 from repro.service.protocol import (
@@ -20,6 +21,7 @@ from repro.service.protocol import (
     error_response,
     parse_scenario,
 )
+from repro.workloads.base import RunOptions
 
 
 def _sweep(**overrides):
@@ -75,18 +77,28 @@ class TestParseScenario:
     def test_trace_and_coalesce_pass_through(self):
         request = parse_scenario(
             _sweep(trace=["exec", "sched"], coalesce=False))
-        assert request.trace_categories == frozenset({"exec", "sched"})
-        assert request.coalesce is False
+        assert request.options.trace == frozenset({"exec", "sched"})
+        assert request.options.coalesce is False
+        assert all(t.options is request.options for t in request.tasks)
         default = parse_scenario(_sweep())
-        assert default.trace_categories is None
-        assert default.coalesce is None
+        assert default.options == RunOptions()
 
-    def test_faults_attach_to_the_workload(self):
+    def test_faults_ride_on_every_task(self):
         schedule = {"events": [
             {"kind": "throttle", "time": 0.01, "core": 0,
              "duty_cycle": 0.5, "duration": 0.01}]}
         request = parse_scenario(_sweep(faults=schedule))
-        assert request.workload is not None
+        expected = FaultSchedule.from_json(json.dumps(schedule))
+        assert request.options.faults.to_json() == expected.to_json()
+        assert all(t.options is request.options for t in request.tasks)
+
+    def test_faults_as_a_json_string_rejected(self):
+        schedule = {"events": [
+            {"kind": "throttle", "time": 0.01, "core": 0,
+             "duty_cycle": 0.5}]}
+        with pytest.raises(ProtocolError,
+                           match="'faults': expected an object"):
+            parse_scenario(_sweep(faults=json.dumps(schedule)))
 
     def test_all_problems_collected_in_one_error(self):
         message = _sweep(workload="nosuch",

@@ -20,6 +20,7 @@ import contextlib
 import json
 import multiprocessing
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -676,6 +677,28 @@ class TestServiceCli:
                      "--trace-out", str(trace_out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: invalid: parameter 'vm'")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not json_out.exists() and not trace_out.exists()
+
+    def test_unreachable_server_reports_error_without_traceback(
+            self, tmp_path, capsys):
+        """A port with no listener is a one-line message and exit
+        status 1, and no output file is written."""
+        from repro.__main__ import main
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        json_out = tmp_path / "results.json"
+        trace_out = tmp_path / "trace.json"
+        assert main(["submit", "--port", str(port),
+                     "--connect-timeout", "0.5", "--workload", "tpch",
+                     "--json-out", str(json_out),
+                     "--trace-out", str(trace_out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: cannot reach server at 127.0.0.1:{port}: ")
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not json_out.exists() and not trace_out.exists()

@@ -2,10 +2,10 @@
 
 The span layer is the "when" of the observability stack — these tests
 pin its contract: spans are retained only for enabled categories, the
-sink sees exactly what is retained, the flight recorder keeps a
-bounded ring, and the kernel's emitted timeline is physically
-consistent (no core runs two things at once, no thread blocks while
-it runs).
+sink sees exactly what is retained, the flight recorder
+(``harness.flight_ring``) is a bounded tail of what is retained, and
+the kernel's emitted timeline is physically consistent (no core runs
+two things at once, no thread blocks while it runs).
 """
 
 import pytest
@@ -14,11 +14,7 @@ from hypothesis import strategies as st
 
 from repro import System
 from repro.kernel import Compute, Lock, Mutex, Sleep, SimThread, Unlock
-from repro.sim.trace import (
-    FLIGHT_RECORDER_CAPACITY,
-    SpanRecord,
-    Tracer,
-)
+from repro.sim.trace import SpanRecord, Tracer
 
 from tests import harness
 
@@ -73,15 +69,16 @@ class TestSpanAPI:
                         tracer.spans()[0]]
 
     def test_flight_ring_is_bounded(self):
+        capacity = harness.FLIGHT_RECORDER_CAPACITY
         tracer = Tracer()
         tracer.enable("sched")
-        for index in range(FLIGHT_RECORDER_CAPACITY + 50):
+        for index in range(capacity + 50):
             tracer.record(float(index), "sched", event="tick")
-        dump = tracer.flight_dump()
-        assert len(dump) == FLIGHT_RECORDER_CAPACITY
-        assert dump[-1]["time"] == float(FLIGHT_RECORDER_CAPACITY + 49)
+        dump = harness.flight_ring(tracer)
+        assert len(dump) == capacity
+        assert dump[-1]["time"] == float(capacity + 49)
         # Unbounded retention still holds everything.
-        assert len(tracer.records()) == FLIGHT_RECORDER_CAPACITY + 50
+        assert len(tracer.records()) == capacity + 50
 
 
 # ----------------------------------------------------------------------
