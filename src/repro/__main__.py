@@ -30,6 +30,7 @@ import json
 import sys
 import time
 
+from repro.errors import ReproError
 from repro.faults import FaultSchedule
 from repro.metrics import metrics_record
 from repro.sim import trace as _trace
@@ -355,16 +356,28 @@ def _local_backend(args):
 
 
 def _cmd_exhibits(args) -> int:
-    """Regenerate every exhibit, or the one named (fig01..table1)."""
-    with _local_backend(args) as backend:
-        profile = get_profile(args.profile)
-        names = (list(ALL_EXHIBITS) if args.command == "all"
-                 else [args.command])
-        for exhibit in names:
-            module = ALL_EXHIBITS[exhibit]
-            print(f"== {exhibit} ".ljust(72, "="))
-            print(module.render(module.run(profile, backend=backend)))
-            print()
+    """Regenerate every exhibit, or the one named (fig01..table1).
+
+    A model error (say, a fault schedule that leaves a pinned thread
+    no online core) ends the command with exit status 1 and one
+    ``error: EXHIBIT: TYPE: MESSAGE`` line on stderr, and writes no
+    run outputs.
+    """
+    exhibit = args.command
+    try:
+        with _local_backend(args) as backend:
+            profile = get_profile(args.profile)
+            names = (list(ALL_EXHIBITS) if args.command == "all"
+                     else [args.command])
+            for exhibit in names:
+                module = ALL_EXHIBITS[exhibit]
+                print(f"== {exhibit} ".ljust(72, "="))
+                print(module.render(module.run(profile, backend=backend)))
+                print()
+    except ReproError as exc:
+        print(f"error: {exhibit}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -80,12 +80,14 @@ def coalescing_enabled() -> bool:
 class _Slice(Event):
     """A compute slice in progress on a core, and its own end event.
 
-    The slice is queued once, through
-    :meth:`~repro.sim.events.EventQueue.push_event`, and fires
+    The slice is queued through
+    :meth:`~repro.sim.events.EventQueue.push_event` and fires
     ``callback(core)`` (``_on_slice_end`` or ``_on_macro_end``) at
-    ``time``; cancelling the slice cancels its end.  A slice re-armed
-    after a split is a fresh object, because the cancelled one stays
-    buried in the heap.
+    ``time``; cancelling the slice cancels its end.  A slice that
+    fired has no heap entry left, so its core re-arms it for the next
+    slice.  A cancelled slice is never pushed again, because it stays
+    buried in the heap: a slice re-armed after a split is a fresh
+    object.
     """
 
     __slots__ = ("thread", "start", "rate", "span")
@@ -134,6 +136,10 @@ class Kernel:
         #: slice sites make ``Simulator.schedule``'s past-time check
         #: themselves).
         self._slices: Dict[int, _Slice] = {}
+        #: Per core index, a slice of that core that fired and is not
+        #: in ``_slices``: its heap entry is gone, so the core's next
+        #: slice re-arms it instead of allocating one.
+        self._spare: List[Optional[_Slice]] = [None] * len(machine.cores)
         self._queue = sim._queue
         #: ``(core,)`` per core index: the argument tuple shared by
         #: every slice and dispatch event of that core.
@@ -538,6 +544,11 @@ class Kernel:
         if budget < _MIN_SLICE:
             budget = _MIN_SLICE
         length = seconds_needed if seconds_needed < budget else budget
+        if length < 0.0:
+            raise SimulationError(f"cannot schedule in the past: {length}")
+        now = self.sim._now
+        end = now + length
+        callback = self._on_slice_end
         # Spin bursts never coalesce: a macro would run the burst to
         # "completion" and complete the thread's in-flight Lock
         # instruction, but a drained burst must re-check the lock
@@ -545,12 +556,13 @@ class Kernel:
         if (self._coalesce and seconds_needed > budget
                 and thread.spin_lock is None
                 and not self.runqueues[index]
-                and self.scheduler.coalesce_safe
-                and self._start_macro(thread, core, length)):
-            return
-        if length < 0.0:
-            raise SimulationError(f"cannot schedule in the past: {length}")
-        now = self.sim._now
+                and self.scheduler.coalesce_safe):
+            macro_end = self._macro_end(thread, core, length)
+            if macro_end is not None:
+                end = macro_end
+                callback = self._on_macro_end
+                self._macros[index] = core
+                self.metrics.counters.incr("coalesce.macros_armed")
         # Close the idle gap since the last slice retired here (zero
         # when slices abut); idle is accumulated independently of busy
         # so their sum being the run duration is a real invariant.
@@ -558,8 +570,20 @@ class Kernel:
         span = self._tracer.span(now, "exec", thread.name,
                                  core=index, thread=thread.name) \
             if "exec" in self._tracer_active else None
-        piece = _Slice(now + length, self._on_slice_end,
-                       self._core_args[index], thread, now, rate, span)
+        piece = self._spare[index]
+        if piece is None:
+            piece = _Slice(end, callback, self._core_args[index], thread,
+                           now, rate, span)
+        else:
+            # Re-arm the core's fired slice; its args are the core's
+            # tuple already.
+            self._spare[index] = None
+            piece.time = end
+            piece.callback = callback
+            piece.thread = thread
+            piece.start = now
+            piece.rate = rate
+            piece.span = span
         self._slices[index] = piece
         self._queue.push_event(piece, index)
 
@@ -574,13 +598,13 @@ class Kernel:
     # that promises not to preempt spontaneously — the kernel instead
     # replays the per-quantum float arithmetic in closed form and, if
     # the instruction COMPLETES strictly before any other pending
-    # event ("the cap"), schedules ONE macro event at the completion
-    # time.  Because the macro window ends strictly below the cap, no
-    # foreign event can observe the core mid-window without first
-    # passing through one of the re-split hooks below, which
-    # materialize ("catch up") the skipped boundaries into the exact
-    # counters, histograms and spans the sliced kernel would have
-    # written.
+    # event ("the cap"), _start_slice arms ONE macro slice that ends
+    # at the completion time.  Because the macro window ends strictly
+    # below the cap, no foreign event can observe the core mid-window
+    # without first passing through one of the re-split hooks below,
+    # which materialize ("catch up") the skipped boundaries into the
+    # exact counters, histograms and spans the sliced kernel would
+    # have written.
     #
     # Why completion-only?  A partial window (macro cut short by the
     # cap) would end ON the shared quantum grid and still need a real
@@ -590,18 +614,15 @@ class Kernel:
     # macro event fires at its timestamp exactly where the sliced
     # boundary chain would have, even though it was scheduled long ago
     # with a stale sequence number.
-    def _start_macro(self, thread: SimThread, core: Core,
-                     first_length: float) -> bool:
-        """Try to coalesce the upcoming quantum boundaries on ``core``.
-
-        Returns True when a macro slice was scheduled (the caller's
-        sliced path must not run); False to fall back to a normal
-        per-quantum slice.
-        """
+    def _macro_end(self, thread: SimThread, core: Core,
+                   first_length: float) -> Optional[float]:
+        """When a macro slice on ``core`` would complete ``thread``'s
+        instruction, or None when the upcoming quantum boundaries
+        cannot coalesce and the caller arms a per-quantum slice."""
         now = self.sim._now
         cap = self.sim.horizon(self._slice_callbacks)
         if now + first_length >= cap:
-            return False
+            return None
         # Closed-form replay of the sliced kernel's quantum loop —
         # float-for-float the same operations _retire_slice and
         # _start_slice perform — to find the last boundary before the
@@ -637,24 +658,13 @@ class Kernel:
             # land on the shared quantum grid, where the macro event's
             # arm-time seq would fire out of order among same-time
             # boundary events (see the block comment above).
-            return False
+            return None
         if boundaries == 0:  # pragma: no cover - caller guarantees
-            return False     # seconds_needed > budget, so >= 1 boundary
+            return None      # seconds_needed > budget, so >= 1 boundary
         if end < now:  # pragma: no cover - the replay only moves forward
             raise SimulationError(
                 f"cannot schedule at {end}, current time is {now}")
-        index = core.index
-        core.idle_seconds += now - core.idle_since
-        span = self._tracer.span(now, "exec", thread.name,
-                                 core=index, thread=thread.name) \
-            if "exec" in self._tracer_active else None
-        piece = _Slice(end, self._on_macro_end, self._core_args[index],
-                       thread, now, rate, span)
-        self._slices[index] = piece
-        self._queue.push_event(piece, index)
-        self._macros[index] = core
-        self.metrics.counters.incr("coalesce.macros_armed")
-        return True
+        return end
 
     def _on_macro_end(self, core: Core) -> None:
         self._sweep_time = self.sim._now
@@ -666,11 +676,12 @@ class Kernel:
                                         inclusive=True,
                                         allow_complete=True)
         if completed:
+            self._spare[core.index] = piece
             self.metrics.counters.incr("coalesce.macros_completed")
             self._complete_instruction(thread, None)
             self._process(thread, core)
             return
-        # Defensive fallback: _start_macro only arms windows that run
+        # Defensive fallback: _macro_end only admits windows that run
         # to completion, and the catch-up replays the same float
         # arithmetic, so this branch is unreachable unless the two
         # ever disagree — in which case degrade to a real slice event
@@ -889,19 +900,19 @@ class Kernel:
             return None
         if self._macros:
             self._macro_dissolve(core, "coalesce.macros_absorbed")
-        piece = self._slices.get(core.index)
+        piece = self._slices.pop(core.index, None)
         if piece is None:  # pragma: no cover - invariant guard
             # Instant instructions never leave kernel context, so a
             # busy core between events always runs a slice.
             raise SchedulingError(
                 f"core {core.index} busy without a compute slice")
         self.sim.cancel(piece)
-        return self._retire_slice(core)
+        return self._retire_slice(core, piece)
 
-    def _retire_slice(self, core: Core) -> SimThread:
-        """Account for the (possibly partial) slice running on core."""
+    def _retire_slice(self, core: Core, piece: _Slice) -> SimThread:
+        """Account for the (possibly partial) slice ``piece``, just
+        taken off ``core``'s ``_slices`` entry."""
         index = core.index
-        piece = self._slices.pop(index)
         now = self.sim._now
         elapsed = now - piece.start
         cycles = elapsed * piece.rate
@@ -933,21 +944,41 @@ class Kernel:
         return thread
 
     def _on_slice_end(self, core: Core) -> None:
-        self._sweep_time = self.sim._now
-        self._sweep_group = core.index
-        thread = self._retire_slice(core)
+        now = self.sim._now
+        index = core.index
+        self._sweep_time = now
+        self._sweep_group = index
+        piece = self._slices.pop(index)
+        thread = self._retire_slice(core, piece)
         if thread.remaining_cycles <= _CYCLE_EPSILON:
             # A drained spin burst is not a completed instruction: it
             # re-checks the lock.  With quantum left, a failed check
-            # starts the next burst here, as _process would.
+            # re-arms this slice for the next burst here, to the float
+            # _start_slice would give it: spin bursts never coalesce,
+            # the idle gap is zero (_retire_slice set idle_since to
+            # now), and a fired slice runs at its core's current rate
+            # (every rate change cancels the slice first).
             if thread.spin_lock is None:
                 self._complete_instruction(thread, None)
             elif (thread.quantum_used < self.scheduler.quantum
                     and not self._spin_recheck(thread, core)):
-                self._start_slice(thread, core)
+                needed = thread.remaining_cycles / piece.rate
+                budget = self.scheduler.quantum - thread.quantum_used
+                if budget < _MIN_SLICE:
+                    budget = _MIN_SLICE
+                piece.time = now + (needed if needed < budget else budget)
+                piece.start = now
+                piece.span = self._tracer.span(
+                    now, "exec", thread.name, core=index,
+                    thread=thread.name) \
+                    if "exec" in self._tracer_active else None
+                self._slices[index] = piece
+                self._queue.push_event(piece, index)
                 return
+            self._spare[index] = piece
             self._process(thread, core)
             return
+        self._spare[index] = piece
         # Quantum expired mid-instruction.
         if self.scheduler.should_preempt(core, thread):
             self._requeue(thread, core)
@@ -1095,8 +1126,10 @@ class Kernel:
         if "block" in self._tracer_active:
             thread.block_span = self._tracer.span(
                 self.sim._now, "block", "sleep", thread=thread.name)
-        self.sim.schedule_fast(instruction.seconds,
-                               self._wake_sleeper, thread)
+        # Sleep rejects negative and NaN seconds, so the wake goes
+        # straight onto the queue, at the time schedule_fast computes.
+        self._queue.push_fast(self.sim._now + instruction.seconds,
+                              self._wake_sleeper, (thread,))
         return True
 
     def _do_acquire(self, thread: SimThread, core: Core,

@@ -39,7 +39,8 @@ never reach the fourth element):
   handle, and by :meth:`EventQueue.push_event`, which queues an event
   the caller built itself.  The kernel's compute slices subclass
   :class:`Event` and carry their own bookkeeping, so a slice and its
-  cancellable end event are one object.
+  cancellable end event are one object, which the kernel pushes again
+  for its core's next slice once it has fired.
 
 Cancellation is lazy (cancelled events stay buried in the heap and are
 skipped when they surface) but bounded: whenever cancelled entries
@@ -127,11 +128,14 @@ class EventQueue:
 
         Like :meth:`push`, but the caller allocated the event (usually
         a subclass carrying its own state); the queue stamps its
-        sequence number and returns it.  Push an event once: re-arming
-        a cancelled event needs a fresh object, because the cancelled
-        one stays in the heap until it surfaces or the heap is
-        compacted.
+        sequence number and returns it.  An event that fired may be
+        pushed again, with a new time and sequence number.  A cancelled
+        event is refused: it stays in the heap until it surfaces or the
+        heap is compacted, and pushing it again would revive that
+        entry, so re-arming it needs a fresh object.
         """
+        if event.cancelled:
+            raise SimulationError("cannot push a cancelled event")
         time = event.time
         if time != time:
             raise SimulationError("event scheduled at NaN time")

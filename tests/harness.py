@@ -22,8 +22,8 @@ audit those books, shared across the test suite:
 * Flight-recorder dumps — every golden rebuild runs with the default
   trace categories enabled, and :func:`flight_ring` takes the last
   :data:`FLIGHT_RECORDER_CAPACITY` records and spans of its timeline,
-  in time order; when a conservation invariant or golden comparison
-  fails, :func:`write_flight_dump` writes that ring to
+  in time order; when a golden comparison fails,
+  :func:`write_flight_dump` writes that ring to
   ``$REPRO_FLIGHT_DIR`` (default: a ``repro-flight-dumps`` directory
   under the system temp dir) so the failure ships its own forensics.
 * Event streams — :func:`record_event_stream` digests every event a
@@ -149,19 +149,9 @@ def flight_ring(timeline) -> List[Dict[str, Any]]:
 # ----------------------------------------------------------------------
 def assert_conservation(metrics: RunMetrics,
                         rtol: float = CONSERVATION_RTOL,
-                        atol: float = CONSERVATION_ATOL,
-                        tracer: Optional[Tracer] = None,
-                        label: str = "conservation") -> None:
-    """Fail with every violated conservation law listed.
-
-    Passing the run's ``tracer`` dumps its :func:`flight_ring` to
-    :func:`flight_dump_dir` on failure and names the dump in the
-    assertion message.
-    """
+                        atol: float = CONSERVATION_ATOL) -> None:
+    """Fail with every violated conservation law listed."""
     errors = metrics.conservation_errors(rtol=rtol, atol=atol)
-    if errors and tracer is not None:
-        path = write_flight_dump(label, flight_ring(tracer))
-        errors = errors + [f"flight recorder dumped to {path}"]
     assert not errors, \
         "cycle conservation violated:\n  " + "\n  ".join(errors)
 

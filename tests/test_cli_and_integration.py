@@ -83,9 +83,27 @@ class TestCli:
 
         monkeypatch.setattr(StubExhibit, "run", staticmethod(fail))
         failed = tmp_path / "failed.json"
-        with pytest.raises(ReproError):
-            cli_main(["stub-exhibit", "--metrics-out", str(failed)])
+        capsys.readouterr()
+        assert cli_main(["stub-exhibit", "--metrics-out",
+                         str(failed)]) == 1
+        assert capsys.readouterr().err == \
+            "error: stub-exhibit: ReproError: stub failure\n"
         assert not failed.exists()
+
+    def test_model_error_ends_in_one_line(self, tmp_path, capsys):
+        # fig13 pins its OpenMP teams to cores, so a schedule that
+        # takes core 1 offline leaves a pinned thread no online core.
+        schedule = tmp_path / "offline.json"
+        schedule.write_text(json.dumps({"events": [
+            {"core": 1, "kind": "offline", "time": 0.05},
+            {"core": 1, "kind": "online", "time": 0.12}], "seed": 0}))
+        out = tmp_path / "metrics.json"
+        assert cli_main(["fig13", "--faults", str(schedule),
+                         "--metrics-out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fig13: SchedulingError: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_all_simulates_a_repeated_task_once(self, tmp_path,
                                                  monkeypatch, capsys):

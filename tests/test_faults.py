@@ -368,8 +368,9 @@ class TestSliceEventsUnderStorm:
 
     Every path that retires a partial slice cancels it — pulls,
     macro splits, reprogramming, stalls — and a split re-arms a fresh
-    slice, so a cancelled slice must never fire and every slice fires
-    at most once.
+    slice, while a slice that fired is re-armed for its core's next
+    slice.  So a slice object may fire many times, but each push of
+    it fires at most once, and a cancelled push never fires.
     """
 
     @pytest.mark.parametrize("coalesce", [True, False],
@@ -390,14 +391,17 @@ class TestSliceEventsUnderStorm:
             kernel.spawn(SimThread(f"t{index}", _contended_body(
                 mutex, 6, 5e7 * (index + 1), 0.003 * (index + 1))))
 
-        pushed, fired = [], []
+        # A push is (slice, the seq it was pushed with); holding the
+        # slice keeps its identity unique for the whole run.
+        pushed, fired = set(), []
         push_event = EventQueue.push_event
         pop_before = EventQueue.pop_before
         slice_ends = (kernel._on_slice_end, kernel._on_macro_end)
 
         def recording_push(q, event, group=-1):
-            pushed.append(event)
-            return push_event(q, event, group)
+            push_event(q, event, group)
+            pushed.add((event, event.seq))
+            return event
 
         def checked_pop(q, limit):
             item = pop_before(q, limit)
@@ -408,7 +412,9 @@ class TestSliceEventsUnderStorm:
                     assert piece is not None and not piece.cancelled
                     assert piece.time == time
                     assert piece.callback == callback
-                    fired.append(piece)
+                    push = (piece, piece.seq)
+                    assert push in pushed and push not in fired
+                    fired.append(push)
                 assert q.heap_size() - len(q) <= len(q) + 1
             return item
 
@@ -422,15 +428,17 @@ class TestSliceEventsUnderStorm:
         assert counters.get("faults.stall") > 0
         if coalesce:
             assert counters.get("coalesce.macros_split") > 0
-        # Every slice pushed was cancelled, fired once or is pending.
-        pushed_ids = {id(piece) for piece in pushed}
-        cancelled = {id(piece) for piece in pushed if piece.cancelled}
-        fired_ids = {id(piece) for piece in fired}
-        pending = {id(entry[3]) for entry in queue._heap
+        # Every push was cancelled, fired once or is pending.  A
+        # cancelled slice is never pushed again, so its last push is
+        # the cancelled one; a pending push is judged by its heap seq.
+        cancelled = {(piece, piece.seq) for piece, _ in pushed
+                     if piece.cancelled}
+        fired_pushes = set(fired)
+        pending = {(entry[3], entry[2]) for entry in queue._heap
                    if len(entry) == 4 and not entry[3].cancelled}
-        assert cancelled and len(fired_ids) == len(fired)
-        assert not cancelled & fired_ids
-        assert pushed_ids == cancelled | fired_ids | (pending & pushed_ids)
+        assert cancelled and len(fired_pushes) == len(fired)
+        assert not cancelled & fired_pushes
+        assert pushed == cancelled | fired_pushes | (pending & pushed)
         assert_conservation(system.run_metrics())
 
 

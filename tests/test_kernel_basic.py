@@ -27,6 +27,7 @@ from repro.kernel import (
     Wait,
     YieldCPU,
 )
+from repro.kernel.kernel import _Slice
 from repro.machine import DEFAULT_FREQUENCY_HZ
 from tests import harness
 
@@ -118,6 +119,30 @@ class TestComputeTiming:
 
     def test_infinite_cycles_accepted(self):
         assert Compute(float("inf")).cycles == float("inf")
+
+    def test_each_core_rearms_one_slice(self, monkeypatch):
+        # Sliced, six threads on four cores end and arm a slice at
+        # every quantum boundary; a core re-arms the slice that just
+        # fired, so only each core's first slice is built.
+        built = []
+        init = _Slice.__init__
+
+        def counting_init(piece, *args):
+            built.append(piece)
+            init(piece, *args)
+
+        monkeypatch.setattr(_Slice, "__init__", counting_init)
+
+        def body():
+            for _ in range(5):
+                yield Compute(3e8)
+
+        system = System.build("2f-2s/8", seed=1, coalesce=False)
+        for index in range(6):
+            system.kernel.spawn(SimThread(f"t{index}", body()))
+        system.run()
+        assert system.sim.events_fired == 2444
+        assert len(built) <= 4
 
 
 class TestSleepAndTime:

@@ -182,6 +182,33 @@ class TestPushEvent:
         assert fired == [1.0, 2.0, 2.5, 4.0, 5.0]
         assert len(queue) == 0 and queue.heap_size() == 0
 
+    def test_cancelled_event_refused(self):
+        # Its entry is still buried in the heap: pushing it again
+        # would revive that entry.
+        queue = EventQueue()
+        piece = queue.push_event(_slice(1.0))
+        queue.push_fast(2.0, lambda: None)
+        queue.cancel(piece)
+        heap = list(queue._heap)
+        with pytest.raises(SimulationError):
+            queue.push_event(piece)
+        assert queue._heap == heap
+        assert len(queue) == 1 and queue.heap_size() == 2
+
+    def test_fired_event_fires_again_when_pushed_again(self):
+        queue = EventQueue()
+        piece = queue.push_event(_slice(1.0, "a"), 2)
+        queue.push_fast(3.0, lambda *args: None, ("b",))
+        assert queue.pop_before(float("inf"))[::2] == (1.0, ("a",))
+        piece.time = 5.0
+        assert queue.push_event(piece, 2) is piece
+        assert piece.seq == 2 and not piece.cancelled
+        fired = []
+        while (item := queue.pop_before(float("inf"))) is not None:
+            fired.append(item[::2])
+        assert fired == [(3.0, ("b",)), (5.0, ("a",))]
+        assert len(queue) == 0 and queue.heap_size() == 0
+
     def test_compaction_drops_cancelled_slices(self):
         queue = EventQueue()
         keeper = queue.push_event(_slice(1e6))
